@@ -16,9 +16,7 @@ down.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import words
@@ -92,8 +90,8 @@ class Ball:
                         if total > self.cap:
                             raise CapExceeded(self.cap, n)
             self.levels.append(nxt)
-        # canonical level order: every downstream tie-break and every cache
-        # file sees the same sequence regardless of discovery order
+        # canonical level order: every downstream tie-break sees the same
+        # sequence regardless of discovery order
         for level in self.levels:
             level.sort(key=lambda g: words.nf_key(self.nf(g)))
 
@@ -291,70 +289,7 @@ def visible_region(ball: Ball, n: int, owner):
     return regions
 
 
-# ---------------------------------------------------------------------------
-# level cache
-
-
-def save_levels(ball: Ball, cache_dir: str):
-    os.makedirs(cache_dir, exist_ok=True)
-    h = ball.graph.hash_hex()
-    for n, level in enumerate(ball.levels):
-        path = os.path.join(cache_dir, "%s.level%03d.json" % (h, n))
-        # levels are already in canonical order; keep it in the file
-        entries = [words.nf_str(ball.graph, ball.nf(g)) for g in level]
-        with open(path, "w") as f:
-            json.dump({"graph": ball.graph.hash_hex(), "level": n,
-                       "elements": entries}, f, sort_keys=True)
-
-
-def load_levels(graph: DefiningGraph, cache_dir: str):
-    """Load cached levels 0..k (longest unbroken prefix); [] when absent."""
-    h = graph.hash_hex()
-    levels = []
-    n = 0
-    while True:
-        path = os.path.join(cache_dir, "%s.level%03d.json" % (h, n))
-        if not os.path.exists(path):
-            break
-        with open(path) as f:
-            data = json.load(f)
-        levels.append([words.state_of_nf(graph, words.nf_parse(graph, s))
-                       for s in data["elements"]])
-        n += 1
-    return levels
-
-
 def build_ball(graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP,
-               cache_dir: str | None = None,
                collect_discrepancies: bool = True) -> Ball:
-    """Build (or extend from cache) the ball of the given depth."""
-    if cache_dir is not None:
-        cached = load_levels(graph, cache_dir)
-        if len(cached) >= n_levels + 1:
-            ball = Ball.__new__(Ball)
-            ball.graph = graph
-            ball.N = n_levels
-            ball.cap = cap
-            ball.moves = diagonal_elements(graph)
-            ball.levels = cached[: n_levels + 1]
-            ball.level_of = {}
-            for n, lvl in enumerate(ball.levels):
-                for g in lvl:
-                    ball.level_of[g] = n
-            ball.pred = {}
-            ball.pred_move = {}
-            ball.cover_counts = {}
-            ball.multi_cover = 0
-            ball.nf_cache = {}
-            ball.word_pred_mismatches = 0
-            ball.word_pred_examples = []
-            ball._assign_predecessors()
-            if collect_discrepancies:
-                ball._check_word_predecessors()
-            if ball.size() > cap:
-                raise CapExceeded(cap, n_levels)
-            return ball
-    ball = Ball(graph, n_levels, cap=cap, collect_discrepancies=collect_discrepancies)
-    if cache_dir is not None:
-        save_levels(ball, cache_dir)
-    return ball
+    """Build the ball of the given depth."""
+    return Ball(graph, n_levels, cap=cap, collect_discrepancies=collect_discrepancies)

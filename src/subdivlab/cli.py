@@ -13,8 +13,7 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .balls import DEFAULT_CAP, CapExceeded, build_ball
@@ -43,11 +42,9 @@ class RunConfig:
     cap: int = DEFAULT_CAP
     out_dir: str = "out"
     exports: tuple = ("reports",)
-    coalesce: bool = True
     ends_window: int = 3
     strict_cubes: bool = False
     layout_seed: int = 0
-    cache_dir: str | None = None
     diameter_mode: str = "exact"
     cone_depth: int = 1
 
@@ -56,6 +53,10 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.cap < 1:
             raise ValueError("cap must be positive")
+        if self.ends_window < 1:
+            raise ValueError("ends window must be >= 1")
+        if self.cone_depth < 0:
+            raise ValueError("cone depth must be >= 0")
 
 
 def _atomic_write(path, text):
@@ -86,12 +87,15 @@ def run(config: RunConfig) -> int:
         return EXIT_PARSE
 
     os.makedirs(config.out_dir, exist_ok=True)
-    # --levels counts tiling levels; their construction needs two more
-    # layers of the ball
-    ball_levels = config.levels + 2
+    if config.mode == "special":
+        violation = check_local_isometry(spec, graph, strict=config.strict_cubes)
+        if violation is not None:
+            print("error: %s" % violation, file=sys.stderr)
+            return EXIT_PARSE
+    # --levels counts tiling levels 0..L-1; level n reads the ball up to
+    # level n + 1, so the ball is exactly L deep
     try:
-        ball = build_ball(graph, ball_levels, cap=config.cap,
-                          cache_dir=config.cache_dir)
+        ball = build_ball(graph, config.levels, cap=config.cap)
     except CapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAP
@@ -162,11 +166,7 @@ def run(config: RunConfig) -> int:
 
     status = EXIT_OK
     if config.mode == "special":
-        violation = check_local_isometry(spec, graph, strict=config.strict_cubes)
-        if violation is not None:
-            print("error: %s" % violation, file=sys.stderr)
-            return EXIT_PARSE
-        lifts = lift_basepoints(spec, graph, ball, ball_levels)
+        lifts = lift_basepoints(spec, graph, ball, config.levels)
         try:
             pruned = prune_history(tilings, lifts, ball, rule)
         except StarConvexityViolation as exc:
@@ -251,11 +251,9 @@ def make_parser():
     runp.add_argument("--out", default="out")
     runp.add_argument("--export", default="reports",
                       help="comma list: tilings,dot,svg,reports")
-    runp.add_argument("--coalesce", action="store_true", default=True)
     runp.add_argument("--ends-window", type=int, default=3)
     runp.add_argument("--strict-cubes", action="store_true")
     runp.add_argument("--layout-seed", type=int, default=0)
-    runp.add_argument("--cache-dir", default=None)
     runp.add_argument("--diameter-mode", choices=("exact", "double-sweep"),
                       default="exact")
     runp.add_argument("--cone-depth", type=int, default=1)
@@ -275,9 +273,8 @@ def main(argv=None) -> int:
             input_path=args.input, mode=args.mode, levels=args.levels,
             cap=args.cap, out_dir=args.out,
             exports=tuple(x for x in args.export.split(",") if x),
-            coalesce=args.coalesce, ends_window=args.ends_window,
-            strict_cubes=args.strict_cubes, layout_seed=args.layout_seed,
-            cache_dir=args.cache_dir, diameter_mode=args.diameter_mode,
+            ends_window=args.ends_window, strict_cubes=args.strict_cubes,
+            layout_seed=args.layout_seed, diameter_mode=args.diameter_mode,
             cone_depth=args.cone_depth)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -104,8 +104,6 @@ class CubeComplexSpec:
             arrive = (eprev.label, -1 if eprev.sign * oprev > 0 else 1)
             corners.append((v, arrive, leave))
             v = end
-        if v != refs[0][0].src and v != (refs[0][0].src if refs[0][0].sign * refs[0][1] > 0 else refs[0][0].dst):
-            pass
         e0, o0 = refs[0]
         start0 = e0.src if e0.sign * o0 > 0 else e0.dst
         if v != start0:

@@ -177,10 +177,6 @@ def tiling_to_svg(tiling, rule=None, seed=0, size=640, iterations=60):
     return out.getvalue()
 
 
-# op-name alias: the SVG writer is the artifact's export_svg entry point
-export_svg = tiling_to_svg
-
-
 def counts_csv(tilings, rule=None):
     out = io.StringIO()
     w = csv.writer(out)

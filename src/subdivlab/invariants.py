@@ -417,6 +417,37 @@ def _bfs(adj, src):
     return dist, prev
 
 
+def _eccentricities(nbrs):
+    """Eccentricity of every vertex of a connected graph given as int
+    adjacency lists.  The breadth-first searches from all sources run at
+    once, level by level: bit s of a vertex's mask marks it reached from
+    source s."""
+    n = len(nbrs)
+    reached = [1 << v for v in range(n)]
+    frontier = list(reached)
+    ecc = [0] * n
+    level = 0
+    while True:
+        level += 1
+        nxt = []
+        grown = 0
+        for v in range(n):
+            got = 0
+            for u in nbrs[v]:
+                got |= frontier[u]
+            got &= ~reached[v]
+            reached[v] |= got
+            nxt.append(got)
+            grown |= got
+        if not grown:
+            return ecc
+        frontier = nxt
+        while grown:
+            low = grown & -grown
+            ecc[low.bit_length() - 1] = level
+            grown ^= low
+
+
 def _level_diameter(tiling, exact=True):
     ids = [t.id for t in tiling.nonideal()]
     idset = set(ids)
@@ -427,19 +458,18 @@ def _level_diameter(tiling, exact=True):
     if len(dist0) != len(ids):
         return "inf", None
     if exact:
-        best = (-1, None, None)
-        for src in ids:
-            dist, prev = _bfs(adj, src)
-            far = max(dist.items(), key=lambda kv: (kv[1], kv[0]))
-            if far[1] > best[0]:
-                best = (far[1], src, (far[0], prev))
-        diam, src, (dst, prev) = best
+        # the first source of largest eccentricity; only it needs the full
+        # BFS with predecessors for the witness
+        index = {tid: k for k, tid in enumerate(ids)}
+        nbrs = [[index[o] for o in adj[tid]] for tid in ids]
+        eccs = _eccentricities(nbrs)
+        src = ids[eccs.index(max(eccs))]
     else:
         # double sweep: a certified lower bound
-        far1 = max(dist0.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        dist, prev = _bfs(adj, far1)
-        dst = max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        diam, src = dist[dst], far1
+        src = max(dist0.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    dist, prev = _bfs(adj, src)
+    dst = max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    diam = dist[dst]
     path = []
     cur = dst
     while cur is not None:

@@ -97,9 +97,12 @@ def _ideal_id(graph, owner_nf, facet):
 
 
 def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
-    """Tiling at level n (the flat structure of the sphere of radius n+1)."""
-    if ball.N < n + 2:
-        raise ValueError("ball too shallow: need level %d, have %d" % (n + 2, ball.N))
+    """Tiling at level n (the flat structure of the sphere of radius n+1).
+
+    It reads the ball up to level n + 1 and no further, so `ball.N` must be
+    at least n + 1."""
+    if ball.N < n + 1:
+        raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
     graph = ball.graph
     tiling = Tiling(n, graph)
 
@@ -373,7 +376,6 @@ def extract_rule(tilings, keep=None, require_stable=False) -> SubdivisionRule:
         return nxt
 
     def partition_on(signature, universe):
-        blocks = defaultdict(frozenset)
         groups = defaultdict(list)
         for tid in universe:
             groups[signature[tid]].append(tid)

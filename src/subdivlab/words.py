@@ -27,8 +27,6 @@ from .graphs import DefiningGraph, make_cell
 # Syllable: tuple of (generator index, nonzero exponent), sorted by index.
 # NormalForm: tuple of syllables.
 
-IDENTITY_NF = ()
-
 
 class WordError(ValueError):
     pass
@@ -85,11 +83,6 @@ def apply_letters(state, graph: DefiningGraph, letters):
     for i, s in letters:
         push_letter(piles, graph, i, s)
     return tuple(map(tuple, piles))
-
-
-def cell_letters(cell):
-    """Letters of a diagonal generator t_S (order irrelevant: S is a clique)."""
-    return cell
 
 
 def inverse_cell(cell):
@@ -230,13 +223,3 @@ def nf_str(graph: DefiningGraph, nf) -> str:
             factors.append(graph.generators[i] + ("" if e == 1 else "^%d" % e))
         parts.append(" ".join(factors))
     return " | ".join(parts)
-
-
-def nf_parse(graph: DefiningGraph, text: str):
-    """Inverse of nf_str (used by the level cache)."""
-    if text == "1":
-        return IDENTITY_NF
-    word = []
-    for part in text.split(" | "):
-        word.extend(parse_word(graph, part))
-    return normalize(graph, tuple(word))

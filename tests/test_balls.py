@@ -2,8 +2,8 @@ import pytest
 
 from subdivlab import words
 from subdivlab.balls import (Ball, CapExceeded, build_ball, classify_cell,
-                             convex_cells, ideal_cell_membership, load_levels,
-                             save_levels, visible_region)
+                             convex_cells, ideal_cell_membership,
+                             visible_region)
 from subdivlab.graphs import DefiningGraph
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
@@ -175,15 +175,3 @@ def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         build_ball(triangle(), 3, cap=20)
 
-
-def test_level_cache_roundtrip_and_extension(tmp_path):
-    g = path3()
-    cache = str(tmp_path / "cache")
-    b1 = build_ball(g, 3, cache_dir=cache)
-    b2 = build_ball(g, 3, cache_dir=cache)   # warm load
-    assert b1.sphere_sizes() == b2.sphere_sizes()
-    assert [list(l) for l in b1.levels] == [list(l) for l in b2.levels]
-    assert b1.pred == b2.pred
-    b3 = build_ball(g, 4, cache_dir=cache)   # extend past the cache
-    assert b3.sphere_sizes()[:4] == b1.sphere_sizes()
-    assert b3.sphere_sizes() == [1, 14, 70, 286, 1078]

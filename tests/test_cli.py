@@ -99,16 +99,33 @@ def test_determinism_byte_identical(tmp_path):
         assert a == b, rel
 
 
-def test_cache_soundness(tmp_path):
+@pytest.mark.parametrize("flag,value,message", [
+    ("--cone-depth", "-1", "cone depth"),
+    ("--ends-window", "0", "ends window"),
+])
+def test_bad_run_options_exit_2(tmp_path, capsys, flag, value, message):
     inp = write(tmp_path, "triangle.json", TRIANGLE)
-    cache = str(tmp_path / "cache")
-    assert main(["run", inp, "--levels", "3", "--out", str(tmp_path / "cold"),
-                 "--cache-dir", cache]) == 0
-    assert main(["run", inp, "--levels", "3", "--out", str(tmp_path / "warm"),
-                 "--cache-dir", cache]) == 0
-    cold = (tmp_path / "cold" / "report.json").read_bytes()
-    warm = (tmp_path / "warm" / "report.json").read_bytes()
-    assert cold == warm
+    assert main(["run", inp, "--levels", "3", flag, value,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_bad_complex_exits_before_the_ball(tmp_path, capsys, monkeypatch):
+    from subdivlab import cli
+
+    def no_ball(*a, **k):
+        raise AssertionError("the ambient ball was built")
+
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    # two commuting loops without their commutator square: not full
+    bad = dict(LOOP_A, edges=LOOP_A["edges"] + [
+        {"id": "e_b", "from": "v", "to": "v", "label": "b"}])
+    inp = write(tmp_path, "bad.json", bad)
+    assert main(["run", inp, "--mode", "special", "--levels", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: not full at v")
 
 
 def test_oracle_subcommand(tmp_path, capsys):

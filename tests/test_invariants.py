@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from subdivlab.invariants import (classify_counts, divergence_diameter, ends,
+from subdivlab.invariants import (_bfs, _eccentricities, _level_diameter,
+                                  classify_counts, divergence_diameter, ends,
                                   growth, mesh_certificate, minimal_recurrence,
                                   polynomial_degree,
                                   spectral_radius_exceeds_one)
@@ -132,3 +133,48 @@ def test_divergence_double_sweep_is_lower_bound():
     assert sweep.mode == "lower-bound"
     for a, b in zip(sweep.diameters, exact.diameters):
         assert a <= b
+
+
+def _all_sources_diameter(tiling):
+    """Reference: a full BFS with predecessors from every tile; the first
+    source of largest eccentricity wins."""
+    ids = [t.id for t in tiling.nonideal()]
+    idset = set(ids)
+    adj = {i: sorted(o for o, _ in tiling.neighbors(i) if o in idset)
+           for i in ids}
+    if not ids:
+        return 0, None
+    if len(_bfs(adj, ids[0])[0]) != len(ids):
+        return "inf", None
+    best = (-1, None, None)
+    for src in ids:
+        dist, prev = _bfs(adj, src)
+        far = max(dist.items(), key=lambda kv: (kv[1], kv[0]))
+        if far[1] > best[0]:
+            best = (far[1], src, (far[0], prev))
+    diam, src, (dst, prev) = best
+    path = []
+    cur = dst
+    while cur is not None:
+        path.append(cur)
+        cur = prev[cur]
+    return diam, (src, dst, list(reversed(path)))
+
+
+@pytest.mark.parametrize("name", ["triangle", "path3", "single",
+                                  "edge_plus_vertex", "square"])
+def test_exact_diameter_matches_all_sources_reference(name):
+    for t in get_tilings(name):
+        assert _level_diameter(t) == _all_sources_diameter(t)
+
+
+def test_exact_diameter_disconnected():
+    t = get_tilings("free3")[1]
+    assert _level_diameter(t) == _all_sources_diameter(t) == ("inf", None)
+
+
+def test_eccentricities_small_graphs():
+    assert _eccentricities([[]]) == [0]
+    assert _eccentricities([[1], [0, 2], [1, 3], [2]]) == [3, 2, 2, 3]
+    # a 5-cycle with duplicate adjacency entries
+    assert _eccentricities([[1, 4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]) == [2] * 5

@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+from subdivlab.balls import build_ball
+from subdivlab.exports import tiling_to_json
 from subdivlab.graphs import DefiningGraph, support
 from subdivlab.tiling import (HistoryGraph, build_history, build_tiling,
                               build_tilings, descriptor_crosscheck,
@@ -85,9 +87,23 @@ def test_adjacency_labels():
 
 
 def test_build_tiling_requires_depth():
+    # level n reads the ball up to level n + 1 and no further
     ball = get_ball("single")
     with pytest.raises(ValueError):
-        build_tiling(ball, ball.N - 1)
+        build_tiling(ball, ball.N)
+    assert build_tiling(ball, ball.N - 1).level == ball.N - 1
+
+
+@pytest.mark.parametrize("name", ["triangle", "path3", "free3",
+                                  "edge_plus_vertex", "square"])
+def test_tilings_need_no_deeper_ball(name):
+    # a ball exactly as deep as the tilings serialises identically to the
+    # two-layers-deeper one the shared fixtures use
+    deep = get_tilings(name)
+    shallow = build_tilings(build_ball(get_ball(name).graph, len(deep)),
+                            len(deep))
+    assert [tiling_to_json(t) for t in shallow] == \
+        [tiling_to_json(t) for t in deep]
 
 
 def test_history_free3():
