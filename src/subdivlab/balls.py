@@ -8,10 +8,18 @@ domains one diagonal move away, so rounds and metric layers agree.
 The chosen predecessor of an element g at level n+1 is the owner of a convex
 cell of the previous sphere that g covers: among all moves t with
 g = h * t, h at level n and the cell (h, signs of t) touching no other
-domain of B(n), the canonically smallest h wins.  Elements covering several
+domain of B(n), the canonically smallest h wins.  The search reads these
+pairs off the products that discover level n+1.  Elements covering several
 convex cells at once are counted, as are elements whose normal-form
 predecessor (drop the leftmost diagonal generator) fails to sit one level
 down.
+
+The local picture of an element g at level n -- its in-ball pattern, the
+moves t with g * t in B(n) -- depends only on the move covering g, as the
+subdivision rule has finitely many tile types.  The pattern and everything
+read off it (convex cells, flat cells, visible-region components) are
+computed once per covering move, and spot-checked with products on the
+first two elements of each level and covering move.
 """
 
 from __future__ import annotations
@@ -30,6 +38,18 @@ class CapExceeded(RuntimeError):
     def __init__(self, cap, level):
         super().__init__("element cap %d exceeded while building level %d" % (cap, level))
         self.cap = cap
+        self.level = level
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed at one element: a fault of the program,
+    not of its input.  `element` is the element's normal form (its piling
+    state where no normal form exists yet) and `level` its level, if known."""
+
+    def __init__(self, what, element, level=None):
+        where = element if level is None else "%s (level %d)" % (element, level)
+        super().__init__("%s at %s" % (what, where))
+        self.element = element
         self.level = level
 
 
@@ -56,17 +76,25 @@ class Ball:
         self.N = n_levels
         self.cap = cap
         self.moves = diagonal_elements(graph)
-        self.levels = []          # list of lists of states, discovery order
+        self.levels = []          # list of lists of states, canonical order
         self.level_of = {}        # state -> level
         self.pred = {}            # state -> predecessor state (level >= 1)
         self.pred_move = {}       # state -> covering move (signed cell)
-        self.cover_counts = {}    # state -> number of convex cells it covers
         self.multi_cover = 0      # elements covering more than one convex cell
         self.nf_cache = {}
         self.word_pred_mismatches = 0
         self.word_pred_examples = []  # up to 10 normal-form strings
+        # nonempty sub-signed-sets of each move; they are moves themselves
+        self._subcells = {t: [c for r in range(1, len(t) + 1)
+                              for c in combinations(t, r)] for t in self.moves}
+        # per covering move (None for the identity): in-ball pattern, convex
+        # moves, flat cells and visible-region components of its elements
+        self._patterns = {}
+        self._convex = {}
+        self._flat = {}
+        self._regions = {}
+        self._spot_checked = {}   # (level, covering move) -> elements recomputed
         self._build()
-        self._assign_predecessors()
         if collect_discrepancies:
             self._check_word_predecessors()
 
@@ -78,22 +106,36 @@ class Ball:
         self.levels.append([g0])
         total = 1
         for n in range(1, self.N + 1):
-            frontier = self.levels[n - 1]
             nxt = []
-            for g in frontier:
+            multi = set()
+            # the frontier is in canonical order, so the first convex cell
+            # found covering g has the canonically smallest owner
+            for h in self.levels[n - 1]:
+                convex = self.convex_moves(h)
                 for t in self.moves:
-                    h = words.apply_letters(g, self.graph, t)
-                    if h not in self.level_of:
-                        self.level_of[h] = n
-                        nxt.append(h)
+                    g = words.apply_letters(h, self.graph, t)
+                    lvl = self.level_of.get(g)
+                    if lvl is None:
+                        self.level_of[g] = lvl = n
+                        nxt.append(g)
                         total += 1
                         if total > self.cap:
                             raise CapExceeded(self.cap, n)
+                    if lvl == n and t in convex:
+                        if g in self.pred:
+                            multi.add(g)
+                        else:
+                            self.pred[g] = h
+                            self.pred_move[g] = t
+            for g in nxt:
+                if g not in self.pred:
+                    raise InvariantViolation("uncovered by any convex cell",
+                                             self.nf_string(g), n)
+            self.multi_cover += len(multi)
+            # canonical level order: every downstream tie-break sees the same
+            # sequence regardless of discovery order
+            nxt.sort(key=lambda g: words.nf_key(self.nf(g)))
             self.levels.append(nxt)
-        # canonical level order: every downstream tie-break sees the same
-        # sequence regardless of discovery order
-        for level in self.levels:
-            level.sort(key=lambda g: words.nf_key(self.nf(g)))
 
     def nf(self, state):
         got = self.nf_cache.get(state)
@@ -112,35 +154,6 @@ class Ball:
     def apply(self, state, cell):
         return words.apply_letters(state, self.graph, cell)
 
-    def _is_convex_cell(self, owner, cell, n) -> bool:
-        """True iff (owner, cell) touches no domain of B(n) except the owner."""
-        pairs = cell
-        for r in range(1, len(pairs) + 1):
-            for combo in combinations(pairs, r):
-                if self.in_ball(self.apply(owner, combo), n):
-                    return False
-        return True
-
-    def _assign_predecessors(self):
-        for n in range(1, self.N + 1):
-            for g in self.levels[n]:
-                candidates = []
-                for t in self.moves:
-                    h = self.apply(g, words.inverse_cell(t))
-                    if self.level_of.get(h) != n - 1:
-                        continue
-                    if self._is_convex_cell(h, t, n - 1):
-                        candidates.append((h, t))
-                # every fresh element covers at least one convex cell
-                assert candidates, "no covering convex cell found"
-                candidates.sort(key=lambda ht: (words.nf_key(self.nf(ht[0])), ht[1]))
-                h, t = candidates[0]
-                self.pred[g] = h
-                self.pred_move[g] = t
-                self.cover_counts[g] = len(candidates)
-                if len(candidates) > 1:
-                    self.multi_cover += 1
-
     def _check_word_predecessors(self):
         for n in range(1, self.N + 1):
             for g in self.levels[n]:
@@ -155,38 +168,63 @@ class Ball:
 
     # -- cell queries --------------------------------------------------------
 
-    def cell_membership(self, owner, cell, n):
-        """(count of domains of the cell inside B(n), in-ball move subsets)."""
-        count = 0
-        inside = []
-        for combo in BoundaryCell(owner, cell).domain_moves():
-            if self.in_ball(self.apply(owner, combo), n):
-                count += 1
-                inside.append(combo)
-        return count, inside
+    def in_ball_moves(self, g):
+        """The in-ball pattern of g: the moves t with g * t in B(n), n the
+        level of g.
+
+        It depends only on the move covering g, so it is computed once per
+        covering move.  The first two elements of each (level, covering move)
+        recompute it with products; a mismatch raises InvariantViolation.
+        """
+        level = self.level_of[g]
+        move = self.pred_move.get(g)
+        pattern = self._patterns.get(move)
+        checked = self._spot_checked.setdefault((level, move), [])
+        if pattern is None or (len(checked) < 2 and g not in checked):
+            got = frozenset(t for t in self.moves
+                            if self.in_ball(self.apply(g, t), level))
+            if pattern is None:
+                self._patterns[move] = pattern = got
+            elif got != pattern:
+                raise InvariantViolation(
+                    "in-ball pattern differs from that of its covering move",
+                    self.nf_string(g), level)
+            checked.append(g)
+        return pattern
+
+    def _per_move(self, cache, g, derive):
+        """`derive(in-ball pattern of g)`, computed once per covering move."""
+        pattern = self.in_ball_moves(g)
+        move = self.pred_move.get(g)
+        got = cache.get(move)
+        if got is None:
+            got = cache[move] = derive(pattern)
+        return got
+
+    def convex_moves(self, g):
+        """Moves t whose cell (g, t) touches no domain of B(n) but g, n the
+        level of g."""
+        return self._per_move(self._convex, g, lambda pattern: frozenset(
+            t for t in self.moves
+            if not any(c in pattern for c in self._subcells[t])))
+
+    def flat_cells(self, g):
+        """(cell, s0) for each cell of g lying in exactly two domains of B(n),
+        n the level of g: g itself and g * s0.  Cells in `moves` order."""
+        def derive(pattern):
+            flat = []
+            for cell in self.moves:
+                inside = [c for c in self._subcells[cell] if c in pattern]
+                if len(inside) == 1:
+                    flat.append((cell, inside[0]))
+            return flat
+        return self._per_move(self._flat, g, derive)
 
     def sphere_sizes(self):
         return [len(lvl) for lvl in self.levels]
 
     def size(self):
         return len(self.level_of)
-
-    def canonical_rep(self, owner, cell):
-        """Lexicographic-minimal (level, element) representative of a cell,
-        paired with its induced sign vector."""
-        best = None
-        for combo in BoundaryCell(owner, cell).domain_moves():
-            dom = self.apply(owner, combo)
-            lvl = self.level_of.get(dom)
-            if lvl is None:
-                continue
-            flipped = frozenset(combo)
-            signs = tuple((i, -s if (i, s) in flipped else s) for i, s in cell)
-            key = (lvl, words.nf_key(self.nf(dom)))
-            if best is None or key < best[0]:
-                best = (key, dom, signs)
-        assert best is not None
-        return best[1], best[2]
 
 
 def classify_cell(ball: Ball, n: int, owner, cell: Cell) -> str:
@@ -195,7 +233,8 @@ def classify_cell(ball: Ball, n: int, owner, cell: Cell) -> str:
     to query separately) otherwise."""
     if cell_is_ideal(ball.graph, cell):
         return "ideal"
-    count, _ = ball.cell_membership(owner, cell, n)
+    count = sum(1 for combo in BoundaryCell(owner, cell).domain_moves()
+                if ball.in_ball(ball.apply(owner, combo), n))
     k = len(cell)
     if count == 1:
         return "convex"
@@ -223,9 +262,8 @@ def convex_cells(ball: Ball, n: int):
     The owner is the unique in-ball domain, so no deduplication is needed."""
     out = []
     for g in ball.levels[n]:
-        for cell in ball.moves:
-            if ball._is_convex_cell(g, cell, n):
-                out.append(BoundaryCell(g, cell))
+        convex = ball.convex_moves(g)
+        out.extend(BoundaryCell(g, cell) for cell in ball.moves if cell in convex)
     return out
 
 
@@ -248,9 +286,20 @@ def visible_region(ball: Ball, n: int, owner):
     themselves exposed, and through the owner's own truncation faces (an
     ideal facet touches every compatible cell; its boundary toward covered
     facets is sealed off by the matching faces of neighbouring domains).
+    The components depend only on the owner's convex cells, so they are
+    found once per covering move.
     """
-    assert ball.level_of.get(owner) == n
-    convex = [c for c in ball.moves if ball._is_convex_cell(owner, c, n)]
+    if ball.level_of.get(owner) != n:
+        raise InvariantViolation("no visible region on S(%d)" % n,
+                                 ball.nf_string(owner), ball.level_of.get(owner))
+    comps = ball._per_move(ball._regions, owner, lambda _: _components(
+        ball.graph, [c for c in ball.moves if c in ball.convex_moves(owner)]))
+    return [Region(owner, cells, ideals, i) for i, (cells, ideals) in enumerate(comps)]
+
+
+def _components(graph: DefiningGraph, convex):
+    """(cells, attached ideal faces) of each component of a convex cell set,
+    ordered by their smallest cell."""
     convex_set = set(convex)
     parent = {c: c for c in convex}
 
@@ -271,7 +320,7 @@ def visible_region(ball: Ball, n: int, owner):
             union(a, b)
 
     attached = {}  # ideal facet -> component root (resolved later)
-    for f in ideal_facets(ball.graph):
+    for f in ideal_facets(graph):
         touching = [c for c in convex if cells_intersect(f, c)]
         if touching:
             first = touching[0]
@@ -282,11 +331,11 @@ def visible_region(ball: Ball, n: int, owner):
     comps = {}
     for c in convex:
         comps.setdefault(find(c), []).append(c)
-    regions = []
+    out = []
     for root, cells in sorted(comps.items(), key=lambda kv: min(kv[1])):
         ideals = tuple(sorted(f for f, r in attached.items() if find(r) == root))
-        regions.append(Region(owner, tuple(sorted(cells)), ideals, len(regions)))
-    return regions
+        out.append((tuple(sorted(cells)), ideals))
+    return out
 
 
 def build_ball(graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP,

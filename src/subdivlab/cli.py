@@ -70,6 +70,8 @@ def _load_input(config: RunConfig):
     with open(config.input_path) as f:
         data = json.load(f)
     if config.mode == "special":
+        if not isinstance(data, dict):
+            raise CubeSpecError("cube complex input must be a JSON object")
         graph = parse_graph_json(data.get("defining_graph", {}))
         spec = parse_cube_spec(graph, data)
         return graph, spec

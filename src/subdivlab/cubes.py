@@ -79,6 +79,8 @@ class CubeComplexSpec:
 
     def square_corners(self, sq):
         """Corner germ-pairs of one square: [(vertex, germ1, germ2) x4]."""
+        if len(sq) != 4:
+            raise CubeSpecError("square %r needs 4 edge references" % (sq,))
         refs = []
         for ref in sq:
             if isinstance(ref, (list, tuple)):
@@ -87,7 +89,7 @@ class CubeComplexSpec:
                 eid, orient = ref, 1
             if eid not in self.edges:
                 raise CubeSpecError("square references unknown edge %r" % eid)
-            refs.append((self.edges[eid], int(orient)))
+            refs.append((self.edges[eid], _integer(orient, "square orientation")))
         # walk the path; each edge traversed forward (+1) or backward (-1)
         corners = []
         v = None
@@ -117,6 +119,13 @@ class CubeComplexSpec:
         return corners
 
 
+def _integer(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CubeSpecError("%s must be an integer, got %r" % (what, value)) from None
+
+
 def parse_cube_spec(graph: DefiningGraph, data) -> CubeComplexSpec:
     if not isinstance(data, dict):
         raise CubeSpecError("cube complex input must be a JSON object")
@@ -128,7 +137,7 @@ def parse_cube_spec(graph: DefiningGraph, data) -> CubeComplexSpec:
             raise CubeSpecError("unknown edge label %r" % label)
         edges.append(Edge(id=str(e.get("id", "e%d" % i)), src=e["from"],
                           dst=e["to"], label=graph.index[label],
-                          sign=int(e.get("sign", 1))))
+                          sign=_integer(e.get("sign", 1), "edge sign")))
     return CubeComplexSpec(graph, vertices, edges, data.get("squares", []),
                            cubes=data.get("cubes", []),
                            basepoint=data.get("basepoint"))

@@ -7,7 +7,9 @@ its visible region, and every truncation face of a domain already inside the
 ball persists as an ideal tile.  Two non-ideal tiles are adjacent when their
 regions share an exposed cell lying in exactly two domains of the ball; the
 edge is labelled by how the tiles' covered cells relate (same codimension,
-or nested with codimension difference one).
+or nested with codimension difference one).  Regions and flat cells come
+from the ball's per-covering-move cache, so an element costs one group
+product per flat cell of codimension two or more that it owns.
 
 Rule extraction refines the initial partition (covered clique, region shape)
 by child-type multisets and by the adjacency structure *among* the children,
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import words
-from .balls import Ball, Region, visible_region
+from .balls import Ball, InvariantViolation, visible_region
 from .graphs import (Cell, DefiningGraph, cell_str, diagonal_elements,
                      ideal_facets, join_cells, support)
 
@@ -117,7 +119,9 @@ def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
         parent_id = None
         if prev is not None:
             comp = prev.comp_of_cell.get((pred, move))
-            assert comp is not None, "covered cell missing from parent tiling"
+            if comp is None:
+                raise InvariantViolation("covered cell missing from the parent "
+                                         "tiling", g_nf, n + 1)
             parent_id = _nonideal_id(n - 1, ball.nf_string(pred), comp)
         for r in regions:
             tid = _nonideal_id(n, g_nf, r.index)
@@ -164,39 +168,45 @@ def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
 
 
 def _compute_adjacency(ball: Ball, n: int, tiling: Tiling):
-    """Edges from exposed cells lying in exactly two domains of B(n+1)."""
-    graph = ball.graph
-    for g in ball.levels[n + 1]:
-        g_key = words.nf_key(ball.nf(g))
-        for cell in ball.moves:
+    """Edges from exposed cells lying in exactly two domains of B(n+1).
+
+    Such a cell of g is flat: besides g it lies in h = g * s0 only.  It is
+    taken from the side whose owner comes first by nf_key, and that owner is
+    its canonical (lowest level, then nf_key) domain, as every further
+    domain of the cell lies outside B(n+1)."""
+    level = ball.levels[n + 1]
+    rank = {g: i for i, g in enumerate(level)}   # levels are in nf_key order
+    names = [ball.nf_string(g) for g in level]
+    joined = {}   # (cell, s0) -> subcells of the cell, seen from g and from h
+    for i, g in enumerate(level):
+        g_nf = names[i]
+        for cell, s0 in ball.flat_cells(g):
             if len(cell) < 2:
                 continue
-            count, inside = ball.cell_membership(g, cell, n + 1)
-            if count != 2:
-                continue
-            s0 = next(c for c in inside if c)
             h = ball.apply(g, s0)
-            assert ball.level_of.get(h) == n + 1
-            if words.nf_key(ball.nf(h)) < g_key:
+            j = rank.get(h)
+            if j is None:
+                raise InvariantViolation("flat cell %s leaves the sphere"
+                                         % cell_str(ball.graph, cell), g_nf, n + 1)
+            if j < i:
                 continue  # processed from the other side
-            flipped = frozenset(s0)
-            cell_h = tuple(sorted((i, -s if (i, s) in flipped else s)
-                                  for i, s in cell))
+            if (cell, s0) not in joined:
+                flipped = frozenset(s0)
+                cell_h = tuple((k, -e if (k, e) in flipped else e)
+                               for k, e in cell)
+                joined[cell, s0] = [
+                    [tuple(p for p in c if p[0] != drop) for drop, _ in s0]
+                    for c in (cell, cell_h)]
             sides = []
-            for owner, ocell, s0o in ((g, cell, s0),
-                                      (h, cell_h, words.inverse_cell(s0))):
-                for drop in s0o:
-                    u = tuple(p for p in ocell if p[0] != drop[0])
-                    if not u:
-                        continue
+            for owner, owner_nf, subcells in zip((g, h), (g_nf, names[j]),
+                                                 joined[cell, s0]):
+                for u in subcells:
                     comp = tiling.comp_of_cell.get((owner, u))
                     if comp is not None:
-                        sides.append(_nonideal_id(n, ball.nf_string(owner), comp))
+                        sides.append(_nonideal_id(n, owner_nf, comp))
             label = _edge_label(ball, g, h)
-            rep_owner, rep_signs = ball.canonical_rep(g, cell)
-            shared = (ball.nf_string(rep_owner), rep_signs)
             for a, b in combinations(sorted(set(sides)), 2):
-                tiling.add_edge(a, b, label, shared)
+                tiling.add_edge(a, b, label, (g_nf, cell))
 
 
 def _edge_label(ball: Ball, g, h) -> str:

@@ -85,13 +85,14 @@ def apply_letters(state, graph: DefiningGraph, letters):
     return tuple(map(tuple, piles))
 
 
-def inverse_cell(cell):
-    return tuple((i, -s) for i, s in cell)
-
-
 def state_length(state) -> int:
     """Number of genuine letters (word length of the reduced word)."""
     return sum(1 for p in state for x in p if x)
+
+
+def _violation(what, state):
+    from .balls import InvariantViolation   # balls imports this module
+    raise InvariantViolation(what, repr(state))
 
 
 def syllables_of_state(graph: DefiningGraph, state):
@@ -110,7 +111,8 @@ def syllables_of_state(graph: DefiningGraph, state):
         head[i] += 1
         for j in graph.noncommuters[i]:
             # the front of a blocked pile is necessarily a 0 marker
-            assert piles[j][head[j]] == 0
+            if piles[j][head[j]] != 0:
+                _violation("blocked pile without a marker", state)
             head[j] += 1
 
     out = []
@@ -126,7 +128,8 @@ def syllables_of_state(graph: DefiningGraph, state):
                     if i in exps:
                         # same-sign absorption; an opposite sign cannot be
                         # front-available inside one syllable
-                        assert s * exps[i] > 0
+                        if s * exps[i] <= 0:
+                            _violation("opposite signs in one syllable", state)
                     elif mask & ~adj[i] & ~(1 << i):
                         break  # fails to commute with an admitted generator
                     exps[i] = exps.get(i, 0) + s

@@ -1,15 +1,19 @@
+from itertools import combinations
+
 import pytest
 
-from subdivlab import words
-from subdivlab.balls import (Ball, CapExceeded, build_ball, classify_cell,
-                             convex_cells, ideal_cell_membership,
+from subdivlab import InvariantViolation, words
+from subdivlab.balls import (Ball, BoundaryCell, CapExceeded, build_ball,
+                             classify_cell, convex_cells, ideal_cell_membership,
                              visible_region)
 from subdivlab.graphs import DefiningGraph
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
                                oracle_sphere_sizes)
+from subdivlab.tiling import build_tilings
 from subdivlab.words import parse_word, state_of_word
-from conftest import get_ball, path3, single, triangle
+from conftest import (all_graphs_up_to_iso, edge_plus_vertex, get_ball,
+                      get_tilings, graph_from_edges, path3, single, triangle)
 
 
 def el(graph, ball, text):
@@ -156,19 +160,94 @@ def test_covering_map_is_onto_next_level():
         assert covered == set(ball.levels[n + 1])
 
 
-def test_canonical_rep_consistency():
-    ball = get_ball("triangle")
-    tri = triangle()
-    g = el(tri, ball, "a")
-    cell = ((0, 1), (1, 1))
-    rep_owner, rep_signs = ball.canonical_rep(g, cell)
-    # the canonical representative denotes the same geometric cell: same
-    # domain set
-    def domains(owner, c):
-        return frozenset(ball.apply(owner, combo)
-                         for combo in __import__("itertools").chain.from_iterable(
-            __import__("itertools").combinations(c, r) for r in range(len(c) + 1)))
-    assert domains(g, cell) == domains(rep_owner, rep_signs)
+def canonical_rep(ball, owner, cell):
+    """Reference: the cell's lexicographic-minimal (level, nf_key) domain in
+    the ball, paired with the cell's signs seen from that domain."""
+    best = None
+    for combo in BoundaryCell(owner, cell).domain_moves():
+        dom = ball.apply(owner, combo)
+        lvl = ball.level_of.get(dom)
+        if lvl is None:
+            continue
+        flipped = frozenset(combo)
+        signs = tuple((i, -s if (i, s) in flipped else s) for i, s in cell)
+        key = (lvl, words.nf_key(ball.nf(dom)))
+        if best is None or key < best[0]:
+            best = (key, dom, signs)
+    return best[1], best[2]
+
+
+def domains(ball, owner, cell):
+    return frozenset(ball.apply(owner, combo)
+                     for combo in BoundaryCell(owner, cell).domain_moves())
+
+
+@pytest.mark.parametrize("name", ["triangle", "path3", "free3",
+                                  "edge_plus_vertex", "square"])
+def test_shared_cell_is_canonical_rep(name):
+    ball = get_ball(name)
+    for tiling in get_tilings(name):
+        state_of = {ball.nf_string(g): g for g in ball.levels[tiling.level + 1]}
+        for inst in tiling.instances:
+            owner_nf, signs = inst.shared_cell
+            owner = state_of[owner_nf]
+            rep_owner, rep_signs = canonical_rep(ball, owner, signs)
+            assert (ball.nf_string(rep_owner), rep_signs) == inst.shared_cell
+            # the same geometric cell, lying in both tiles' domains
+            cell_domains = domains(ball, owner, signs)
+            assert cell_domains == domains(ball, rep_owner, rep_signs)
+            for tid in (inst.tile1, inst.tile2):
+                assert tiling.by_id[tid].owner in cell_domains
+
+
+def pattern_by_products(ball, g):
+    level = ball.level_of[g]
+    return frozenset(t for t in ball.moves
+                     if ball.in_ball(ball.apply(g, t), level))
+
+
+@pytest.mark.parametrize("d,depth,edge_sets", [
+    (1, 5, None), (2, 5, None), (3, 5, None), (4, 4, None),
+    (5, 3, [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)]]),
+])
+def test_in_ball_pattern_depends_only_on_covering_move(d, depth, edge_sets):
+    for edges in edge_sets or all_graphs_up_to_iso(d):
+        ball = build_ball(graph_from_edges(d, edges), depth,
+                          collect_discrepancies=False)
+        for g in ball.level_of:
+            assert ball.in_ball_moves(g) == pattern_by_products(ball, g), \
+                (edges, ball.nf_string(g))
+
+
+@pytest.mark.parametrize("graph", [path3, edge_plus_vertex, triangle])
+def test_predecessors_match_per_element_search(graph):
+    """The predecessor read off the search equals the canonically smallest
+    convex cell found from the element itself."""
+    ball = build_ball(graph(), 4, collect_discrepancies=False)
+    multi = 0
+    for n in range(1, ball.N + 1):
+        for g in ball.levels[n]:
+            candidates = []
+            for t in ball.moves:
+                h = ball.apply(g, tuple((i, -s) for i, s in t))
+                if ball.level_of.get(h) == n - 1 and not any(
+                        ball.in_ball(ball.apply(h, c), n - 1)
+                        for r in range(1, len(t) + 1) for c in combinations(t, r)):
+                    candidates.append((words.nf_key(ball.nf(h)), t, h))
+            key, t, h = min(candidates)
+            assert (ball.pred[g], ball.pred_move[g]) == (h, t)
+            multi += len(candidates) > 1
+    assert ball.multi_cover == multi
+
+
+def test_pattern_mismatch_raises_invariant_violation():
+    ball = build_ball(triangle(), 3)
+    g = ball.levels[3][0]
+    ball._patterns[ball.pred_move[g]] = frozenset()
+    with pytest.raises(InvariantViolation) as err:
+        build_tilings(ball, ball.N)   # its last level reads S(3)
+    assert ball.nf_string(g) in str(err.value) and "level 3" in str(err.value)
+    assert (err.value.element, err.value.level) == (ball.nf_string(g), 3)
 
 
 def test_cap_exceeded():

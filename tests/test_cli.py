@@ -128,6 +128,29 @@ def test_bad_complex_exits_before_the_ball(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: not full at v")
 
 
+TORUS = {"defining_graph": {"generators": ["a", "z"], "edges": [["a", "z"]]},
+         "vertices": ["v"],
+         "edges": [{"id": "e_a", "from": "v", "to": "v", "label": "a"},
+                   {"id": "e_z", "from": "v", "to": "v", "label": "z"}],
+         "squares": [[["e_a", 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]}
+
+
+@pytest.mark.parametrize("data", [
+    [LOOP_A],
+    dict(LOOP_A, edges=[dict(LOOP_A["edges"][0], sign="x")]),
+    dict(TORUS, squares=[[["e_a", "up"], ["e_z", 1], ["e_a", -1],
+                                ["e_z", -1]]]),
+    dict(TORUS, squares=[[["e_a", 1], ["e_z", 1]]]),
+], ids=["top-level-list", "edge-sign", "square-orientation", "two-edge-square"])
+def test_malformed_special_input_exits_2(tmp_path, capsys, data):
+    inp = write(tmp_path, "bad.json", data)
+    assert main(["run", inp, "--mode", "special", "--levels", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     inp = write(tmp_path, "triangle.json", TRIANGLE)
     assert main(["oracle", inp, "--levels", "3"]) == 0
