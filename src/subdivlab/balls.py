@@ -35,10 +35,16 @@ DEFAULT_CAP = 10 ** 6
 
 
 class CapExceeded(RuntimeError):
-    def __init__(self, cap, level):
-        super().__init__("element cap %d exceeded while building level %d" % (cap, level))
+    """The element cap was passed while building level `level`;
+    `level_sizes` are the sizes S(0)..S(level - 1) of the levels built."""
+
+    def __init__(self, cap, level_sizes):
+        super().__init__(
+            "element cap %d exceeded while building level %d "
+            "(level sizes reached: %s)" % (cap, len(level_sizes), level_sizes))
         self.cap = cap
-        self.level = level
+        self.level = len(level_sizes)
+        self.level_sizes = level_sizes
 
 
 class InvariantViolation(RuntimeError):
@@ -120,7 +126,7 @@ class Ball:
                         nxt.append(g)
                         total += 1
                         if total > self.cap:
-                            raise CapExceeded(self.cap, n)
+                            raise CapExceeded(self.cap, self.sphere_sizes())
                     if lvl == n and t in convex:
                         if g in self.pred:
                             multi.add(g)
@@ -229,8 +235,7 @@ class Ball:
 
 def classify_cell(ball: Ball, n: int, owner, cell: Cell) -> str:
     """Classify a boundary cell against B(n): convex / flat / concave /
-    covered for non-ideal cells, 'ideal' (with its own membership count ok
-    to query separately) otherwise."""
+    covered for non-ideal cells, 'ideal' otherwise."""
     if cell_is_ideal(ball.graph, cell):
         return "ideal"
     count = sum(1 for combo in BoundaryCell(owner, cell).domain_moves()
@@ -243,18 +248,6 @@ def classify_cell(ball: Ball, n: int, owner, cell: Cell) -> str:
     if count == 2:
         return "flat"
     return "concave"
-
-
-def ideal_cell_membership(ball: Ball, n: int, owner, cell: Cell) -> int:
-    """Domains of B(n) genuinely touching an ideal cell: products over
-    spherical sub-signed-sets only (non-spherical products are not moves)."""
-    count = 0
-    for combo in BoundaryCell(owner, cell).domain_moves():
-        if combo and cell_is_ideal(ball.graph, combo):
-            continue
-        if ball.in_ball(ball.apply(owner, combo), n):
-            count += 1
-    return count
 
 
 def convex_cells(ball: Ball, n: int):

@@ -45,7 +45,6 @@ class RunConfig:
     ends_window: int = 3
     strict_cubes: bool = False
     layout_seed: int = 0
-    diameter_mode: str = "exact"
     cone_depth: int = 1
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ def run(config: RunConfig) -> int:
     try:
         graph, spec = _load_input(config)
     except (GraphError, CubeSpecError, WordError, json.JSONDecodeError,
-            OSError, KeyError) as exc:
+            UnicodeDecodeError, RecursionError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
 
@@ -154,7 +153,7 @@ def run(config: RunConfig) -> int:
         e = ends(tilings, window=config.ends_window)
         report["ends"] = {"counts": e.counts, "verdict": e.verdict,
                           "window": e.window}
-        d = divergence_diameter(tilings, mode=config.diameter_mode)
+        d = divergence_diameter(tilings)
         report["divergence"] = {
             "diameters": d.diameters, "mode": d.mode, "verdict": d.verdict,
             "fit": d.fit,
@@ -182,14 +181,14 @@ def run(config: RunConfig) -> int:
             "lift_level_sizes": lifts.level_sizes(),
             "tile_counts": pruned.tile_counts,
             "containment": pruned.containment,
-            "rule_stable": pruned.rule.stable,
             "cone_types": cone_types(pruned.history, config.cone_depth),
         }
-        if len(pruned.tilings) >= 4 or pruned.rule.stable:
-            pg = growth(pruned.tilings, pruned.rule)
-            section["growth"] = {"counts": pg.counts,
-                                 "classification": list(pg.classification())}
-        if len(pruned.tilings) >= 3:
+        if pruned.rule is not None:
+            section["rule_stable"] = pruned.rule.stable
+            if len(pruned.tilings) >= 4 or pruned.rule.stable:
+                pg = growth(pruned.tilings, pruned.rule)
+                section["growth"] = {"counts": pg.counts,
+                                     "classification": list(pg.classification())}
             pe = ends(pruned.tilings, window=config.ends_window)
             section["ends"] = {"counts": pe.counts, "verdict": pe.verdict}
         report["special"] = section
@@ -226,7 +225,8 @@ def oracle_main(args) -> int:
     try:
         with open(args.input) as f:
             graph = parse_graph_json(json.load(f))
-    except (GraphError, json.JSONDecodeError, OSError) as exc:
+    except (GraphError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     family = oracle_family(graph)
@@ -256,8 +256,6 @@ def make_parser():
     runp.add_argument("--ends-window", type=int, default=3)
     runp.add_argument("--strict-cubes", action="store_true")
     runp.add_argument("--layout-seed", type=int, default=0)
-    runp.add_argument("--diameter-mode", choices=("exact", "double-sweep"),
-                      default="exact")
     runp.add_argument("--cone-depth", type=int, default=1)
 
     orp = sub.add_parser("oracle", help="independent brute-force sphere sizes")
@@ -276,8 +274,7 @@ def main(argv=None) -> int:
             cap=args.cap, out_dir=args.out,
             exports=tuple(x for x in args.export.split(",") if x),
             ends_window=args.ends_window, strict_cubes=args.strict_cubes,
-            layout_seed=args.layout_seed, diameter_mode=args.diameter_mode,
-            cone_depth=args.cone_depth)
+            layout_seed=args.layout_seed, cone_depth=args.cone_depth)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -84,11 +84,14 @@ class CubeComplexSpec:
         refs = []
         for ref in sq:
             if isinstance(ref, (list, tuple)):
+                if len(ref) != 2:
+                    raise CubeSpecError("square reference %r is not "
+                                        "[edge id, orientation]" % (ref,))
                 eid, orient = ref
             else:
                 eid, orient = ref, 1
-            if eid not in self.edges:
-                raise CubeSpecError("square references unknown edge %r" % eid)
+            if not isinstance(eid, str) or eid not in self.edges:
+                raise CubeSpecError("square references unknown edge %r" % (eid,))
             refs.append((self.edges[eid], _integer(orient, "square orientation")))
         # walk the path; each edge traversed forward (+1) or backward (-1)
         corners = []
@@ -122,25 +125,49 @@ class CubeComplexSpec:
 def _integer(value, what):
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CubeSpecError("%s must be an integer, got %r" % (what, value)) from None
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise CubeSpecError("%s must be a list, got %r" % (what, value))
+    return value
+
+
+def _name(value, what):
+    """A vertex or label name: any JSON scalar, as those are hashable."""
+    if isinstance(value, (list, dict)):
+        raise CubeSpecError("%s must be a string or number, got %r" % (what, value))
+    return value
 
 
 def parse_cube_spec(graph: DefiningGraph, data) -> CubeComplexSpec:
     if not isinstance(data, dict):
         raise CubeSpecError("cube complex input must be a JSON object")
-    vertices = data.get("vertices", [])
+    vertices = [_name(v, "vertex") for v in _list(data.get("vertices", []), "vertices")]
     edges = []
-    for i, e in enumerate(data.get("edges", [])):
-        label = e.get("label")
+    for i, e in enumerate(_list(data.get("edges", []), "edges")):
+        if not isinstance(e, dict):
+            raise CubeSpecError("edge %r must be a JSON object" % (e,))
+        label = _name(e.get("label"), "edge label")
         if label not in graph.index:
             raise CubeSpecError("unknown edge label %r" % label)
-        edges.append(Edge(id=str(e.get("id", "e%d" % i)), src=e["from"],
-                          dst=e["to"], label=graph.index[label],
+        edges.append(Edge(id=str(e.get("id", "e%d" % i)),
+                          src=_name(e["from"], "edge end"),
+                          dst=_name(e["to"], "edge end"), label=graph.index[label],
                           sign=_integer(e.get("sign", 1), "edge sign")))
-    return CubeComplexSpec(graph, vertices, edges, data.get("squares", []),
-                           cubes=data.get("cubes", []),
-                           basepoint=data.get("basepoint"))
+    squares = [_list(sq, "square") for sq in _list(data.get("squares", []), "squares")]
+    cubes = _list(data.get("cubes", []), "cubes")
+    for c in cubes:
+        if not isinstance(c, dict):
+            raise CubeSpecError("cube %r must be a JSON object" % (c,))
+        _name(c.get("vertex"), "cube vertex")
+        for germ in _list(c.get("germs", []), "cube germs"):
+            for x in _list(germ, "cube germ"):
+                _name(x, "cube germ entry")
+    return CubeComplexSpec(graph, vertices, edges, squares, cubes=cubes,
+                           basepoint=_name(data.get("basepoint"), "basepoint"))
 
 
 def salvetti_spec(graph: DefiningGraph, subset=None) -> CubeComplexSpec:
@@ -310,16 +337,15 @@ class PrunedTiling:
 class PruneResult:
     history: HistoryGraph
     tilings: list
-    rule: SubdivisionRule
-    lift_sizes: list
+    rule: SubdivisionRule | None   # None below three levels
     tile_counts: list
     containment: dict
-    star_convex: bool
 
 
 def prune_history(tilings, lifts: LiftSet, ball: Ball,
                   ambient_rule: SubdivisionRule | None = None) -> PruneResult:
-    """Re-flag tiles over unlifted elements as ideal and re-extract the rule.
+    """Re-flag tiles over unlifted elements as ideal and re-extract the rule
+    (none below three levels, as for the ambient tilings).
 
     Aborts when the lift set is not closed under the ball's predecessor map
     (an ideal tile would subdivide into a non-ideal one)."""
@@ -329,7 +355,7 @@ def prune_history(tilings, lifts: LiftSet, ball: Ball,
                 raise StarConvexityViolation(ball.nf_string(g))
     pruned = [PrunedTiling(t, lifts.members) for t in tilings]
     keep = lambda tile: (not tile.ideal) and tile.owner in lifts.members
-    rule = extract_rule(tilings, keep=keep)
+    rule = extract_rule(tilings, keep=keep) if len(tilings) >= 3 else None
     history = HistoryGraph(pruned)
     containment = {"mapping": {}, "injective": True, "children_consistent": True}
     if ambient_rule is not None:
@@ -351,10 +377,8 @@ def prune_history(tilings, lifts: LiftSet, ball: Ball,
                        "injective": injective and consistent,
                        "children_consistent": rule.stable}
     return PruneResult(history=history, tilings=pruned, rule=rule,
-                       lift_sizes=lifts.level_sizes(),
                        tile_counts=[len(t.nonideal()) for t in pruned],
-                       containment=containment,
-                       star_convex=True)
+                       containment=containment)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +389,7 @@ def cone_types(history: HistoryGraph, k: int):
     """Partition of history-graph vertices by the isomorphism signature of
     their depth-k descendant-and-horizontal neighbourhood.
 
-    This is a lower-bound approximation of the true cone types: signatures
+    This approximates the true cone types from below: signatures
     are computed by iterated colour refinement on the induced subgraph, and
     only vertices with k full levels below them are classified."""
     levels = len(history.tilings)

@@ -393,12 +393,15 @@ def mesh_certificate(rule) -> MeshReport:
 # ---------------------------------------------------------------------------
 # divergence via level diameters
 
+# sources per bit-parallel pass of _eccentricities: masks are 512 B wide
+ECC_BLOCK = 4096
+
 
 @dataclass
 class DivergenceReport:
     diameters: list      # int or "inf" per level
     witnesses: list      # per level: (tile1, tile2, path) or None
-    mode: str            # "exact" or "lower-bound"
+    mode: str            # always "exact"; report.json carries it
     fit: dict | None
     verdict: str         # "linear" | "superlinear" | "disconnected" | "short"
 
@@ -419,36 +422,41 @@ def _bfs(adj, src):
 
 def _eccentricities(nbrs):
     """Eccentricity of every vertex of a connected graph given as int
-    adjacency lists.  The breadth-first searches from all sources run at
-    once, level by level: bit s of a vertex's mask marks it reached from
-    source s."""
+    adjacency lists.  The sources run in blocks of ECC_BLOCK; within a block
+    their breadth-first searches run at once, level by level: bit s of a
+    vertex's mask marks it reached from the block's source s.  One pass per
+    block, and each mask array costs at most n * ECC_BLOCK / 8 bytes."""
     n = len(nbrs)
-    reached = [1 << v for v in range(n)]
-    frontier = list(reached)
     ecc = [0] * n
-    level = 0
-    while True:
-        level += 1
-        nxt = []
-        grown = 0
-        for v in range(n):
-            got = 0
-            for u in nbrs[v]:
-                got |= frontier[u]
-            got &= ~reached[v]
-            reached[v] |= got
-            nxt.append(got)
-            grown |= got
-        if not grown:
-            return ecc
-        frontier = nxt
-        while grown:
-            low = grown & -grown
-            ecc[low.bit_length() - 1] = level
-            grown ^= low
+    for base in range(0, n, ECC_BLOCK):
+        reached = [1 << (v - base) if 0 <= v - base < ECC_BLOCK else 0
+                   for v in range(n)]
+        frontier = list(reached)
+        level = 0
+        while True:
+            level += 1
+            nxt = []
+            grown = 0
+            for v in range(n):
+                got = 0
+                for u in nbrs[v]:
+                    got |= frontier[u]
+                was = reached[v]
+                got ^= got & was    # newly reached; as wide as got, not was
+                reached[v] = was | got
+                nxt.append(got)
+                grown |= got
+            if not grown:
+                break
+            frontier = nxt
+            while grown:
+                low = grown & -grown
+                ecc[base + low.bit_length() - 1] = level
+                grown ^= low
+    return ecc
 
 
-def _level_diameter(tiling, exact=True):
+def _level_diameter(tiling):
     ids = [t.id for t in tiling.nonideal()]
     idset = set(ids)
     adj = {i: sorted(o for o, _ in tiling.neighbors(i) if o in idset) for i in ids}
@@ -457,16 +465,11 @@ def _level_diameter(tiling, exact=True):
     dist0, _ = _bfs(adj, ids[0])
     if len(dist0) != len(ids):
         return "inf", None
-    if exact:
-        # the first source of largest eccentricity; only it needs the full
-        # BFS with predecessors for the witness
-        index = {tid: k for k, tid in enumerate(ids)}
-        nbrs = [[index[o] for o in adj[tid]] for tid in ids]
-        eccs = _eccentricities(nbrs)
-        src = ids[eccs.index(max(eccs))]
-    else:
-        # double sweep: a certified lower bound
-        src = max(dist0.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    # the first source of largest eccentricity; only it needs the full BFS
+    # with predecessors for the witness
+    index = {tid: k for k, tid in enumerate(ids)}
+    eccs = _eccentricities([[index[o] for o in adj[tid]] for tid in ids])
+    src = ids[eccs.index(max(eccs))]
     dist, prev = _bfs(adj, src)
     dst = max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
     diam = dist[dst]
@@ -506,18 +509,16 @@ def _exp_fit(xs, ys):
     return {"base": lam, "scale": c, "sse": sse}
 
 
-def divergence_diameter(tilings, mode: str = "exact",
-                        exact_limit: int = 5000) -> DivergenceReport:
+def divergence_diameter(tilings) -> DivergenceReport:
+    """Exact dual-graph diameter and witness path of every level, and a fit.
+    A level of n tiles costs one bit-parallel pass per ECC_BLOCK (4,096)
+    tiles, with masks of at most n * 512 B per array."""
     if len(tilings) < 3:
         raise ValueError("need at least 3 levels")
     diameters = []
     witnesses = []
-    used_mode = "exact"
     for t in tilings:
-        exact = mode == "exact" and len(t.nonideal()) <= exact_limit
-        if not exact:
-            used_mode = "lower-bound"
-        diam, wit = _level_diameter(t, exact=exact)
+        diam, wit = _level_diameter(t)
         diameters.append(diam)
         witnesses.append(wit)
     finite = [(i, d) for i, d in enumerate(diameters) if d != "inf"]
@@ -538,4 +539,4 @@ def divergence_diameter(tilings, mode: str = "exact",
             verdict = "superlinear"
     else:
         verdict = "short"
-    return DivergenceReport(diameters, witnesses, used_mode, fit, verdict)
+    return DivergenceReport(diameters, witnesses, "exact", fit, verdict)

@@ -299,16 +299,8 @@ class SubdivisionRule:
     coalesced_children: dict   # coalesced name -> Counter
     stable: bool
     unstable_detail: list
-    ideal_type_count: int
     interface_classes: dict    # see mesh certificate
-    single_child_types: list
     split_report: dict         # initial class -> number of refined types
-
-    def counts_by_type(self, tiles):
-        c = Counter()
-        for t in tiles:
-            c[self.type_of[t.id]] += 1
-        return c
 
     def replay(self, counts0: Counter, steps: int):
         """Iterate the child multisets; returns per-level total counts."""
@@ -328,15 +320,11 @@ class SubdivisionRule:
         return sorted(set(self.coalesced_of.values()))
 
 
-class RefinementUnstable(RuntimeError):
-    pass
-
-
 def _raw_key(tile):
     return ("raw", tile.covered_clique, tile.shape())
 
 
-def extract_rule(tilings, keep=None, require_stable=False) -> SubdivisionRule:
+def extract_rule(tilings, keep=None) -> SubdivisionRule:
     """Partition-refinement extraction of the subdivision rule.
 
     `keep` filters the tiles considered non-ideal (used by pruning); it
@@ -456,8 +444,6 @@ def extract_rule(tilings, keep=None, require_stable=False) -> SubdivisionRule:
                     "type %s has inconsistent subdivisions (%s vs %s)"
                     % (name, dict(rec["children"]), dict(ch)))
     stable = stable and not unstable_detail
-    if require_stable and not stable:
-        raise RefinementUnstable("; ".join(unstable_detail) or "no stable depth")
 
     types = [RuleType(name=name, clique=rec["clique"], shape=rec["shape"],
                       children=rec["children"] or Counter(),
@@ -503,16 +489,11 @@ def extract_rule(tilings, keep=None, require_stable=False) -> SubdivisionRule:
 
     interface_classes = _interface_classes(tilings, tiles, type_of)
 
-    single_child = sorted(t.name for t in types
-                          if sum(t.children.values()) == 1)
-
     return SubdivisionRule(
         graph=graph, types=types, type_of=type_of,
         coalesced_of=coalesced_of, coalesced_children=coalesced_children,
         stable=stable, unstable_detail=unstable_detail,
-        ideal_type_count=len(ideal_facets(graph)),
         interface_classes=interface_classes,
-        single_child_types=single_child,
         split_report=split_report)
 
 

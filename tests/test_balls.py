@@ -4,8 +4,7 @@ import pytest
 
 from subdivlab import InvariantViolation, words
 from subdivlab.balls import (Ball, BoundaryCell, CapExceeded, build_ball,
-                             classify_cell, convex_cells, ideal_cell_membership,
-                             visible_region)
+                             classify_cell, convex_cells, visible_region)
 from subdivlab.graphs import DefiningGraph
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
@@ -83,7 +82,6 @@ def test_classify_cell_examples():
     assert classify_cell(tball, 1, e, ((0, 1), (1, 1))) == "covered"
     # ideal cells report ideal
     assert classify_cell(ball, 1, a, ((0, 1), (2, 1))) == "ideal"
-    assert ideal_cell_membership(ball, 1, a, ((0, 1), (2, 1))) >= 1
 
 
 def test_classify_concave():
@@ -253,4 +251,13 @@ def test_pattern_mismatch_raises_invariant_violation():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         build_ball(triangle(), 3, cap=20)
+
+
+def test_cap_exceeded_reports_level_sizes():
+    # S(0..2) = 1, 26, 98 make 125 elements; S(3) = 218 passes a cap of 200
+    with pytest.raises(CapExceeded) as err:
+        build_ball(triangle(), 3, cap=200)
+    assert err.value.level_sizes == [1, 26, 98]
+    assert err.value.level == 3
+    assert "level 3" in str(err.value) and "[1, 26, 98]" in str(err.value)
 

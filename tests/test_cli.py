@@ -1,7 +1,9 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subdivlab.cli import main
 from subdivlab.exports import (tiling_from_json, tiling_isomorphic,
@@ -58,6 +60,16 @@ def test_run_special_loop_a(tmp_path):
     assert sp["star_convex"] is True
 
 
+def test_run_special_below_three_levels(tmp_path):
+    inp = write(tmp_path, "loop_a.json", LOOP_A)
+    out = str(tmp_path / "out")
+    assert main(["run", inp, "--mode", "special", "--levels", "2",
+                 "--out", out]) == 0
+    sp = json.loads((tmp_path / "out" / "report.json").read_text())["special"]
+    assert sp["tile_counts"] == [2, 2]
+    assert "rule_stable" not in sp and "ends" not in sp
+
+
 def test_exit_code_parse_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -65,6 +77,17 @@ def test_exit_code_parse_error(tmp_path):
     q = tmp_path / "bad2.json"
     q.write_text(json.dumps({"generators": ["a", "a"], "edges": []}))
     assert main(["run", str(q), "--levels", "3", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf-8", "deeply-nested"])
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_unreadable_json_exits_2(tmp_path, capsys, content, command):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(p), "--levels", "3"] + extra) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exit_code_cap(tmp_path):
@@ -141,7 +164,15 @@ TORUS = {"defining_graph": {"generators": ["a", "z"], "edges": [["a", "z"]]},
     dict(TORUS, squares=[[["e_a", "up"], ["e_z", 1], ["e_a", -1],
                                 ["e_z", -1]]]),
     dict(TORUS, squares=[[["e_a", 1], ["e_z", 1]]]),
-], ids=["top-level-list", "edge-sign", "square-orientation", "two-edge-square"])
+    dict(LOOP_A, edges=["e_a"]),
+    dict(LOOP_A, edges={"e_a": LOOP_A["edges"][0]}),
+    dict(LOOP_A, vertices=[["v"]]),
+    dict(TORUS, squares=[5]),
+    dict(TORUS, squares=[[["e_a"], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]),
+    dict(TORUS, squares=[[[["e_a"], 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]),
+], ids=["top-level-list", "edge-sign", "square-orientation", "two-edge-square",
+        "edge-not-object", "edges-not-list", "list-vertex", "square-not-list",
+        "one-item-reference", "list-edge-id"])
 def test_malformed_special_input_exits_2(tmp_path, capsys, data):
     inp = write(tmp_path, "bad.json", data)
     assert main(["run", inp, "--mode", "special", "--levels", "3",
@@ -149,6 +180,68 @@ def test_malformed_special_input_exits_2(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _nest(inner):
+    return (st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=3),
+    _nest, max_leaves=8)
+
+
+def _slots(node):
+    """(container, key) of every value inside a JSON object or list."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _complexes(draw):
+    """A complex over LOOP_A's defining graph, well formed in shape, with
+    up to two of its values replaced by JSON of any shape."""
+    vertices = draw(st.lists(st.sampled_from(["v", "w"]), min_size=1,
+                             max_size=2, unique=True))
+    ends = st.sampled_from(vertices)
+    edges = [{"id": eid, "from": draw(ends), "to": draw(ends),
+              "label": draw(st.sampled_from(["a", "b"])),
+              "sign": draw(st.sampled_from([1, -1]))}
+             for eid in ["e_a", "e_b", "e_c"][:draw(st.integers(0, 3))]]
+    reference = st.tuples(st.sampled_from(["e_a", "e_b", "e_c"]),
+                          st.sampled_from([1, -1])).map(list)
+    squares = draw(st.lists(st.lists(reference, min_size=4, max_size=4),
+                            max_size=1))
+    data = {"vertices": vertices, "edges": edges, "squares": squares}
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(list(_slots(data))))
+        container[key] = draw(_JSON)
+    return dict(data, defining_graph=LOOP_A["defining_graph"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=_complexes(), levels=st.integers(1, 2),
+       cap=st.sampled_from([200, 24, 8]), strict=st.booleans())
+def test_special_input_fuzz_keeps_exit_contract(data, levels, cap, strict):
+    # B(1) and B(2) of Z^2 hold 9 and 25 elements: some caps are passed
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = os.path.join(tmp, "complex.json")
+        with open(inp, "w") as f:
+            json.dump(data, f)
+        argv = ["run", inp, "--mode", "special", "--levels", str(levels),
+                "--cap", str(cap), "--out", os.path.join(tmp, "o")]
+        assert main(argv + ["--strict-cubes"] * strict) in (0, 2, 3, 4)
+
+
+def test_diameter_mode_flag_is_gone(tmp_path):
+    inp = write(tmp_path, "triangle.json", TRIANGLE)
+    with pytest.raises(SystemExit) as err:
+        main(["run", inp, "--diameter-mode", "exact",
+              "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from subdivlab.invariants import (_bfs, _eccentricities, _level_diameter,
-                                  classify_counts, divergence_diameter, ends,
-                                  growth, mesh_certificate, minimal_recurrence,
+from subdivlab.invariants import (ECC_BLOCK, _bfs, _eccentricities,
+                                  _level_diameter, classify_counts,
+                                  divergence_diameter, ends, growth,
+                                  mesh_certificate, minimal_recurrence,
                                   polynomial_degree,
                                   spectral_radius_exceeds_one)
 from conftest import get_ball, get_rule, get_tilings
@@ -126,15 +127,6 @@ def test_divergence_witness_paths_are_valid():
             assert any(o == b for o, _ in t.neighbors(a))
 
 
-def test_divergence_double_sweep_is_lower_bound():
-    ts = get_tilings("triangle")
-    exact = divergence_diameter(ts)
-    sweep = divergence_diameter(ts, mode="double-sweep", exact_limit=0)
-    assert sweep.mode == "lower-bound"
-    for a, b in zip(sweep.diameters, exact.diameters):
-        assert a <= b
-
-
 def _all_sources_diameter(tiling):
     """Reference: a full BFS with predecessors from every tile; the first
     source of largest eccentricity wins."""
@@ -178,3 +170,23 @@ def test_eccentricities_small_graphs():
     assert _eccentricities([[1], [0, 2], [1, 3], [2]]) == [3, 2, 2, 3]
     # a 5-cycle with duplicate adjacency entries
     assert _eccentricities([[1, 4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]) == [2] * 5
+
+
+def test_eccentricities_span_several_blocks():
+    # a 65 x 65 grid: 4,225 vertices, more than one block of sources
+    side = 65
+    n = side * side
+    assert n > ECC_BLOCK
+    nbrs = [[] for _ in range(n)]
+    for x in range(side):
+        for y in range(side):
+            v = x * side + y
+            if x + 1 < side:
+                nbrs[v].append(v + side)
+                nbrs[v + side].append(v)
+            if y + 1 < side:
+                nbrs[v].append(v + 1)
+                nbrs[v + 1].append(v)
+    last = side - 1
+    assert _eccentricities(nbrs) == [max(x, last - x) + max(y, last - y)
+                                     for x in range(side) for y in range(side)]
