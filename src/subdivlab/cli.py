@@ -33,6 +33,8 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_STAR = 4
 
+EXPORTS = ("tilings", "dot", "svg", "reports")
+
 
 @dataclass
 class RunConfig:
@@ -56,6 +58,10 @@ class RunConfig:
             raise ValueError("ends window must be >= 1")
         if self.cone_depth < 0:
             raise ValueError("cone depth must be >= 0")
+        unknown = [x for x in self.exports if x not in EXPORTS]
+        if unknown:
+            raise ValueError("unknown export %s (known: %s)"
+                             % (",".join(unknown), ",".join(EXPORTS)))
 
 
 def _atomic_write(path, text):
@@ -222,6 +228,9 @@ def run(config: RunConfig) -> int:
 
 
 def oracle_main(args) -> int:
+    if args.levels < 0:
+        print("error: levels must be >= 0", file=sys.stderr)
+        return EXIT_PARSE
     try:
         with open(args.input) as f:
             graph = parse_graph_json(json.load(f))
@@ -252,7 +261,7 @@ def make_parser():
     runp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     runp.add_argument("--out", default="out")
     runp.add_argument("--export", default="reports",
-                      help="comma list: tilings,dot,svg,reports")
+                      help="comma list: " + ",".join(EXPORTS))
     runp.add_argument("--ends-window", type=int, default=3)
     runp.add_argument("--strict-cubes", action="store_true")
     runp.add_argument("--layout-seed", type=int, default=0)

@@ -394,7 +394,12 @@ def cone_types(history: HistoryGraph, k: int):
     only vertices with k full levels below them are classified."""
     levels = len(history.tilings)
     max_classified = levels - 1 - k
-    results = {}
+    # colour keys nest one level deeper each round; interning them to ints,
+    # in one table for all cones, keeps hashing cheap and colours comparable
+    interned = {}
+
+    def intern(key):
+        return interned.setdefault(key, len(interned))
 
     def cone_signature(root, root_level):
         nodes = {root: 0}
@@ -417,9 +422,10 @@ def cone_types(history: HistoryGraph, k: int):
                 for o in history.horizontal_neighbors(u):
                     if o in nodes:
                         edges[u].add(("h", o))
-        color = {u: ("L", lvl) for u, lvl in nodes.items()}
+        color = {u: intern(("L", lvl)) for u, lvl in nodes.items()}
         for _ in range(len(nodes)):
-            nxt = {u: (color[u], tuple(sorted((lab, color[v]) for lab, v in edges[u])))
+            nxt = {u: intern((color[u], tuple(sorted((lab, color[v])
+                                                     for lab, v in edges[u]))))
                    for u in nodes}
             if len(set(nxt.values())) == len(set(color.values())):
                 color = nxt

@@ -1,15 +1,18 @@
-"""Deterministic artifact exports: tiling JSON (with re-import), DOT, a
-schematic SVG layout, report JSON and CSV count tables."""
+"""Deterministic artifact exports: tiling JSON (with re-import), DOT, an SVG
+of each level's tiles on a circle ordered by parent, report JSON and CSV
+count tables."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-import random
+import math
 from collections import Counter
 
-from .graphs import DefiningGraph, cell_str
+from .graphs import cell_str
+
+SVG_SIZE = 640   # width and height of the drawing, in px
 
 
 def tiling_to_json(tiling, rule=None):
@@ -106,60 +109,40 @@ def history_to_dot(history, name="history"):
     return "\n".join(lines) + "\n"
 
 
-def tiling_to_svg(tiling, rule=None, seed=0, size=640, iterations=60):
-    """Schematic force-directed layout; deterministic for a fixed seed and
-    carrying no metric meaning."""
-    rng = random.Random(seed)
-    ids = [t.id for t in tiling.tiles]
-    pos = {i: [rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)] for i in ids}
+def tiling_to_svg(tiling, rule=None, seed=0):
+    """Tiles evenly spaced on a circle, sorted by (parent id, id) so that the
+    children of one tile sit side by side; `seed` rotates the start by whole
+    steps.  Distances carry no metric meaning."""
+    order = sorted(tiling.tiles, key=lambda t: (t.parent_id or "", t.id))
+    n = max(len(order), 1)
+    centre, radius = SVG_SIZE / 2, 0.45 * SVG_SIZE
+    pos = {}
+    for k, t in enumerate(order):
+        angle = 2 * math.pi * (k + seed) / n
+        pos[t.id] = (round(centre + radius * math.cos(angle), 3),
+                     round(centre + radius * math.sin(angle), 3))
     edges = set()
     for t in tiling.tiles:
         for o, _ in tiling.neighbors(t.id):
             edges.add(tuple(sorted((t.id, o))))
-    n = max(len(ids), 1)
-    k = (1.0 / n) ** 0.5
-    for _ in range(iterations):
-        disp = {i: [0.0, 0.0] for i in ids}
-        for i_idx, a in enumerate(ids):
-            for b in ids[i_idx + 1:]:
-                dx = pos[a][0] - pos[b][0]
-                dy = pos[a][1] - pos[b][1]
-                d2 = dx * dx + dy * dy + 1e-9
-                f = k * k / d2 * 0.02
-                disp[a][0] += dx * f
-                disp[a][1] += dy * f
-                disp[b][0] -= dx * f
-                disp[b][1] -= dy * f
-        for a, b in sorted(edges):
-            dx = pos[a][0] - pos[b][0]
-            dy = pos[a][1] - pos[b][1]
-            disp[a][0] -= dx * 0.05
-            disp[a][1] -= dy * 0.05
-            disp[b][0] += dx * 0.05
-            disp[b][1] += dy * 0.05
-        for i in ids:
-            pos[i][0] = min(0.95, max(0.05, pos[i][0] + disp[i][0]))
-            pos[i][1] = min(0.95, max(0.05, pos[i][1] + disp[i][1]))
-
-    def xy(i):
-        return round(pos[i][0] * size, 3), round(pos[i][1] * size, 3)
 
     legend = []
     if rule is not None:
         legend = rule.coalesced_names()
     out = io.StringIO()
     out.write('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">\n'
-              % (size, size + 20 * (len(legend) + 1)))
-    out.write('<!-- schematic layout, seed=%d; distances carry no meaning -->\n' % seed)
+              % (SVG_SIZE, SVG_SIZE + 20 * (len(legend) + 1)))
+    out.write('<!-- circular layout ordered by parent, seed=%d; '
+              'distances carry no meaning -->\n' % seed)
     for a, b in sorted(edges):
-        xa, ya = xy(a)
-        xb, yb = xy(b)
+        xa, ya = pos[a]
+        xb, yb = pos[b]
         out.write('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#888"/>\n'
                   % (xa, ya, xb, yb))
     palette = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
                "#aa3377", "#bbbbbb"]
     for t in tiling.tiles:
-        x, y = xy(t.id)
+        x, y = pos[t.id]
         color = "#dddddd"
         if rule is not None and not t.ideal:
             co = rule.coalesced_of.get(rule.type_of.get(t.id))
@@ -169,7 +152,7 @@ def tiling_to_svg(tiling, rule=None, seed=0, size=640, iterations=60):
         out.write('<circle cx="%s" cy="%s" r="5" fill="%s" stroke="#333"%s/>\n'
                   % (x, y, color, dash))
     for i, name in enumerate(legend):
-        y = size + 15 + 20 * i
+        y = SVG_SIZE + 15 + 20 * i
         out.write('<circle cx="12" cy="%d" r="5" fill="%s"/>'
                   '<text x="24" y="%d" font-size="12">type %s</text>\n'
                   % (y, palette[i % len(palette)], y + 4, name))

@@ -120,8 +120,9 @@ def parse_graph_json(data) -> DefiningGraph:
     if not isinstance(edges, list):
         raise GraphError('"edges" must be a list of pairs')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise GraphError("each edge must be a pair, got %r" % (e,))
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(x, str) for x in e)):
+            raise GraphError("each edge must be a pair of names, got %r" % (e,))
     return DefiningGraph(gens, edges)
 
 

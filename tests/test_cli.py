@@ -1,12 +1,14 @@
 import json
+import math
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subdivlab.cli import main
-from subdivlab.exports import (tiling_from_json, tiling_isomorphic,
+from subdivlab.exports import (SVG_SIZE, tiling_from_json, tiling_isomorphic,
                                tiling_to_json, tiling_to_svg)
 from conftest import get_rule, get_tilings
 
@@ -125,6 +127,7 @@ def test_determinism_byte_identical(tmp_path):
 @pytest.mark.parametrize("flag,value,message", [
     ("--cone-depth", "-1", "cone depth"),
     ("--ends-window", "0", "ends window"),
+    ("--export", "svg,bogus", "unknown export bogus"),
 ])
 def test_bad_run_options_exit_2(tmp_path, capsys, flag, value, message):
     inp = write(tmp_path, "triangle.json", TRIANGLE)
@@ -132,6 +135,28 @@ def test_bad_run_options_exit_2(tmp_path, capsys, flag, value, message):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_oracle_negative_levels_exit_2(tmp_path, capsys):
+    inp = write(tmp_path, "triangle.json", TRIANGLE)
+    assert main(["oracle", inp, "--levels", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "levels" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"generators": ["a", "b"], "edges": [[["a"], "b"]]},
+    {"generators": ["a", "b"], "edges": [["a", {"b": 1}]]},
+], ids=["list-edge-end", "object-edge-end"])
+def test_malformed_graph_input_exits_2(tmp_path, capsys, data):
+    inp = write(tmp_path, "bad.json", data)
+    assert main(["run", inp, "--levels", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert "Traceback" not in err
 
 
@@ -170,9 +195,11 @@ TORUS = {"defining_graph": {"generators": ["a", "z"], "edges": [["a", "z"]]},
     dict(TORUS, squares=[5]),
     dict(TORUS, squares=[[["e_a"], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]),
     dict(TORUS, squares=[[[["e_a"], 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]),
+    dict(LOOP_A, defining_graph={"generators": ["a", "b"],
+                                 "edges": [[["a"], "b"]]}),
 ], ids=["top-level-list", "edge-sign", "square-orientation", "two-edge-square",
         "edge-not-object", "edges-not-list", "list-vertex", "square-not-list",
-        "one-item-reference", "list-edge-id"])
+        "one-item-reference", "list-edge-id", "list-graph-edge-end"])
 def test_malformed_special_input_exits_2(tmp_path, capsys, data):
     inp = write(tmp_path, "bad.json", data)
     assert main(["run", inp, "--mode", "special", "--levels", "3",
@@ -236,6 +263,36 @@ def test_special_input_fuzz_keeps_exit_contract(data, levels, cap, strict):
         assert main(argv + ["--strict-cubes"] * strict) in (0, 2, 3, 4)
 
 
+@st.composite
+def _graphs(draw):
+    """A defining graph on up to three generators, with up to two of its
+    values replaced by JSON of any shape."""
+    generators = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    pairs = [[x, y] for i, x in enumerate(generators) for y in generators[i + 1:]]
+    data = {"generators": generators,
+            "edges": draw(st.lists(st.sampled_from(pairs), unique_by=tuple,
+                                   max_size=3)) if pairs else []}
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(list(_slots(data))))
+        container[key] = draw(_JSON)
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=_graphs(), levels=st.integers(1, 2),
+       cap=st.sampled_from([200, 24, 8]),
+       export=st.lists(st.sampled_from(["tilings", "dot", "svg", "reports",
+                                        "bogus", ""]), max_size=2))
+def test_raag_input_fuzz_keeps_exit_contract(data, levels, cap, export):
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = os.path.join(tmp, "graph.json")
+        with open(inp, "w") as f:
+            json.dump(data, f)
+        argv = ["run", inp, "--levels", str(levels), "--cap", str(cap),
+                "--export", ",".join(export), "--out", os.path.join(tmp, "o")]
+        assert main(argv) in (0, 2, 3, 4)
+
+
 def test_diameter_mode_flag_is_gone(tmp_path):
     inp = write(tmp_path, "triangle.json", TRIANGLE)
     with pytest.raises(SystemExit) as err:
@@ -273,3 +330,34 @@ def test_svg_content():
     assert svg.count("type ") == 3
     empty = tiling_to_svg(get_tilings("free3", 3)[0], None, seed=1)
     assert empty.startswith("<svg")
+
+
+def _tile_slots(svg, n):
+    """Slot on the layout circle of each stroked tile circle, in drawing
+    order, checking that every centre lies on that circle."""
+    centre, radius = SVG_SIZE / 2, 0.45 * SVG_SIZE
+    slots = []
+    for x, y in re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)" r="5" '
+                           r'fill="#\w+" stroke=', svg):
+        dx, dy = float(x) - centre, float(y) - centre
+        assert abs(math.hypot(dx, dy) - radius) < 0.01
+        slot = math.atan2(dy, dx) / (2 * math.pi) * n
+        assert abs(slot - round(slot)) < 1e-3
+        slots.append(round(slot) % n)
+    return slots
+
+
+def test_svg_layout_orders_by_parent():
+    level = get_tilings("triangle", 3)[2]
+    rule = get_rule("triangle", 3)
+    n = len(level.tiles)
+    slots = _tile_slots(tiling_to_svg(level, rule, seed=0), n)
+    assert sorted(slots) == list(range(n))
+    by_parent = {}
+    for tile, slot in zip(level.tiles, slots):
+        by_parent.setdefault(tile.parent_id, []).append(slot)
+    assert len(by_parent) > 1
+    for group in by_parent.values():
+        assert sorted(group) == list(range(min(group), min(group) + len(group)))
+    shifted = _tile_slots(tiling_to_svg(level, rule, seed=1), n)
+    assert shifted == [(slot + 1) % n for slot in slots]

@@ -4,6 +4,8 @@ from subdivlab.cubes import (CubeComplexSpec, CubeSpecError, Edge, LiftSet,
                              StarConvexityViolation, check_local_isometry,
                              cone_types, lift_basepoints, parse_cube_spec,
                              prune_history, salvetti_spec)
+from subdivlab.balls import build_ball
+from subdivlab.graphs import DefiningGraph
 from subdivlab.invariants import ends, growth
 from subdivlab.tiling import build_history, build_tilings, extract_rule
 from subdivlab.words import empty_state
@@ -149,6 +151,30 @@ def test_cone_types_triangle_stabilizes_at_three():
     per_level = {lvl: n for lvl, n in out["classes_per_level"].items() if lvl >= 0}
     assert set(per_level.values()) == {3}
     assert out["stabilized"]
+
+
+K4 = DefiningGraph(["a", "b", "c", "d"],
+                   [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"],
+                    ["c", "d"]])
+C4 = DefiningGraph(["a", "b", "c", "d"],
+                   [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]])
+
+
+# the full dicts as computed before colours were interned to ints
+@pytest.mark.parametrize("graph,levels,k,expected", [
+    (K4, 3, 1, ({-1: 1, 0: 4, 1: 4}, 5, True)),
+    (K4, 3, 2, ({-1: 1, 0: 4}, 5, False)),
+    (C4, 3, 1, ({-1: 1, 0: 2, 1: 2}, 3, True)),
+    (C4, 3, 2, ({-1: 1, 0: 2}, 3, False)),
+    (path3(), 4, 1, ({-1: 1, 0: 3, 1: 3, 2: 3}, 4, True)),
+    (path3(), 4, 2, ({-1: 1, 0: 3, 1: 3}, 4, True)),
+], ids=["k4-1", "k4-2", "c4-1", "c4-2", "path3-1", "path3-2"])
+def test_cone_types_pinned(graph, levels, k, expected):
+    h = build_history(build_tilings(build_ball(graph, levels), levels))
+    per_level, total, stabilized = expected
+    assert cone_types(h, k) == {"classes_per_level": per_level,
+                                "total_classes": total,
+                                "stabilized": stabilized, "depth": k}
 
 
 def test_cone_types_pruned_loop_a():
