@@ -10,9 +10,9 @@ cell of the previous sphere that g covers: among all moves t with
 g = h * t, h at level n and the cell (h, signs of t) touching no other
 domain of B(n), the canonically smallest h wins.  The search reads these
 pairs off the products that discover level n+1.  Elements covering several
-convex cells at once are counted, as are elements whose normal-form
-predecessor (drop the leftmost diagonal generator) fails to sit one level
-down.
+convex cells at once are counted; `word_predecessor_audit` counts the
+elements whose normal-form predecessor (drop the leftmost diagonal
+generator) fails to sit one level down.
 
 The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
@@ -76,8 +76,7 @@ class BoundaryCell:
 class Ball:
     """Levels 0..N of the group under the diagonal generating set."""
 
-    def __init__(self, graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP,
-                 collect_discrepancies: bool = True):
+    def __init__(self, graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP):
         self.graph = graph
         self.N = n_levels
         self.cap = cap
@@ -88,8 +87,6 @@ class Ball:
         self.pred_move = {}       # state -> covering move (signed cell)
         self.multi_cover = 0      # elements covering more than one convex cell
         self.nf_cache = {}
-        self.word_pred_mismatches = 0
-        self.word_pred_examples = []  # up to 10 normal-form strings
         # nonempty sub-signed-sets of each move; they are moves themselves
         self._subcells = {t: [c for r in range(1, len(t) + 1)
                               for c in combinations(t, r)] for t in self.moves}
@@ -101,8 +98,6 @@ class Ball:
         self._regions = {}
         self._spot_checked = {}   # (level, covering move) -> elements recomputed
         self._build()
-        if collect_discrepancies:
-            self._check_word_predecessors()
 
     # -- construction -------------------------------------------------------
 
@@ -159,18 +154,6 @@ class Ball:
 
     def apply(self, state, cell):
         return words.apply_letters(state, self.graph, cell)
-
-    def _check_word_predecessors(self):
-        for n in range(1, self.N + 1):
-            for g in self.levels[n]:
-                nf = self.nf(g)
-                hhat = words.predecessor(self.graph, nf)
-                lvl = self.level_of.get(words.state_of_nf(self.graph, hhat))
-                if lvl != n - 1:
-                    self.word_pred_mismatches += 1
-                    if len(self.word_pred_examples) < 10:
-                        self.word_pred_examples.append(
-                            words.nf_str(self.graph, nf))
 
     # -- cell queries --------------------------------------------------------
 
@@ -331,7 +314,23 @@ def _components(graph: DefiningGraph, convex):
     return out
 
 
-def build_ball(graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP,
-               collect_discrepancies: bool = True) -> Ball:
+def build_ball(graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP) -> Ball:
     """Build the ball of the given depth."""
-    return Ball(graph, n_levels, cap=cap, collect_discrepancies=collect_discrepancies)
+    return Ball(graph, n_levels, cap=cap)
+
+
+def word_predecessor_audit(ball: Ball):
+    """(count, examples) of the elements whose normal-form predecessor (drop
+    the leftmost diagonal generator) is not one level down; up to 10
+    examples, as normal-form strings."""
+    count = 0
+    examples = []
+    for n in range(1, ball.N + 1):
+        for g in ball.levels[n]:
+            nf = ball.nf(g)
+            hhat = words.predecessor(ball.graph, nf)
+            if ball.level_of.get(words.state_of_nf(ball.graph, hhat)) != n - 1:
+                count += 1
+                if len(examples) < 10:
+                    examples.append(words.nf_str(ball.graph, nf))
+    return count, examples

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .balls import DEFAULT_CAP, CapExceeded, build_ball
+from .balls import DEFAULT_CAP, CapExceeded, build_ball, word_predecessor_audit
 from .cubes import (CubeSpecError, StarConvexityViolation, check_local_isometry,
                     cone_types, lift_basepoints, parse_cube_spec, prune_history)
 from .exports import (counts_csv, history_to_dot, report_json, tiling_to_dot,
@@ -40,7 +40,7 @@ EXPORTS = ("tilings", "dot", "svg", "reports")
 class RunConfig:
     input_path: str
     mode: str = "raag"
-    levels: int = 4
+    levels: int = 5
     cap: int = DEFAULT_CAP
     out_dir: str = "out"
     exports: tuple = ("reports",)
@@ -106,10 +106,11 @@ def run(config: RunConfig) -> int:
     except CapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAP
+    mismatches, examples = word_predecessor_audit(ball)
 
     tilings = build_tilings(ball, config.levels)
     history = build_history(tilings)
-    rule = extract_rule(tilings) if config.levels >= 3 else None
+    rule = extract_rule(history) if config.levels >= 3 else None
 
     report = {
         "meta": {
@@ -121,8 +122,8 @@ def run(config: RunConfig) -> int:
             "layout_seed": config.layout_seed,
             "warnings": [],
             "counters": {
-                "predecessor_level_mismatches": ball.word_pred_mismatches,
-                "predecessor_mismatch_examples": ball.word_pred_examples,
+                "predecessor_level_mismatches": mismatches,
+                "predecessor_mismatch_examples": examples,
                 "covering_multiplicity_gt1": ball.multi_cover,
             },
         },
@@ -130,7 +131,7 @@ def run(config: RunConfig) -> int:
     }
 
     if rule is not None:
-        crosscheck = descriptor_crosscheck(rule, tilings)
+        crosscheck = descriptor_crosscheck(rule, history)
         report["rule"] = {
             "stable": rule.stable,
             "refined_types": len(rule.types),
@@ -171,7 +172,6 @@ def run(config: RunConfig) -> int:
         report["mesh"] = {"certified": m.certified, "orbit": m.orbit}
     report["cone_types"] = cone_types(history, config.cone_depth)
 
-    status = EXIT_OK
     if config.mode == "special":
         lifts = lift_basepoints(spec, graph, ball, config.levels)
         try:
@@ -224,7 +224,7 @@ def run(config: RunConfig) -> int:
     if "reports" in config.exports:
         _atomic_write(os.path.join(config.out_dir, "counts.csv"),
                       counts_csv(tilings, rule))
-    return status
+    return EXIT_OK
 
 
 def oracle_main(args) -> int:
@@ -256,16 +256,17 @@ def make_parser():
 
     runp = sub.add_parser("run", help="build tilings and reports")
     runp.add_argument("input")
-    runp.add_argument("--mode", choices=("raag", "special"), default="raag")
-    runp.add_argument("--levels", type=int, default=5)
-    runp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    runp.add_argument("--out", default="out")
-    runp.add_argument("--export", default="reports",
+    runp.add_argument("--mode", choices=("raag", "special"),
+                      default=RunConfig.mode)
+    runp.add_argument("--levels", type=int, default=RunConfig.levels)
+    runp.add_argument("--cap", type=int, default=RunConfig.cap)
+    runp.add_argument("--out", default=RunConfig.out_dir)
+    runp.add_argument("--export", default=",".join(RunConfig.exports),
                       help="comma list: " + ",".join(EXPORTS))
-    runp.add_argument("--ends-window", type=int, default=3)
+    runp.add_argument("--ends-window", type=int, default=RunConfig.ends_window)
     runp.add_argument("--strict-cubes", action="store_true")
-    runp.add_argument("--layout-seed", type=int, default=0)
-    runp.add_argument("--cone-depth", type=int, default=1)
+    runp.add_argument("--layout-seed", type=int, default=RunConfig.layout_seed)
+    runp.add_argument("--cone-depth", type=int, default=RunConfig.cone_depth)
 
     orp = sub.add_parser("oracle", help="independent brute-force sphere sizes")
     orp.add_argument("input")

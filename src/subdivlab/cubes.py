@@ -299,40 +299,6 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
     return LiftSet(levels=levels, members=set(members), witness=members)
 
 
-class PrunedTiling:
-    """View of a tiling where tiles over unlifted elements count as ideal."""
-
-    def __init__(self, base, lifted):
-        self.base = base
-        self.level = base.level
-        self.graph = base.graph
-        self._keep = {t.id for t in base.tiles
-                      if not t.ideal and t.owner in lifted}
-
-    @property
-    def tiles(self):
-        return self.base.tiles
-
-    @property
-    def by_id(self):
-        return self.base.by_id
-
-    @property
-    def instances(self):
-        return [i for i in self.base.instances
-                if i.tile1 in self._keep and i.tile2 in self._keep]
-
-    def nonideal(self):
-        return [t for t in self.base.tiles if t.id in self._keep]
-
-    def ideal_tiles(self):
-        return [t for t in self.base.tiles if t.id not in self._keep]
-
-    def neighbors(self, tid):
-        return [(o, lab) for o, lab in self.base.neighbors(tid)
-                if o in self._keep]
-
-
 @dataclass
 class PruneResult:
     history: HistoryGraph
@@ -353,25 +319,21 @@ def prune_history(tilings, lifts: LiftSet, ball: Ball,
         for g in lifts.levels[n]:
             if ball.pred[g] not in lifts.members:
                 raise StarConvexityViolation(ball.nf_string(g))
-    pruned = [PrunedTiling(t, lifts.members) for t in tilings]
-    keep = lambda tile: (not tile.ideal) and tile.owner in lifts.members
-    rule = extract_rule(tilings, keep=keep) if len(tilings) >= 3 else None
+    pruned = [t.restricted(lifts.members) for t in tilings]
     history = HistoryGraph(pruned)
+    rule = extract_rule(history) if len(pruned) >= 3 else None
     containment = {"mapping": {}, "injective": True, "children_consistent": True}
     if ambient_rule is not None:
         mapping = {}
         consistent = True
-        for t in tilings:
-            for tile in t.nonideal():
-                if tile.owner not in lifts.members:
-                    continue
-                p = rule.type_of.get(tile.id)
-                a = ambient_rule.type_of.get(tile.id)
-                if p is None or a is None:
-                    continue
-                if p in mapping and mapping[p] != a:
-                    consistent = False
-                mapping[p] = a
+        for tid in history.vertices:
+            p = rule.type_of.get(tid)
+            a = ambient_rule.type_of.get(tid)
+            if p is None or a is None:
+                continue
+            if p in mapping and mapping[p] != a:
+                consistent = False
+            mapping[p] = a
         injective = len(set(mapping.values())) == len(mapping)
         containment = {"mapping": dict(sorted(mapping.items())),
                        "injective": injective and consistent,

@@ -65,12 +65,10 @@ class DefiningGraph:
             self.adj[i] |= 1 << j
             self.adj[j] |= 1 << i
         # complement (non-commuting partners), excluding self
-        full = (1 << self.d) - 1
         self.noncommuters = [
             [j for j in range(self.d) if j != i and not (self.adj[i] >> j) & 1]
             for i in range(self.d)
         ]
-        self.noncomm_mask = [full & ~self.adj[i] & ~(1 << i) for i in range(self.d)]
 
     def commute(self, i, j):
         return i == j or bool((self.adj[i] >> j) & 1)

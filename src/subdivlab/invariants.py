@@ -215,13 +215,12 @@ def classify_counts(seq):
     return ("exponential", ratio)
 
 
-def growth(history, rule=None) -> GrowthReport:
-    """Growth data from a history graph (or a plain list of tilings).
+def growth(tilings, rule=None) -> GrowthReport:
+    """Growth data from a list of tilings.
 
     With fewer than 4 levels the scalar fit is underdetermined; the exact
     transition-matrix dichotomy still applies when a stable rule is given.
     """
-    tilings = history.tilings if hasattr(history, "tilings") else list(history)
     if len(tilings) < 4 and not (rule is not None and rule.stable):
         raise ValueError("fit underdetermined: more levels requested")
     counts = [len(t.nonideal()) for t in tilings]
@@ -265,7 +264,6 @@ class EndsReport:
     counts: list
     verdict: object    # 0 | 1 | 2 | "unbounded" | "undetermined"
     window: int
-    mappings_bijective: bool
 
 
 def _components(tiling):
@@ -328,7 +326,7 @@ def ends(tilings, window: int = 3) -> EndsReport:
         verdict = "unbounded"
     else:
         verdict = "undetermined"
-    return EndsReport(counts, verdict, window, bijective)
+    return EndsReport(counts, verdict, window)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ a tile in the sphere, while the subdivision behaviour does not.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import words
@@ -36,7 +36,6 @@ class Tile:
     level: int
     owner: tuple
     owner_nf: str
-    comp: int
     cells: tuple = ()
     attached_ideal: tuple = ()
     ideal: bool = False
@@ -89,6 +88,17 @@ class Tiling:
     def neighbors(self, tid):
         return sorted(self.adjacency.get(tid, ()))
 
+    def restricted(self, owners):
+        """The same tiles, with every non-ideal tile whose owner is not in
+        `owners` flagged ideal.  Adjacency is shared with this tiling: every
+        reader drops ideal neighbours."""
+        out = Tiling(self.level, self.graph)
+        for tile in self.tiles:
+            out.add(tile if tile.ideal or tile.owner in owners
+                    else replace(tile, ideal=True))
+        out.adjacency, out.instances = self.adjacency, self.instances
+        return out
+
 
 def _nonideal_id(level, owner_nf, comp):
     return "t%d|%s|%d" % (level, owner_nf, comp)
@@ -109,10 +119,8 @@ def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
     tiling = Tiling(n, graph)
 
     owners = ball.levels[n + 1]
-    regions_of = {}
     for g in owners:
         regions = visible_region(ball, n + 1, g)
-        regions_of[g] = regions
         g_nf = ball.nf_string(g)
         pred = ball.pred[g]
         move = ball.pred_move[g]
@@ -125,8 +133,8 @@ def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
             parent_id = _nonideal_id(n - 1, ball.nf_string(pred), comp)
         for r in regions:
             tid = _nonideal_id(n, g_nf, r.index)
-            tile = Tile(id=tid, level=n, owner=g, owner_nf=g_nf, comp=r.index,
-                        cells=r.cells, attached_ideal=r.attached_ideal,
+            tile = Tile(id=tid, level=n, owner=g, owner_nf=g_nf, cells=r.cells,
+                        attached_ideal=r.attached_ideal,
                         covered_move=move, covered_clique=support(move),
                         parent_id=parent_id)
             tiling.add(tile)
@@ -158,8 +166,7 @@ def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
                                 parent_id = _nonideal_id(
                                     n - 1, ball.nf_string(ball.pred[g]), comp)
                     tile = Tile(id=tid, level=n, owner=g, owner_nf=g_nf,
-                                comp=0, ideal=True, ideal_facet=f,
-                                parent_id=parent_id)
+                                ideal=True, ideal_facet=f, parent_id=parent_id)
                     tiling.add(tile)
                     tiling.containing_tile[(g, f)] = tid
 
@@ -324,29 +331,16 @@ def _raw_key(tile):
     return ("raw", tile.covered_clique, tile.shape())
 
 
-def extract_rule(tilings, keep=None) -> SubdivisionRule:
-    """Partition-refinement extraction of the subdivision rule.
-
-    `keep` filters the tiles considered non-ideal (used by pruning); it
-    defaults to the tiles' own ideal flags.
-    """
+def extract_rule(history: HistoryGraph) -> SubdivisionRule:
+    """Partition-refinement extraction of the subdivision rule from the
+    history's non-ideal tiles and their children."""
+    tilings = history.tilings
     if len(tilings) < 3:
         raise ValueError("need at least 3 consecutive levels")
     graph = tilings[0].graph
-    if keep is None:
-        keep = lambda tile: not tile.ideal
-
-    tiles = {}
-    for t in tilings:
-        for tile in t.tiles:
-            if not tile.ideal and keep(tile):
-                tiles[tile.id] = tile
+    tiles = {tid: history.tile_index[tid] for tid in history.vertices}
     deepest = len(tilings) - 1
-
-    kids = defaultdict(list)
-    for tile in tiles.values():
-        if tile.level > 0 and tile.parent_id in tiles:
-            kids[tile.parent_id].append(tile.id)
+    kids = history.children   # read with .get: adds no keys to the graph's map
 
     internal_pairs = defaultdict(list)  # parent id -> [(child1, child2, label)]
     for t in tilings[1:]:
@@ -364,7 +358,7 @@ def extract_rule(tilings, keep=None) -> SubdivisionRule:
         nxt = {}
         for tid, tile in tiles.items():
             if tile.level < deepest:
-                ch = tuple(sorted(prev_sig[c] for c in kids[tid]))
+                ch = tuple(sorted(prev_sig[c] for c in kids.get(tid, ())))
                 internal = tuple(sorted(
                     (tuple(sorted((prev_sig[a], prev_sig[b]))), lab)
                     for a, b, lab in internal_pairs[tid]))
@@ -433,7 +427,7 @@ def extract_rule(tilings, keep=None) -> SubdivisionRule:
                                      "example": tid})
         rec["count"] += 1
         if tile.level < deepest:
-            ch = Counter(type_of[c] for c in kids[tid])
+            ch = Counter(type_of[c] for c in kids.get(tid, ()))
             internal = Counter((tuple(sorted((type_of[a], type_of[b]))), lab)
                                for a, b, lab in internal_pairs[tid])
             if rec["children"] is None:
@@ -608,37 +602,28 @@ def inflation_descriptor(graph: DefiningGraph, sigma: Cell) -> Descriptor:
     return Descriptor(sigma=sigma, children=children, collapsed=collapsed)
 
 
-def descriptor_crosscheck(rule: SubdivisionRule, tilings):
+def descriptor_crosscheck(rule: SubdivisionRule, history: HistoryGraph):
     """Compare each stable type's empirical child multiset, counted by the
     covered clique, with the descriptor's prediction.  Returns a list of
     mismatch records; an empty list means full agreement."""
     graph = rule.graph
-    tiles = {}
-    for t in tilings:
-        for tile in t.nonideal():
-            tiles[tile.id] = tile
+    tiles = history.tile_index
+    # per type, the empirical children of its first tile at a level that has
+    # children in the observed window
+    deepest = len(history.tilings) - 1
+    reps = {}
+    for tid in history.vertices:
+        if tiles[tid].level < deepest:
+            reps.setdefault(rule.type_of.get(tid), tid)
     mismatches = []
     for rt in rule.types:
         tile = tiles.get(rt.example)
-        if tile is None or tile.covered_move is None:
+        if tile is None or tile.covered_move is None or rt.name not in reps:
             continue
         desc = inflation_descriptor(graph, tile.covered_move)
         expected = Counter(desc.child_clique_counter())
-        # empirical children of one representative tile at a level that has
-        # children in the observed window
-        rep = None
-        for t in tilings[:-1]:
-            for cand in t.nonideal():
-                if rule.type_of.get(cand.id) == rt.name:
-                    rep = cand
-                    break
-            if rep:
-                break
-        if rep is None:
-            continue
-        child_tiles = [tiles[c.id] for c in tilings[rep.level + 1].nonideal()
-                       if c.parent_id == rep.id]
-        got = Counter(c.covered_clique for c in child_tiles)
+        got = Counter(tiles[c].covered_clique
+                      for c in history.children.get(reps[rt.name], ()))
         if got != expected:
             mismatches.append({
                 "type": rt.name,

@@ -1,7 +1,7 @@
 import pytest
 
 from subdivlab import DefiningGraph, build_ball
-from subdivlab.tiling import build_tilings, extract_rule
+from subdivlab.tiling import build_history, build_tilings, extract_rule
 
 
 def triangle():
@@ -64,7 +64,7 @@ def get_rule(name, count=None):
     tilings = get_tilings(name, count)
     key = (name, len(tilings))
     if key not in _RULES:
-        _RULES[key] = extract_rule(tilings)
+        _RULES[key] = extract_rule(build_history(tilings))
     return _RULES[key]
 
 

@@ -10,15 +10,15 @@ from collections import Counter
 import pytest
 
 from subdivlab import words
-from subdivlab.balls import CapExceeded, build_ball
+from subdivlab.balls import CapExceeded, build_ball, word_predecessor_audit
 from subdivlab.cubes import lift_basepoints, prune_history, salvetti_spec
 from subdivlab.graphs import DefiningGraph
 from subdivlab.invariants import (classify_counts, divergence_diameter, ends,
                                   growth, mesh_certificate)
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes)
-from subdivlab.tiling import (build_tilings, descriptor_crosscheck,
-                              extract_rule)
+from subdivlab.tiling import (build_history, build_tilings,
+                              descriptor_crosscheck, extract_rule)
 from subdivlab.words import normalize, parse_word, predecessor, state_of_nf
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, free3,
                       get_ball, get_rule, get_tilings, graph_from_edges,
@@ -41,7 +41,7 @@ def test_criterion_1_tile_type_counts():
         t0 = time.monotonic()
         ball = build_ball(graph, 5)
         ts = build_tilings(ball, 3)
-        rule = extract_rule(ts)
+        rule = extract_rule(build_history(ts))
         elapsed = time.monotonic() - t0
         coalesced = rule.coalesced_names()
         assert len(coalesced) == want, name
@@ -137,8 +137,7 @@ def test_criterion_5_growth_dichotomy():
     for d, edges in sample:
         graph = graph_from_edges(d, edges)
         try:
-            ball = build_ball(graph, 6, cap=200000,
-                              collect_discrepancies=False)
+            ball = build_ball(graph, 6, cap=200000)
         except CapExceeded:
             skipped += 1
             continue
@@ -164,8 +163,7 @@ def test_criterion_6_ends():
         for edges in all_graphs_up_to_iso(d):
             graph = graph_from_edges(d, edges)
             try:
-                ball = build_ball(graph, 4, cap=300000,
-                                  collect_discrepancies=False)
+                ball = build_ball(graph, 4, cap=300000)
             except CapExceeded:
                 continue
             tilings = build_tilings(ball, 3)
@@ -202,11 +200,10 @@ def test_criterion_7_mesh():
         for edges in all_graphs_up_to_iso(d):
             graph = graph_from_edges(d, edges)
             try:
-                ball = build_ball(graph, 4, cap=300000,
-                                  collect_discrepancies=False)
+                ball = build_ball(graph, 4, cap=300000)
             except CapExceeded:
                 continue
-            rule = extract_rule(build_tilings(ball, 3))
+            rule = extract_rule(build_history(build_tilings(ball, 3)))
             assert rule.stable, edges
             m = mesh_certificate(rule)
             if edges:
@@ -290,14 +287,16 @@ def test_criterion_9_special_pruning():
 def test_criterion_10_discrepancies_reported():
     # descriptor cross-check: zero mismatches for the stable types
     assert descriptor_crosscheck(get_rule("triangle"),
-                                 get_tilings("triangle")) == []
-    assert descriptor_crosscheck(get_rule("free3"), get_tilings("free3")) == []
+                                 build_history(get_tilings("triangle"))) == []
+    assert descriptor_crosscheck(get_rule("free3"),
+                                 build_history(get_tilings("free3"))) == []
 
     # predecessor-level mismatches exist for the path graph and include the
     # a z^2 b class
     ball = get_ball("path3")
-    assert ball.word_pred_mismatches > 0
-    assert len(ball.word_pred_examples) > 0
+    mismatches, examples = word_predecessor_audit(ball)
+    assert mismatches > 0
+    assert len(examples) > 0
     g = path3()
     nf = normalize(g, parse_word(g, "a z^2 b"))
     state = state_of_nf(g, nf)

@@ -4,7 +4,8 @@ import pytest
 
 from subdivlab import InvariantViolation, words
 from subdivlab.balls import (Ball, BoundaryCell, CapExceeded, build_ball,
-                             classify_cell, convex_cells, visible_region)
+                             classify_cell, convex_cells, visible_region,
+                             word_predecessor_audit)
 from subdivlab.graphs import DefiningGraph
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
@@ -58,15 +59,15 @@ def test_predecessor_levels_and_cover():
 def test_word_predecessor_mismatches_detected():
     ball = get_ball("path3")
     # elements like a z^2 b have a normal-form predecessor at the same level
-    assert ball.word_pred_mismatches > 0
+    assert word_predecessor_audit(ball)[0] > 0
     g = path3()
     nf = words.normalize(g, parse_word(g, "a z^2 b"))
     state = words.state_of_nf(g, nf)
     assert ball.level_of[state] == 2
     hhat = words.predecessor(g, nf)
     assert ball.level_of[words.state_of_nf(g, hhat)] == 2  # not one lower
-    assert get_ball("triangle").word_pred_mismatches == 0
-    assert get_ball("free3").word_pred_mismatches == 0
+    assert word_predecessor_audit(get_ball("triangle"))[0] == 0
+    assert word_predecessor_audit(get_ball("free3"))[0] == 0
 
 
 def test_classify_cell_examples():
@@ -210,8 +211,7 @@ def pattern_by_products(ball, g):
 ])
 def test_in_ball_pattern_depends_only_on_covering_move(d, depth, edge_sets):
     for edges in edge_sets or all_graphs_up_to_iso(d):
-        ball = build_ball(graph_from_edges(d, edges), depth,
-                          collect_discrepancies=False)
+        ball = build_ball(graph_from_edges(d, edges), depth)
         for g in ball.level_of:
             assert ball.in_ball_moves(g) == pattern_by_products(ball, g), \
                 (edges, ball.nf_string(g))
@@ -221,7 +221,7 @@ def test_in_ball_pattern_depends_only_on_covering_move(d, depth, edge_sets):
 def test_predecessors_match_per_element_search(graph):
     """The predecessor read off the search equals the canonically smallest
     convex cell found from the element itself."""
-    ball = build_ball(graph(), 4, collect_discrepancies=False)
+    ball = build_ball(graph(), 4)
     multi = 0
     for n in range(1, ball.N + 1):
         for g in ball.levels[n]:

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdivlab.cli import main
+from subdivlab.cli import RunConfig, main, make_parser
 from subdivlab.exports import (SVG_SIZE, tiling_from_json, tiling_isomorphic,
                                tiling_to_json, tiling_to_svg)
 from conftest import get_rule, get_tilings
@@ -70,6 +70,60 @@ def test_run_special_below_three_levels(tmp_path):
     sp = json.loads((tmp_path / "out" / "report.json").read_text())["special"]
     assert sp["tile_counts"] == [2, 2]
     assert "rule_stable" not in sp and "ends" not in sp
+
+
+# path3 with only the a and z loops and their square: kept tiles border
+# dropped ones at every level
+PATH3_AZ = {"defining_graph": {"generators": ["a", "z", "b"],
+                               "edges": [["a", "z"], ["b", "z"]]},
+            "vertices": ["v"],
+            "edges": [{"id": "e_a", "from": "v", "to": "v", "label": "a"},
+                      {"id": "e_z", "from": "v", "to": "v", "label": "z"}],
+            "squares": [[["e_a", 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]}
+
+
+@pytest.mark.parametrize("data,special", [
+    (PATH3_AZ, {
+        "star_convex": True, "tile_counts": [8, 16, 24, 32, 40],
+        "containment": {"children_consistent": True, "injective": True,
+                        "mapping": {"T0": "T0", "T1": "T1", "T2": "T4"}},
+        "cone_types": {"classes_per_level": {"-1": 1, "0": 2, "1": 2,
+                                             "2": 2, "3": 2},
+                       "depth": 1, "stabilized": True, "total_classes": 3},
+        "rule_stable": True,
+        "growth": {"classification": ["polynomial", 1],
+                   "counts": [8, 16, 24, 32, 40]},
+        "ends": {"counts": [1, 1, 1, 1, 1], "verdict": 1}}),
+    (LOOP_A, {
+        "star_convex": True, "tile_counts": [2, 2, 2, 2, 2],
+        "containment": {"children_consistent": True, "injective": True,
+                        "mapping": {"T0": "T1"}},
+        "cone_types": {"classes_per_level": {"-1": 1, "0": 1, "1": 1,
+                                             "2": 1, "3": 1},
+                       "depth": 1, "stabilized": True, "total_classes": 2},
+        "rule_stable": True,
+        "growth": {"classification": ["polynomial", 0],
+                   "counts": [2, 2, 2, 2, 2]},
+        "ends": {"counts": [2, 2, 2, 2, 2], "verdict": 2}}),
+], ids=["path3-az", "loop-a"])
+def test_special_partial_lift_pinned(tmp_path, data, special):
+    inp = write(tmp_path, "complex.json", data)
+    assert main(["run", inp, "--mode", "special", "--levels", "5",
+                 "--out", str(tmp_path / "o")]) == 0
+    sp = json.loads((tmp_path / "o" / "report.json").read_text())["special"]
+    del sp["lift_level_sizes"]
+    assert sp == special
+
+
+def test_run_parser_defaults_are_the_config_defaults():
+    args = make_parser().parse_args(["run", "x"])
+    config = RunConfig("x")
+    assert (args.mode, args.levels, args.cap, args.out,
+            tuple(args.export.split(",")), args.ends_window,
+            args.strict_cubes, args.layout_seed, args.cone_depth) == \
+        (config.mode, config.levels, config.cap, config.out_dir,
+         config.exports, config.ends_window, config.strict_cubes,
+         config.layout_seed, config.cone_depth)
 
 
 def test_exit_code_parse_error(tmp_path):

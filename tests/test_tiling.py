@@ -170,6 +170,27 @@ def test_extract_rule_triangle():
     assert totals == [26, 98, 218, 386]
 
 
+def test_restricted_reflags_tiles_and_shares_adjacency():
+    ts = get_tilings("path3", 3)
+    owners = {t.owner for t in ts[1].nonideal()[::2]}
+    r = ts[1].restricted(owners)
+    assert r.adjacency is ts[1].adjacency and r.instances is ts[1].instances
+    assert [t.id for t in r.tiles] == [t.id for t in ts[1].tiles]
+    assert {t.id for t in r.nonideal()} == \
+        {t.id for t in ts[1].nonideal() if t.owner in owners}
+    # the base tiling keeps its own flags
+    assert all(not t.ideal for t in ts[1].tiles if t.covered_move is not None)
+
+
+def test_extract_rule_reads_the_history_without_adding_children():
+    h = build_history(get_tilings("path3", 3))
+    keys = set(h.children)
+    rule = extract_rule(h)
+    descriptor_crosscheck(rule, h)
+    assert set(h.children) == keys
+    assert set(rule.type_of) == set(h.vertices)
+
+
 def test_extract_rule_free3():
     rule = get_rule("free3")
     assert rule.stable
@@ -189,7 +210,7 @@ def test_extract_rule_path3():
 def test_requires_three_levels():
     ts = get_tilings("triangle", 2)
     with pytest.raises(ValueError):
-        extract_rule(ts)
+        extract_rule(build_history(ts))
 
 
 def test_inflation_counts():
@@ -240,4 +261,4 @@ def test_descriptor_crosscheck_clean():
     for name in ("triangle", "path3", "free3", "edge_plus_vertex"):
         rule = get_rule(name)
         ts = get_tilings(name)
-        assert descriptor_crosscheck(rule, ts) == []
+        assert descriptor_crosscheck(rule, build_history(ts)) == []
