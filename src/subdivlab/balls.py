@@ -16,10 +16,10 @@ generator) fails to sit one level down.
 
 The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
-subdivision rule has finitely many tile types.  The pattern and everything
-read off it (convex cells, flat cells, visible-region components) are
-computed once per covering move, and spot-checked with products on the
-first two elements of each level and covering move.
+subdivision rule has finitely many tile types.  `Ball.local` holds one
+record per covering move: the pattern and everything read off it (convex
+cells, flat cells, visible-region components).  The pattern is spot-checked
+with products on the first two elements of each level and covering move.
 """
 
 from __future__ import annotations
@@ -59,6 +59,17 @@ class InvariantViolation(RuntimeError):
         self.level = level
 
 
+@dataclass(frozen=True)
+class Local:
+    """What an element g at level n sees of B(n); the same for every element
+    with g's covering move."""
+    pattern: frozenset   # moves t with g * t in B(n)
+    convex: frozenset    # moves whose cell (g, t) touches no other domain
+    flat: tuple          # (cell, s0): cells in exactly two domains, g and g * s0
+    regions: tuple       # (cells, attached ideal facets) per visible component
+    component: dict      # convex cell or attached ideal facet -> region index
+
+
 @dataclass
 class BoundaryCell:
     """A cell of the domain boundary, addressed as (owner element, signs)."""
@@ -90,12 +101,7 @@ class Ball:
         # nonempty sub-signed-sets of each move; they are moves themselves
         self._subcells = {t: [c for r in range(1, len(t) + 1)
                               for c in combinations(t, r)] for t in self.moves}
-        # per covering move (None for the identity): in-ball pattern, convex
-        # moves, flat cells and visible-region components of its elements
-        self._patterns = {}
-        self._convex = {}
-        self._flat = {}
-        self._regions = {}
+        self._local = {}          # covering move (None: identity) -> Local
         self._spot_checked = {}   # (level, covering move) -> elements recomputed
         self._build()
 
@@ -112,7 +118,7 @@ class Ball:
             # the frontier is in canonical order, so the first convex cell
             # found covering g has the canonically smallest owner
             for h in self.levels[n - 1]:
-                convex = self.convex_moves(h)
+                convex = self.local(h).convex
                 for t in self.moves:
                     g = words.apply_letters(h, self.graph, t)
                     lvl = self.level_of.get(g)
@@ -157,57 +163,40 @@ class Ball:
 
     # -- cell queries --------------------------------------------------------
 
-    def in_ball_moves(self, g):
-        """The in-ball pattern of g: the moves t with g * t in B(n), n the
-        level of g.
+    def local(self, g) -> Local:
+        """The local record of g, computed once per covering move.
 
-        It depends only on the move covering g, so it is computed once per
-        covering move.  The first two elements of each (level, covering move)
-        recompute it with products; a mismatch raises InvariantViolation.
+        The first two elements of each (level, covering move) recompute the
+        in-ball pattern with products; a mismatch raises InvariantViolation.
         """
         level = self.level_of[g]
         move = self.pred_move.get(g)
-        pattern = self._patterns.get(move)
+        rec = self._local.get(move)
         checked = self._spot_checked.setdefault((level, move), [])
-        if pattern is None or (len(checked) < 2 and g not in checked):
-            got = frozenset(t for t in self.moves
-                            if self.in_ball(self.apply(g, t), level))
-            if pattern is None:
-                self._patterns[move] = pattern = got
-            elif got != pattern:
+        if rec is None or (len(checked) < 2 and g not in checked):
+            pattern = frozenset(t for t in self.moves
+                                if self.in_ball(self.apply(g, t), level))
+            if rec is None:
+                self._local[move] = rec = self._local_of(pattern)
+            elif pattern != rec.pattern:
                 raise InvariantViolation(
                     "in-ball pattern differs from that of its covering move",
                     self.nf_string(g), level)
             checked.append(g)
-        return pattern
+        return rec
 
-    def _per_move(self, cache, g, derive):
-        """`derive(in-ball pattern of g)`, computed once per covering move."""
-        pattern = self.in_ball_moves(g)
-        move = self.pred_move.get(g)
-        got = cache.get(move)
-        if got is None:
-            got = cache[move] = derive(pattern)
-        return got
-
-    def convex_moves(self, g):
-        """Moves t whose cell (g, t) touches no domain of B(n) but g, n the
-        level of g."""
-        return self._per_move(self._convex, g, lambda pattern: frozenset(
-            t for t in self.moves
-            if not any(c in pattern for c in self._subcells[t])))
-
-    def flat_cells(self, g):
-        """(cell, s0) for each cell of g lying in exactly two domains of B(n),
-        n the level of g: g itself and g * s0.  Cells in `moves` order."""
-        def derive(pattern):
-            flat = []
-            for cell in self.moves:
-                inside = [c for c in self._subcells[cell] if c in pattern]
-                if len(inside) == 1:
-                    flat.append((cell, inside[0]))
-            return flat
-        return self._per_move(self._flat, g, derive)
+    def _local_of(self, pattern):
+        convex, flat = [], []
+        for cell in self.moves:
+            inside = [c for c in self._subcells[cell] if c in pattern]
+            if not inside:
+                convex.append(cell)
+            elif len(inside) == 1:
+                flat.append((cell, inside[0]))
+        regions = tuple(_components(self.graph, convex))
+        component = {x: i for i, (cells, ideals) in enumerate(regions)
+                     for x in cells + ideals}
+        return Local(pattern, frozenset(convex), tuple(flat), regions, component)
 
     def sphere_sizes(self):
         return [len(lvl) for lvl in self.levels]
@@ -238,7 +227,7 @@ def convex_cells(ball: Ball, n: int):
     The owner is the unique in-ball domain, so no deduplication is needed."""
     out = []
     for g in ball.levels[n]:
-        convex = ball.convex_moves(g)
+        convex = ball.local(g).convex
         out.extend(BoundaryCell(g, cell) for cell in ball.moves if cell in convex)
     return out
 
@@ -263,14 +252,13 @@ def visible_region(ball: Ball, n: int, owner):
     ideal facet touches every compatible cell; its boundary toward covered
     facets is sealed off by the matching faces of neighbouring domains).
     The components depend only on the owner's convex cells, so they are
-    found once per covering move.
+    read from its per-covering-move record, `Ball.local`.
     """
     if ball.level_of.get(owner) != n:
         raise InvariantViolation("no visible region on S(%d)" % n,
                                  ball.nf_string(owner), ball.level_of.get(owner))
-    comps = ball._per_move(ball._regions, owner, lambda _: _components(
-        ball.graph, [c for c in ball.moves if c in ball.convex_moves(owner)]))
-    return [Region(owner, cells, ideals, i) for i, (cells, ideals) in enumerate(comps)]
+    return [Region(owner, cells, ideals, i)
+            for i, (cells, ideals) in enumerate(ball.local(owner).regions)]
 
 
 def _components(graph: DefiningGraph, convex):
@@ -328,8 +316,9 @@ def word_predecessor_audit(ball: Ball):
     for n in range(1, ball.N + 1):
         for g in ball.levels[n]:
             nf = ball.nf(g)
-            hhat = words.predecessor(ball.graph, nf)
-            if ball.level_of.get(words.state_of_nf(ball.graph, hhat)) != n - 1:
+            # the piling state is a complete invariant: no normal form needed
+            hhat = words.state_of_word(ball.graph, words.predecessor_word(nf))
+            if ball.level_of.get(hhat) != n - 1:
                 count += 1
                 if len(examples) < 10:
                     examples.append(words.nf_str(ball.graph, nf))

@@ -271,6 +271,13 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
     violation = check_local_isometry(spec, graph)
     if violation is not None:
         raise CubeSpecError(violation)
+    # vertex -> [(germ, far end)], in `germs_at` order
+    steps = {v: [] for v in spec.vertices}
+    for eid in sorted(spec.edges):
+        e = spec.edges[eid]
+        a, b = (e.src, e.dst) if e.sign > 0 else (e.dst, e.src)
+        steps[a].append(((e.label, 1), b))
+        steps[b].append(((e.label, -1), a))
     start = (spec.basepoint, words.empty_state(graph))
     seen = {start}
     frontier = deque([start])
@@ -282,12 +289,8 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
             continue
         if g not in members:
             members[g] = v
-        for germ, eid in spec.germs_at(v):
-            e = spec.edges[eid]
-            a, b = (e.src, e.dst) if e.sign > 0 else (e.dst, e.src)
-            w = b if germ[1] > 0 else a
-            h = words.apply_letters(g, graph, ((germ[0], germ[1]),))
-            state = (w, h)
+        for germ, w in steps[v]:
+            state = (w, words.apply_letters(g, graph, (germ,)))
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)

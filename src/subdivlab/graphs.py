@@ -41,6 +41,14 @@ class DefiningGraph:
             raise GraphError("duplicate generator names")
         if not generators:
             raise GraphError("need at least one generator")
+        for g in generators:
+            # element names join generators with " ", syllables with " | "
+            # and powers with "^", and name the identity "1"; the DOT export
+            # quotes names with '"'
+            if g in ("", "1") or any(ch.isspace() or ch in '^|"' for ch in g):
+                raise GraphError("bad generator name %r: a name is nonempty, "
+                                 "not \"1\", and has no whitespace, '^', '|' "
+                                 "or '\"'" % g)
         self.generators = generators
         self.d = len(generators)
         self.index = {g: i for i, g in enumerate(generators)}

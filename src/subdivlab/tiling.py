@@ -7,9 +7,10 @@ its visible region, and every truncation face of a domain already inside the
 ball persists as an ideal tile.  Two non-ideal tiles are adjacent when their
 regions share an exposed cell lying in exactly two domains of the ball; the
 edge is labelled by how the tiles' covered cells relate (same codimension,
-or nested with codimension difference one).  Regions and flat cells come
-from the ball's per-covering-move cache, so an element costs one group
-product per flat cell of codimension two or more that it owns.
+or nested with codimension difference one).  Regions, flat cells and the
+parent tile all come from the ball's per-covering-move record
+(`Ball.local`), so a tiling needs no earlier level, and an element costs
+one group product per flat cell of codimension two or more that it owns.
 
 Rule extraction refines the initial partition (covered clique, region shape)
 by child-type multisets and by the adjacency structure *among* the children,
@@ -64,8 +65,6 @@ class Tiling:
         self.by_id = {}
         self.adjacency = defaultdict(set)   # id -> {(other_id, label)}
         self.instances = []
-        self.comp_of_cell = {}              # (owner, cell) -> comp index
-        self.containing_tile = {}           # (owner, ideal facet) -> tile id
 
     def add(self, tile):
         self.tiles.append(tile)
@@ -108,67 +107,61 @@ def _ideal_id(graph, owner_nf, facet):
     return "i|%s|%s" % (owner_nf, cell_str(graph, facet))
 
 
-def build_tiling(ball: Ball, n: int, prev: Tiling | None = None) -> Tiling:
+def build_tiling(ball: Ball, n: int) -> Tiling:
     """Tiling at level n (the flat structure of the sphere of radius n+1).
 
     It reads the ball up to level n + 1 and no further, so `ball.N` must be
-    at least n + 1."""
+    at least n + 1.  Parent ids name tiles of the level-(n-1) tiling, read
+    off the ball alone."""
     if ball.N < n + 1:
         raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
     graph = ball.graph
     tiling = Tiling(n, graph)
 
-    owners = ball.levels[n + 1]
-    for g in owners:
+    parents = {}   # owner -> parent of its tiles: the tile its covered cell is in
+    for g in ball.levels[n + 1]:
         regions = visible_region(ball, n + 1, g)
         g_nf = ball.nf_string(g)
         pred = ball.pred[g]
         move = ball.pred_move[g]
-        parent_id = None
-        if prev is not None:
-            comp = prev.comp_of_cell.get((pred, move))
+        if n > 0:
+            comp = ball.local(pred).component.get(move)
             if comp is None:
                 raise InvariantViolation("covered cell missing from the parent "
                                          "tiling", g_nf, n + 1)
-            parent_id = _nonideal_id(n - 1, ball.nf_string(pred), comp)
+            parents[g] = _nonideal_id(n - 1, ball.nf_string(pred), comp)
         for r in regions:
-            tid = _nonideal_id(n, g_nf, r.index)
-            tile = Tile(id=tid, level=n, owner=g, owner_nf=g_nf, cells=r.cells,
-                        attached_ideal=r.attached_ideal,
-                        covered_move=move, covered_clique=support(move),
-                        parent_id=parent_id)
-            tiling.add(tile)
-            for c in r.cells:
-                tiling.comp_of_cell[(g, c)] = r.index
-            for f in r.attached_ideal:
-                tiling.containing_tile[(g, f)] = tid
+            tiling.add(Tile(id=_nonideal_id(n, g_nf, r.index), level=n, owner=g,
+                            owner_nf=g_nf, cells=r.cells,
+                            attached_ideal=r.attached_ideal, covered_move=move,
+                            covered_clique=support(move), parent_id=parents.get(g)))
 
     # ideal tiles: truncation faces of every domain in the ball, except the
-    # ones still glued into their owner's fresh region
+    # ones still glued into their owner's fresh region.  The parent of a face
+    # that was an ideal tile one level up is that tile, itself; of a face
+    # then glued into its fresh owner's region, that region's tile; and of a
+    # face born at level n + 1, its owner's parent tile.
     facets = ideal_facets(graph)
     if facets:
         for lvl in range(n + 2):
             for g in ball.levels[lvl]:
                 g_nf = ball.nf_string(g)
+                component = ball.local(g).component if lvl >= n else {}
                 for f in facets:
-                    if lvl == n + 1 and (g, f) in tiling.containing_tile:
+                    comp = component.get(f)
+                    if lvl == n + 1 and comp is not None:
                         continue
                     tid = _ideal_id(graph, g_nf, f)
-                    parent_id = None
-                    if prev is not None:
-                        parent_id = prev.containing_tile.get((g, f))
-                        if parent_id is None and lvl == n + 1:
-                            # born unattached: sits inside the subdivision of
-                            # the owner's parent tile
-                            comp = prev.comp_of_cell.get(
-                                (ball.pred[g], ball.pred_move[g]))
-                            if comp is not None:
-                                parent_id = _nonideal_id(
-                                    n - 1, ball.nf_string(ball.pred[g]), comp)
-                    tile = Tile(id=tid, level=n, owner=g, owner_nf=g_nf,
-                                ideal=True, ideal_facet=f, parent_id=parent_id)
-                    tiling.add(tile)
-                    tiling.containing_tile[(g, f)] = tid
+                    if n == 0:
+                        parent_id = None
+                    elif lvl == n + 1:
+                        parent_id = parents[g]
+                    elif comp is not None:
+                        parent_id = _nonideal_id(n - 1, g_nf, comp)
+                    else:
+                        parent_id = tid
+                    tiling.add(Tile(id=tid, level=n, owner=g, owner_nf=g_nf,
+                                    ideal=True, ideal_facet=f, parent_id=parent_id))
 
     _compute_adjacency(ball, n, tiling)
     return tiling
@@ -187,7 +180,7 @@ def _compute_adjacency(ball: Ball, n: int, tiling: Tiling):
     joined = {}   # (cell, s0) -> subcells of the cell, seen from g and from h
     for i, g in enumerate(level):
         g_nf = names[i]
-        for cell, s0 in ball.flat_cells(g):
+        for cell, s0 in ball.local(g).flat:
             if len(cell) < 2:
                 continue
             h = ball.apply(g, s0)
@@ -207,8 +200,9 @@ def _compute_adjacency(ball: Ball, n: int, tiling: Tiling):
             sides = []
             for owner, owner_nf, subcells in zip((g, h), (g_nf, names[j]),
                                                  joined[cell, s0]):
+                component = ball.local(owner).component
                 for u in subcells:
-                    comp = tiling.comp_of_cell.get((owner, u))
+                    comp = component.get(u)
                     if comp is not None:
                         sides.append(_nonideal_id(n, owner_nf, comp))
             label = _edge_label(ball, g, h)
@@ -227,14 +221,8 @@ def _edge_label(ball: Ball, g, h) -> str:
 
 
 def build_tilings(ball: Ball, count: int):
-    """Tilings for levels 0..count-1 with parent links chained."""
-    out = []
-    prev = None
-    for n in range(count):
-        t = build_tiling(ball, n, prev)
-        out.append(t)
-        prev = t
-    return out
+    """Tilings for levels 0..count-1."""
+    return [build_tiling(ball, n) for n in range(count)]
 
 
 # ---------------------------------------------------------------------------

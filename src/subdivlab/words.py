@@ -193,8 +193,15 @@ def nf_key(nf):
 
 
 def predecessor(graph: DefiningGraph, nf):
+    """Normal form of `predecessor_word`: dropping a chain entry may let
+    syllables merge."""
+    return normalize(graph, predecessor_word(nf))
+
+
+def predecessor_word(nf):
     """Drop the leftmost diagonal generator of the first syllable's chain,
-    i.e. decrement every exponent of maximal absolute value by one."""
+    i.e. decrement every exponent of maximal absolute value by one; returns
+    a word, not yet normalized."""
     if not nf:
         raise WordError("identity has no predecessor")
     first = nf[0]
@@ -203,8 +210,7 @@ def predecessor(graph: DefiningGraph, nf):
         (i, e - (1 if e > 0 else -1)) if abs(e) == m else (i, e) for i, e in first)
     new_first = tuple((i, e) for i, e in new_first if e != 0)
     rest = ((new_first,) if new_first else ()) + nf[1:]
-    # re-normalize: dropping a chain entry may let syllables merge
-    return normalize(graph, nf_to_word(rest))
+    return nf_to_word(rest)
 
 
 def translate(graph: DefiningGraph, nf, cell):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -213,7 +214,7 @@ def test_in_ball_pattern_depends_only_on_covering_move(d, depth, edge_sets):
     for edges in edge_sets or all_graphs_up_to_iso(d):
         ball = build_ball(graph_from_edges(d, edges), depth)
         for g in ball.level_of:
-            assert ball.in_ball_moves(g) == pattern_by_products(ball, g), \
+            assert ball.local(g).pattern == pattern_by_products(ball, g), \
                 (edges, ball.nf_string(g))
 
 
@@ -241,7 +242,8 @@ def test_predecessors_match_per_element_search(graph):
 def test_pattern_mismatch_raises_invariant_violation():
     ball = build_ball(triangle(), 3)
     g = ball.levels[3][0]
-    ball._patterns[ball.pred_move[g]] = frozenset()
+    move = ball.pred_move[g]
+    ball._local[move] = replace(ball._local[move], pattern=frozenset())
     with pytest.raises(InvariantViolation) as err:
         build_tilings(ball, ball.N)   # its last level reads S(3)
     assert ball.nf_string(g) in str(err.value) and "level 3" in str(err.value)

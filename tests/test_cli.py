@@ -204,7 +204,20 @@ def test_oracle_negative_levels_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("data", [
     {"generators": ["a", "b"], "edges": [[["a"], "b"]]},
     {"generators": ["a", "b"], "edges": [["a", {"b": 1}]]},
-], ids=["list-edge-end", "object-edge-end"])
+    # the generator "a b" and the element a*b would share the name "a b"
+    {"generators": ["a", "b", "a b"], "edges": [["a", "b"]]},
+    # "|" separates the syllables of an element's name
+    {"generators": ["a", "|"], "edges": []},
+    # parse_word reads "a^2" as a squared
+    {"generators": ["a", "a^2"], "edges": []},
+    # an empty name
+    {"generators": ["a", ""], "edges": []},
+    # '"' breaks the quoting of names in the DOT export
+    {"generators": ["a", 'a"b'], "edges": []},
+    # "1" is the identity's name
+    {"generators": ["1", "b"], "edges": []},
+], ids=["list-edge-end", "object-edge-end", "space-in-name", "bar-name",
+        "caret-in-name", "empty-name", "quote-in-name", "identity-name"])
 def test_malformed_graph_input_exits_2(tmp_path, capsys, data):
     inp = write(tmp_path, "bad.json", data)
     assert main(["run", inp, "--levels", "3",

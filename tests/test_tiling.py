@@ -106,6 +106,36 @@ def test_tilings_need_no_deeper_ball(name):
         [tiling_to_json(t) for t in deep]
 
 
+@pytest.mark.parametrize("name", ["triangle", "path3", "free3",
+                                  "edge_plus_vertex", "square"])
+def test_build_tiling_alone_matches_chained(name):
+    # parent ids come from the ball, not from the tiling one level up
+    ball = get_ball(name)
+    for n, chained in enumerate(get_tilings(name)):
+        assert tiling_to_json(build_tiling(ball, n)) == tiling_to_json(chained)
+
+
+@pytest.mark.parametrize("name", ["path3", "free3", "edge_plus_vertex"])
+def test_ideal_tile_parents(name):
+    ball = get_ball(name)
+    ts = get_tilings(name)
+    assert all(t.parent_id is None for t in ts[0].tiles)
+    for n in range(1, len(ts)):
+        prev = ts[n - 1]
+        attached = {(t.owner, f): t.id for t in prev.nonideal()
+                    for f in t.attached_ideal}
+        holding = {(t.owner, c): t.id for t in prev.nonideal() for c in t.cells}
+        for tile in ts[n].ideal_tiles():
+            g, f = tile.owner, tile.ideal_facet
+            if tile.id in prev.by_id and prev.by_id[tile.id].ideal:
+                expected = tile.id
+            elif (g, f) in attached:
+                expected = attached[g, f]
+            else:   # born with its owner: inside the owner's parent tile
+                expected = holding[ball.pred[g], ball.pred_move[g]]
+            assert tile.parent_id == expected, tile.id
+
+
 def test_history_free3():
     ts = get_tilings("free3", 2)
     h = build_history(ts)
