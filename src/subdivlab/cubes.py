@@ -12,13 +12,12 @@ a square corner.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import words
 from .balls import Ball
-from .graphs import DefiningGraph, GraphError
+from .graphs import DefiningGraph
 from .tiling import ROOT_ID, HistoryGraph, SubdivisionRule, extract_rule
 
 

@@ -5,11 +5,12 @@ certificate (mesh), and level diameters bounding divergence.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from .balls import InvariantViolation
 
 
 # ---------------------------------------------------------------------------
@@ -21,14 +22,16 @@ def minimal_recurrence(seq, max_order=None):
     by the whole integer sequence, or None if none fits the data.
 
     Returns (coeffs c_1..c_r) with s(n) = c_1 s(n-1) + ... + c_r s(n-r).
+    Order r is accepted only when at least one term beyond the 2r that
+    determine it also satisfies it, so n terms try orders up to (n - 1) // 2.
     """
     seq = [Fraction(x) for x in seq]
     n = len(seq)
     if max_order is None:
-        max_order = n // 2
+        max_order = (n - 1) // 2
     for r in range(1, max_order + 1):
         rows = n - r
-        if rows < r:
+        if rows <= r:
             break
         # solve the first r windows, then verify on the rest
         mat = [[seq[i + j] for j in range(r)] + [seq[i + r]] for i in range(rows)]
@@ -163,20 +166,74 @@ def _sccs(n, adj):
     return out
 
 
-def transition_ratio(children: dict):
-    """Numeric dominant eigenvalue of the type-transition matrix."""
-    nodes = sorted(children)
-    index = {t: i for i, t in enumerate(nodes)}
-    mat = np.zeros((len(nodes), len(nodes)))
-    for t, ch in children.items():
-        for c, m in ch.items():
-            if c in index:
-                mat[index[c], index[t]] = m
-    eig = np.linalg.eigvals(mat)
-    rho = float(max(abs(eig)))
-    if abs(rho - round(rho)) < 1e-9:
-        return int(round(rho))
-    return round(rho, 6)
+def largest_real_root(rec):
+    """Largest real root of x^r - c_1 x^(r-1) - ... - c_r, the characteristic
+    polynomial of the recurrence coefficients `rec` (newest lag first), or
+    None if it has no real root.
+
+    Exact over Fraction: a Sturm sequence of the square-free part counts the
+    distinct roots above any point, and bisection from the Cauchy bound
+    narrows the largest root to width 1e-9.  An integer root is returned as
+    an int, any other root as a float rounded to 6 decimals."""
+    p = [Fraction(1)] + [-Fraction(c) for c in rec]
+    q = _divmod(p, _gcd(p, _derivative(p)))[0]
+    chain = [q, _derivative(q)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    hi = 1 + math.ceil(max(abs(c) for c in p))
+    lo = -hi
+    top = _sign_changes(chain, hi)
+    if _sign_changes(chain, lo) == top:
+        return None
+    # invariant: the largest root lies in (lo, hi]
+    while hi - lo > Fraction(1, 10 ** 9):
+        mid = (lo + hi) / 2
+        if _sign_changes(chain, mid) > top:
+            lo = mid
+        else:
+            hi = mid
+    k = math.floor(hi)
+    if _value(q, k) == 0 and _sign_changes(chain, k) == top:
+        return k
+    return round(float((lo + hi) / 2), 6)
+
+
+# polynomials over Fraction: coefficient lists, highest degree first, with a
+# nonzero leading coefficient
+
+
+def _value(p, x):
+    v = 0
+    for c in p:
+        v = v * x + c
+    return v
+
+
+def _sign_changes(chain, x):
+    signs = [v > 0 for v in (_value(p, x) for p in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _derivative(p):
+    d = len(p) - 1
+    return [c * (d - i) for i, c in enumerate(p[:-1])]
+
+
+def _divmod(a, b):
+    quot = []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        quot.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and a[0] == 0:
+        a = a[1:]
+    return quot, a
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
 
 
 @dataclass
@@ -198,34 +255,40 @@ class GrowthReport:
 def classify_counts(seq):
     """The dichotomy on a raw count sequence: polynomial when some finite
     difference order is constant, exponential otherwise.  Never a third
-    class."""
+    class.  The exponential ratio is the largest real root of the verified
+    fitted recurrence (`largest_real_root`); without one, the last
+    successive ratio."""
     deg = polynomial_degree(seq)
     if deg is not None:
         return ("polynomial", deg)
     rec = minimal_recurrence(seq)
-    ratio = None
     if rec is not None:
-        # dominant root of the characteristic polynomial
-        coeffs = [1.0] + [-float(c) for c in rec]
-        roots = np.roots(coeffs)
-        rho = float(max(abs(roots)))
-        ratio = int(round(rho)) if abs(rho - round(rho)) < 1e-9 else round(rho, 6)
-    else:
-        ratio = round(seq[-1] / seq[-2], 6) if len(seq) >= 2 and seq[-2] else None
+        return ("exponential", largest_real_root(rec))
+    ratio = round(seq[-1] / seq[-2], 6) if len(seq) >= 2 and seq[-2] else None
     return ("exponential", ratio)
 
 
 def growth(tilings, rule=None) -> GrowthReport:
     """Growth data from a list of tilings.
 
-    With fewer than 4 levels the scalar fit is underdetermined; the exact
-    transition-matrix dichotomy still applies when a stable rule is given.
+    With a stable rule, the recurrence and the ratio are exact.  The rule
+    replays its coalesced child multisets from the level-0 counts for
+    max(2k + 1, levels) levels, k the number of coalesced types, and must
+    reproduce every observed count (else `InvariantViolation`).  By
+    Cayley-Hamilton the totals satisfy a recurrence of order at most k, so
+    2k + 1 of them determine and verify the minimal one.  The dichotomy is
+    decided on the integer transition system, the ratio is the largest real
+    root of the recurrence, and the degree is still fitted to the observed
+    counts (`polynomial_degree`, None when they are too few).
+
+    Without a stable rule everything is fitted (`classify_counts`), which
+    needs at least 4 levels.
     """
-    if len(tilings) < 4 and not (rule is not None and rule.stable):
+    stable = rule is not None and rule.stable
+    if len(tilings) < 4 and not stable:
         raise ValueError("fit underdetermined: more levels requested")
     counts = [len(t.nonideal()) for t in tilings]
     by_type = []
-    transition = None
     if rule is not None:
         for t in tilings:
             c = Counter()
@@ -233,17 +296,26 @@ def growth(tilings, rule=None) -> GrowthReport:
                 name = rule.type_of.get(tile.id)
                 c[rule.coalesced_of.get(name, name)] += 1
             by_type.append(dict(sorted(c.items())))
-        if rule.stable:
-            transition = {k: dict(sorted(v.items()))
-                          for k, v in sorted(rule.coalesced_children.items())}
-    rec = minimal_recurrence(counts) if len(counts) >= 4 else None
-    kind, value = classify_counts(counts) if len(counts) >= 4 else (None, None)
-    if rule is not None and rule.stable and transition is not None:
-        # exact integer test on the transition system wins over the fit
-        expo = spectral_radius_exceeds_one(rule.coalesced_children)
-        kind = "exponential" if expo else "polynomial"
-        value = transition_ratio(rule.coalesced_children) if expo \
-            else polynomial_degree(counts)
+    transition = None
+    if stable:
+        children = rule.coalesced_children
+        transition = {k: dict(sorted(v.items()))
+                      for k, v in sorted(children.items())}
+        totals = rule.replay(by_type[0],
+                             max(2 * len(children) + 1, len(counts)) - 1)
+        for level, (got, want) in enumerate(zip(totals, counts)):
+            if got != want:
+                raise InvariantViolation(
+                    "rule replay gives %d non-ideal tiles, the tiling has %d"
+                    % (got, want), "tiling", level)
+        rec = minimal_recurrence(totals)
+        if spectral_radius_exceeds_one(children):
+            kind, value = "exponential", largest_real_root(rec)
+        else:
+            kind, value = "polynomial", polynomial_degree(counts)
+    else:
+        rec = minimal_recurrence(counts)
+        kind, value = classify_counts(counts)
     if kind == "polynomial":
         return GrowthReport(counts, by_type, _rec_strs(rec), transition,
                             "polynomial", degree=value)
@@ -494,7 +566,6 @@ def _linear_fit(xs, ys):
 
 
 def _exp_fit(xs, ys):
-    import math
     if any(y <= 0 for y in ys):
         return None
     lys = [math.log(y) for y in ys]

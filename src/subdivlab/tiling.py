@@ -22,13 +22,12 @@ a tile in the sphere, while the subdivision behaviour does not.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from . import words
 from .balls import Ball, InvariantViolation, visible_region
 from .graphs import (Cell, DefiningGraph, cell_str, diagonal_elements,
-                     ideal_facets, join_cells, support)
+                     ideal_facets, support)
 
 
 @dataclass
@@ -298,14 +297,15 @@ class SubdivisionRule:
     split_report: dict         # initial class -> number of refined types
 
     def replay(self, counts0: Counter, steps: int):
-        """Iterate the child multisets; returns per-level total counts."""
-        children = {t.name: t.children for t in self.types}
+        """Iterate the coalesced child multisets from the coalesced type
+        counts `counts0`; returns the total count of each of the steps + 1
+        levels."""
         cur = Counter(counts0)
         totals = [sum(cur.values())]
         for _ in range(steps):
             nxt = Counter()
             for name, k in cur.items():
-                for ch, m in children[name].items():
+                for ch, m in self.coalesced_children[name].items():
                     nxt[ch] += k * m
             cur = nxt
             totals.append(sum(cur.values()))

@@ -29,6 +29,18 @@ def square():
     return DefiningGraph(["a", "b"], [["a", "b"]])
 
 
+def c4():
+    # the 4-cycle a-b-c-d-a
+    return DefiningGraph(["a", "b", "c", "d"],
+                         [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]])
+
+
+def k4():
+    return DefiningGraph(["a", "b", "c", "d"],
+                         [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
+                          ["b", "d"], ["c", "d"]])
+
+
 _BALLS = {}
 _TILINGS = {}
 _RULES = {}
@@ -40,6 +52,9 @@ _SPECS = {
     "single": (single, 6),
     "edge_plus_vertex": (edge_plus_vertex, 6),
     "square": (square, 6),
+    # balls of 3 levels, read as 3 tilings
+    "c4": (c4, 3),
+    "k4": (k4, 3),
 }
 
 

@@ -1,14 +1,20 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from subdivlab import build_ball
+from subdivlab.balls import InvariantViolation
 from subdivlab.invariants import (ECC_BLOCK, _bfs, _eccentricities,
                                   _level_diameter, classify_counts,
                                   divergence_diameter, ends, growth,
-                                  mesh_certificate, minimal_recurrence,
-                                  polynomial_degree,
+                                  largest_real_root, mesh_certificate,
+                                  minimal_recurrence, polynomial_degree,
                                   spectral_radius_exceeds_one)
-from conftest import get_ball, get_rule, get_tilings
+from subdivlab.tiling import build_history, build_tilings, extract_rule
+from conftest import (all_graphs_up_to_iso, get_ball, get_rule, get_tilings,
+                      graph_from_edges)
 
 
 def test_minimal_recurrence():
@@ -19,6 +25,26 @@ def test_minimal_recurrence():
     assert rec == [Fraction(3), Fraction(-3), Fraction(1)]
     fib = [1, 1, 2, 3, 5, 8, 13, 21]
     assert minimal_recurrence(fib) == [Fraction(1), Fraction(1)]
+
+
+def test_minimal_recurrence_needs_a_verifying_term():
+    # order 1 is the highest order 4 terms can verify, and 3, 1, 4 already
+    # break it; order 2 (-1/11, 15/11) would fit all 4 terms with none left
+    # to check it
+    assert minimal_recurrence([3, 1, 4, 1]) is None
+    assert minimal_recurrence([1, 2, 4], max_order=5) == [Fraction(2)]
+
+
+def test_largest_real_root():
+    assert largest_real_root([5]) == 5
+    # (x - 3)^2 (x - 1): a double root, found exactly
+    root = largest_real_root([7, -15, 9])
+    assert root == 3 and type(root) is int
+    assert largest_real_root([4, -6, 4, -1]) == 1          # (x - 1)^4
+    assert largest_real_root([1, 1]) == 1.618034           # x^2 - x - 1
+    assert largest_real_root([0, 2]) == 1.414214           # x^2 - 2
+    assert largest_real_root([Fraction(5, 2), -1]) == 2    # (x - 2)(x - 1/2)
+    assert largest_real_root([0, -1]) is None              # x^2 + 1
 
 
 def test_polynomial_degree():
@@ -59,6 +85,55 @@ def test_growth_reports():
     assert g.kind == "exponential"
     g = growth(get_tilings("edge_plus_vertex"), get_rule("edge_plus_vertex"))
     assert g.kind == "exponential"
+
+
+def test_growth_ratios_from_the_rule():
+    # integer ratios stay ints; path3's 3 is a double root of
+    # (x - 3)^2 (x - 1); edge_plus_vertex's is the largest root of
+    # x^3 - 3x^2 - 13x - 1; c4 is the 4-cycle
+    for name, count, ratio in (("free3", None, 5), ("c4", 3, 9),
+                               ("path3", None, 3),
+                               ("edge_plus_vertex", None, 5.428639)):
+        g = growth(get_tilings(name, count), get_rule(name, count))
+        assert g.classification() == ("exponential", ratio), name
+        assert type(g.ratio) is type(ratio), name
+    g = growth(get_tilings("path3"), get_rule("path3"))
+    assert g.recurrence == ["7", "-15", "9"]
+
+
+def test_growth_k4_three_levels():
+    g = growth(get_tilings("k4", 3), get_rule("k4", 3))
+    assert g.recurrence == ["4", "-6", "4", "-1"]          # (x - 1)^4
+    # the degree is still fitted to the observed counts, and 3 are too few;
+    # perfbench/expected.json pins the k4-clique workload's classification
+    # at ["polynomial", null]
+    assert g.classification() == ("polynomial", None)
+
+
+def test_rule_replay_matches_tile_counts_every_small_graph():
+    # every defining graph on up to four generators: 4 levels for d <= 3,
+    # 3 for d = 4
+    for d in (1, 2, 3, 4):
+        levels = 4 if d <= 3 else 3
+        for edges in all_graphs_up_to_iso(d):
+            tilings = build_tilings(build_ball(graph_from_edges(d, edges),
+                                               levels), levels)
+            rule = extract_rule(build_history(tilings))
+            assert rule.stable, (d, edges)
+            counts0 = Counter(rule.coalesced_of[rule.type_of[t.id]]
+                              for t in tilings[0].nonideal())
+            assert rule.replay(counts0, levels - 1) == \
+                [len(t.nonideal()) for t in tilings], (d, edges)
+            growth(tilings, rule)
+
+
+def test_growth_replay_mismatch_raises():
+    rule = get_rule("free3")
+    broken = dataclasses.replace(rule, coalesced_children={"A": {"A": 4}})
+    with pytest.raises(InvariantViolation,
+                       match="replay gives 24 non-ideal tiles, the tiling "
+                             "has 30 at tiling \\(level 1\\)"):
+        growth(get_tilings("free3"), broken)
 
 
 def test_growth_counts_match_spheres():
