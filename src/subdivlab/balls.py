@@ -5,14 +5,17 @@ Levels come from breadth-first search using every spherical signed set as a
 single move; one round of the staged gluing construction adds exactly the
 domains one diagonal move away, so rounds and metric layers agree.
 
-The chosen predecessor of an element g at level n+1 is the owner of a convex
-cell of the previous sphere that g covers: among all moves t with
-g = h * t, h at level n and the cell (h, signs of t) touching no other
-domain of B(n), the canonically smallest h wins.  The search reads these
-pairs off the products that discover level n+1.  Elements covering several
-convex cells at once are counted; `word_predecessor_audit` counts the
-elements whose normal-form predecessor (drop the leftmost diagonal
-generator) fails to sit one level down.
+Every element g of level n+1 is h * t with h at level n and the cell
+(h, signs of t) convex, touching no other domain of B(n); such a product
+always leaves B(n).  So the search multiplies each element of level n by its
+convex cells only, and the predecessor of g is the owner of the first convex
+cell reaching it: the canonically smallest h, as the frontier is in
+canonical order.  Each new sphere is checked against the subdivision rule's
+own count, which advances a count of covering moves through the inflation
+descriptor and needs no ball.  Elements covering several convex cells at
+once are counted; `word_predecessor_audit` counts the elements whose
+normal-form predecessor (drop the leftmost diagonal generator) fails to sit
+one level down.
 
 The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
@@ -24,12 +27,14 @@ with products on the first two elements of each level and covering move.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import words
-from .graphs import (Cell, DefiningGraph, cell_is_ideal, cells_intersect,
-                     diagonal_elements, ideal_facets, join_cells)
+from .graphs import (Cell, DefiningGraph, cell_is_ideal, cell_str,
+                     cells_intersect, diagonal_elements, ideal_facets,
+                     inflation_descriptor, join_cells)
 
 DEFAULT_CAP = 10 ** 6
 
@@ -64,7 +69,8 @@ class Local:
     """What an element g at level n sees of B(n); the same for every element
     with g's covering move."""
     pattern: frozenset   # moves t with g * t in B(n)
-    convex: frozenset    # moves whose cell (g, t) touches no other domain
+    convex: tuple        # moves whose cell (g, t) touches no other domain,
+                         # in move order
     flat: tuple          # (cell, s0): cells in exactly two domains, g and g * s0
     regions: tuple       # (cells, attached ideal facets) per visible component
     component: dict      # convex cell or attached ideal facet -> region index
@@ -112,32 +118,51 @@ class Ball:
         self.level_of[g0] = 0
         self.levels.append([g0])
         total = 1
+        count = Counter({None: 1})   # covering move -> elements of the sphere
+        rule = {None: self.moves}    # covering move -> the rule's convex cells
         for n in range(1, self.N + 1):
             nxt = []
             multi = set()
-            # the frontier is in canonical order, so the first convex cell
-            # found covering g has the canonically smallest owner
+            # every element of S(n) is h * t, h its predecessor and t a
+            # convex cell of h, so only convex products are formed.  The
+            # frontier is in canonical order, so the first convex cell found
+            # covering g has the canonically smallest owner.
             for h in self.levels[n - 1]:
-                convex = self.local(h).convex
-                for t in self.moves:
+                for t in self.local(h).convex:
                     g = words.apply_letters(h, self.graph, t)
                     lvl = self.level_of.get(g)
                     if lvl is None:
-                        self.level_of[g] = lvl = n
+                        self.level_of[g] = n
+                        self.pred[g] = h
+                        self.pred_move[g] = t
                         nxt.append(g)
                         total += 1
                         if total > self.cap:
                             raise CapExceeded(self.cap, self.sphere_sizes())
-                    if lvl == n and t in convex:
-                        if g in self.pred:
-                            multi.add(g)
-                        else:
-                            self.pred[g] = h
-                            self.pred_move[g] = t
-            for g in nxt:
-                if g not in self.pred:
-                    raise InvariantViolation("uncovered by any convex cell",
-                                             self.nf_string(g), n)
+                    elif lvl == n:
+                        multi.add(g)
+                    else:
+                        raise InvariantViolation(
+                            "convex move %s lands on level %d"
+                            % (cell_str(self.graph, t), lvl),
+                            self.nf_string(h), n - 1)
+            # the rule's count, read off the fundamental domain: the convex
+            # cells of an element covered by sigma are the children of
+            # sigma's inflation descriptor with every sign flipped.  A convex
+            # record that drops or adds a cell, or two convex cells covering
+            # one element, moves the sphere off it.
+            step = Counter()
+            for sigma, k in count.items():
+                if sigma not in rule:
+                    rule[sigma] = [tuple((i, -s) for i, s in w) for w in
+                                   inflation_descriptor(self.graph, sigma).children]
+                step.update(dict.fromkeys(rule[sigma], k))
+            count = step
+            want = sum(count.values())
+            if len(nxt) != want:
+                raise InvariantViolation(
+                    "S(%d) has %d elements, the descriptor counts %d"
+                    % (n, len(nxt), want), "sphere", n)
             self.multi_cover += len(multi)
             # canonical level order: every downstream tie-break sees the same
             # sequence regardless of discovery order
@@ -196,7 +221,7 @@ class Ball:
         regions = tuple(_components(self.graph, convex))
         component = {x: i for i, (cells, ideals) in enumerate(regions)
                      for x in cells + ideals}
-        return Local(pattern, frozenset(convex), tuple(flat), regions, component)
+        return Local(pattern, tuple(convex), tuple(flat), regions, component)
 
     def sphere_sizes(self):
         return [len(lvl) for lvl in self.levels]
@@ -227,8 +252,7 @@ def convex_cells(ball: Ball, n: int):
     The owner is the unique in-ball domain, so no deduplication is needed."""
     out = []
     for g in ball.levels[n]:
-        convex = ball.local(g).convex
-        out.extend(BoundaryCell(g, cell) for cell in ball.moves if cell in convex)
+        out.extend(BoundaryCell(g, cell) for cell in ball.local(g).convex)
     return out
 
 

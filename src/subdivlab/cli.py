@@ -243,7 +243,11 @@ def oracle_main(args) -> int:
         print("no independent oracle for this defining graph "
               "(supported: complete, edgeless, path on three generators)")
         return EXIT_OK
-    sizes = oracle_sphere_sizes(graph, args.levels)
+    try:
+        sizes = oracle_sphere_sizes(graph, args.levels)
+    except CapExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CAP
     print("oracle family: %s" % family)
     for n, s in enumerate(sizes):
         print("S(%d) = %d" % (n, s))

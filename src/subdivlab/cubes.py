@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from . import words
 from .balls import Ball
@@ -183,7 +184,6 @@ def salvetti_spec(graph: DefiningGraph, subset=None) -> CubeComplexSpec:
             ei, ej = "e_%s" % graph.generators[i], "e_%s" % graph.generators[j]
             squares.append([[ei, 1], [ej, 1], [ei, -1], [ej, -1]])
     cubes = []
-    from itertools import combinations, product
     for trip in combinations(gens, 3):
         if graph.is_clique(trip):
             for signs in product((1, -1), repeat=3):
@@ -229,15 +229,14 @@ def check_local_isometry(spec: CubeComplexSpec, graph: DefiningGraph,
         if strict:
             declared = {(c.get("vertex"), frozenset(map(tuple, c.get("germs", ()))))
                         for c in spec.cubes}
-            from itertools import combinations as _comb
-            for triple in _comb(glist, 3):
+            for triple in combinations(glist, 3):
                 if len({g[0] for g in triple}) != 3:
                     continue
                 if not all(graph.commute(x[0], y[0])
-                           for x, y in _comb(triple, 2)):
+                           for x, y in combinations(triple, 2)):
                     continue
                 if not all(frozenset((x, y)) in corner_pairs[v]
-                           for x, y in _comb(triple, 2)):
+                           for x, y in combinations(triple, 2)):
                     continue
                 if (v, frozenset(triple)) not in declared:
                     return ("strict mode: corner cube missing at %s for germs %s"

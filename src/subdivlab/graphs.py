@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, product
 
 # A cell (equivalently a signed set / diagonal move) is a tuple of
@@ -161,10 +163,6 @@ def support(cell: Cell):
     return tuple(i for i, _ in cell)
 
 
-def codimension(cell: Cell) -> int:
-    return len(cell)
-
-
 def cell_is_ideal(graph: DefiningGraph, cell: Cell) -> bool:
     """A cell is ideal iff its support is not a clique (it got truncated)."""
     return not graph.is_clique(support(cell))
@@ -223,6 +221,37 @@ def ideal_facets(graph: DefiningGraph):
         if not (graph.adj[i] >> j) & 1:
             out.extend(signed_cells(graph, (i, j)))
     return out
+
+
+@dataclass
+class Descriptor:
+    sigma: Cell
+    children: list    # cells of the subdivision (the surviving complement)
+    collapsed: list   # would-be candidates removed by same-round collapse
+
+    def child_clique_counter(self):
+        return Counter(support(w) for w in self.children)
+
+
+def inflation_descriptor(graph: DefiningGraph, sigma: Cell) -> Descriptor:
+    """Subdivision of the tile type of a non-ideal cell, read off the
+    fundamental domain alone: a cell w survives into the subdivision iff
+    each of its pinned generators is pinned oppositely in sigma or fails to
+    commute with all of sigma's support; cells behind the gluing whose extra
+    generators commute with sigma collapse during the round instead."""
+    if cell_is_ideal(graph, sigma):
+        raise ValueError("ideal cell has no subdivision")
+    sup = support(sigma)
+    anti = {(i, -s) for i, s in sigma}
+    # the (generator, sign) pairs a surviving cell may pin
+    allowed = anti | {(i, s) for i in range(graph.d) if i not in sup
+                      and not all(graph.commute(i, j) for j in sup)
+                      for s in (1, -1)}
+    moves = diagonal_elements(graph)
+    children = [w for w in moves if allowed.issuperset(w)]
+    collapsed = [w for w in moves
+                 if anti.issubset(w) and not allowed.issuperset(w)]
+    return Descriptor(sigma=sigma, children=children, collapsed=collapsed)
 
 
 def cell_str(graph: DefiningGraph, cell: Cell) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .balls import DEFAULT_CAP, CapExceeded
 from .graphs import DefiningGraph
 
 
@@ -70,7 +71,8 @@ def f2xz_sphere_sizes(n_max: int):
     search over coordinate pairs (reduced two-letter word, integer height).
 
     Moves: append a letter x^e, shift height by delta, or both at once
-    (x in {a, b}, e, delta in {+1, -1})."""
+    (x in {a, b}, e, delta in {+1, -1}).  Raises CapExceeded once more
+    than `balls.DEFAULT_CAP` elements are found."""
     moves = []
     for x in (0, 1):
         for e in (1, -1):
@@ -100,6 +102,8 @@ def f2xz_sphere_sizes(n_max: int):
                 if q not in level:
                     level[q] = n
                     nxt.append(q)
+            if len(level) > DEFAULT_CAP:
+                raise CapExceeded(DEFAULT_CAP, sizes)
         sizes.append(len(nxt))
         frontier = nxt
     return sizes

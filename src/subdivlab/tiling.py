@@ -1,5 +1,5 @@
-"""Tiles, tilings, the history graph, empirical rule extraction and the
-inflation-based subdivision descriptor.
+"""Tiles, tilings, the history graph, empirical rule extraction and its
+cross-check against the subdivision descriptor.
 
 The level-n tiling is the flat structure of the sphere one step further out:
 every element g of level n+1 contributes one tile per connected component of
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .balls import Ball, InvariantViolation, visible_region
-from .graphs import (Cell, DefiningGraph, cell_str, diagonal_elements,
-                     ideal_facets, support)
+from .graphs import (Cell, DefiningGraph, cell_str, ideal_facets,
+                     inflation_descriptor, support)
 
 
 @dataclass
@@ -516,78 +516,7 @@ def _interface_classes(tilings, tiles, type_of):
 
 
 # ---------------------------------------------------------------------------
-# inflation and the per-type subdivision descriptor
-
-
-@dataclass
-class InflationComplex:
-    facets_nonideal: list
-    facets_ideal: list
-    ridges: list
-
-    def facet_count(self):
-        return len(self.facets_nonideal)
-
-
-def inflation(graph: DefiningGraph) -> InflationComplex:
-    """One facet per non-ideal boundary cell, ideal faces unexpanded; ridges
-    join facets of cells nested with codimension difference one."""
-    cells = diagonal_elements(graph)
-    cellset = set(cells)
-    ridges = []
-    for w in cells:
-        if len(w) < 2:
-            continue
-        for drop in w:
-            v = tuple(p for p in w if p != drop)
-            if v in cellset:
-                ridges.append((w, v))
-    return InflationComplex(facets_nonideal=list(cells),
-                            facets_ideal=ideal_facets(graph),
-                            ridges=sorted(ridges))
-
-
-@dataclass
-class Descriptor:
-    sigma: Cell
-    children: list    # cells of the subdivision (the surviving complement)
-    collapsed: list   # would-be candidates removed by same-round collapse
-
-    def child_clique_counter(self):
-        return Counter(support(w) for w in self.children)
-
-
-def inflation_descriptor(graph: DefiningGraph, sigma: Cell) -> Descriptor:
-    """Subdivision of the tile type of a non-ideal cell, read off the
-    fundamental domain alone: a cell w survives into the subdivision iff
-    each of its pinned generators is pinned oppositely in sigma or fails to
-    commute with all of sigma's support; cells behind the gluing whose extra
-    generators commute with sigma collapse during the round instead."""
-    from .graphs import cell_is_ideal
-    if cell_is_ideal(graph, sigma):
-        raise ValueError("ideal cell has no subdivision")
-    sup = support(sigma)
-    sig = dict(sigma)
-
-    def survives(w):
-        for i, s in w:
-            if i in sig:
-                if s != -sig[i]:
-                    return False
-            else:
-                if all(graph.commute(i, j) for j in sup):
-                    return False
-        return True
-
-    children = [w for w in diagonal_elements(graph) if survives(w)]
-    childset = set(children)
-    collapsed = []
-    anti = tuple((i, -s) for i, s in sigma)
-    for w in diagonal_elements(graph):
-        dw = dict(w)
-        if all(dw.get(i) == s for i, s in anti) and w not in childset:
-            collapsed.append(w)
-    return Descriptor(sigma=sigma, children=children, collapsed=collapsed)
+# the per-type subdivision descriptor
 
 
 def descriptor_crosscheck(rule: SubdivisionRule, history: HistoryGraph):

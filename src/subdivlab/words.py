@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .graphs import DefiningGraph, make_cell
+from .graphs import DefiningGraph, cell_is_ideal, make_cell
 
 # Letter: (generator index, sign).  Word: tuple of letters.
 # State: tuple over generators of tuples of {+1,-1,0}.
@@ -215,7 +215,6 @@ def predecessor_word(nf):
 
 def translate(graph: DefiningGraph, nf, cell):
     """Normal form of (element * t_cell) for a spherical signed set."""
-    from .graphs import cell_is_ideal
     cell = make_cell(cell)
     if cell_is_ideal(graph, cell):
         raise WordError("not a spherical set: %r" % (cell,))

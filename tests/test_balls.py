@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -7,7 +8,8 @@ from subdivlab import InvariantViolation, words
 from subdivlab.balls import (Ball, BoundaryCell, CapExceeded, build_ball,
                              classify_cell, convex_cells, visible_region,
                              word_predecessor_audit)
-from subdivlab.graphs import DefiningGraph
+from subdivlab.graphs import (DefiningGraph, diagonal_elements,
+                              inflation_descriptor)
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
                                oracle_sphere_sizes)
@@ -212,10 +214,64 @@ def pattern_by_products(ball, g):
 ])
 def test_in_ball_pattern_depends_only_on_covering_move(d, depth, edge_sets):
     for edges in edge_sets or all_graphs_up_to_iso(d):
-        ball = build_ball(graph_from_edges(d, edges), depth)
+        graph = graph_from_edges(d, edges)
+        ball = build_ball(graph, depth)
         for g in ball.level_of:
             assert ball.local(g).pattern == pattern_by_products(ball, g), \
                 (edges, ball.nf_string(g))
+        assert (ball.levels, ball.pred, ball.pred_move, ball.multi_cover) \
+            == all_moves_bfs(graph, depth), edges
+        assert transfer_sphere_sizes(graph, depth) == ball.sphere_sizes(), edges
+
+
+def all_moves_bfs(graph, depth):
+    """Reference search: (levels, pred, pred_move, multi_cover) from
+    multiplying every frontier element by every move, with the convex cells
+    of h read off its own products."""
+    moves = diagonal_elements(graph)
+    subcells = {t: [c for r in range(1, len(t) + 1)
+                    for c in combinations(t, r)] for t in moves}
+    g0 = words.empty_state(graph)
+    level_of = {g0: 0}
+    levels = [[g0]]
+    pred, pred_move, multi_cover = {}, {}, 0
+    for n in range(1, depth + 1):
+        nxt, multi = [], set()
+        for h in levels[n - 1]:
+            products = [(t, words.apply_letters(h, graph, t)) for t in moves]
+            inside = {t for t, g in products if level_of.get(g, n) < n}
+            for t, g in products:
+                if g not in level_of:
+                    level_of[g] = n
+                    nxt.append(g)
+                if level_of[g] == n and not any(c in inside for c in subcells[t]):
+                    if g in pred:
+                        multi.add(g)
+                    else:
+                        pred[g] = h
+                        pred_move[g] = t
+        assert all(g in pred for g in nxt)
+        multi_cover += len(multi)
+        nxt.sort(key=lambda g: words.nf_key(words.syllables_of_state(graph, g)))
+        levels.append(nxt)
+    return levels, pred, pred_move, multi_cover
+
+
+def transfer_sphere_sizes(graph, depth):
+    """|S(0..depth)| from powers of the 0/1 transfer matrix over moves,
+    M[sigma][w] = 1 iff w survives sigma's inflation descriptor, started
+    from every move once."""
+    moves = diagonal_elements(graph)
+    survivors = {s: inflation_descriptor(graph, s).children for s in moves}
+    vec, sizes = Counter(moves), [1]
+    for _ in range(depth):
+        sizes.append(sum(vec.values()))
+        nxt = Counter()
+        for s, k in vec.items():
+            for w in survivors[s]:
+                nxt[w] += k
+        vec = nxt
+    return sizes
 
 
 @pytest.mark.parametrize("graph", [path3, edge_plus_vertex, triangle])
@@ -248,6 +304,36 @@ def test_pattern_mismatch_raises_invariant_violation():
         build_tilings(ball, ball.N)   # its last level reads S(3)
     assert ball.nf_string(g) in str(err.value) and "level 3" in str(err.value)
     assert (err.value.element, err.value.level) == (ball.nf_string(g), 3)
+
+
+def test_corrupted_convex_record_raises(monkeypatch):
+    local_of = Ball._local_of
+
+    def drop_one(self, pattern):
+        rec = local_of(self, pattern)
+        return replace(rec, convex=rec.convex[1:])
+
+    monkeypatch.setattr(Ball, "_local_of", drop_one)
+    with pytest.raises(InvariantViolation) as err:
+        build_ball(triangle(), 3)
+    # the identity's record lost one of its 26 convex cells
+    assert err.value.level == 1
+    assert "S(1) has 25 elements, the descriptor counts 26" in str(err.value)
+    assert "level 1" in str(err.value)
+
+
+def test_convex_product_back_into_the_ball_raises(monkeypatch):
+    local_of = Ball._local_of
+
+    def add_one(self, pattern):
+        rec = local_of(self, pattern)
+        return replace(rec, convex=rec.convex + tuple(sorted(pattern))[:1])
+
+    monkeypatch.setattr(Ball, "_local_of", add_one)
+    with pytest.raises(InvariantViolation) as err:
+        build_ball(triangle(), 3)
+    # a level-1 record now holds a move whose product stays in B(1)
+    assert err.value.level == 1 and "lands on level" in str(err.value)
 
 
 def test_cap_exceeded():

@@ -7,6 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subdivlab import oracles
 from subdivlab.cli import RunConfig, main, make_parser
 from subdivlab.exports import (SVG_SIZE, tiling_from_json, tiling_isomorphic,
                                tiling_to_json, tiling_to_svg)
@@ -379,6 +380,16 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert main(["oracle", inp2, "--levels", "3"]) == 0
     out = capsys.readouterr().out
     assert "no independent oracle" in out
+
+
+def test_oracle_past_the_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "DEFAULT_CAP", 100)
+    inp = write(tmp_path, "path3.json", {"generators": ["a", "z", "b"],
+                                         "edges": [["a", "z"], ["b", "z"]]})
+    assert main(["oracle", inp, "--levels", "8"]) == 3
+    err = capsys.readouterr().err
+    assert "cap 100 exceeded while building level 3" in err
+    assert "[1, 14, 70]" in err
 
 
 def test_tiling_roundtrip():

@@ -7,9 +7,9 @@ from subdivlab.exports import tiling_to_json
 from subdivlab.graphs import DefiningGraph, support
 from subdivlab.tiling import (HistoryGraph, build_history, build_tiling,
                               build_tilings, descriptor_crosscheck,
-                              extract_rule, inflation, inflation_descriptor)
+                              extract_rule, inflation_descriptor)
 from subdivlab.words import nf_key
-from conftest import (free3, get_ball, get_rule, get_tilings, path3, single,
+from conftest import (free3, get_ball, get_rule, get_tilings, path3,
                       triangle)
 
 
@@ -241,16 +241,6 @@ def test_requires_three_levels():
     ts = get_tilings("triangle", 2)
     with pytest.raises(ValueError):
         extract_rule(build_history(ts))
-
-
-def test_inflation_counts():
-    inf = inflation(triangle())
-    assert inf.facet_count() == 26
-    assert len(inf.ridges) == 12 * 2 + 8 * 3
-    assert inflation(single()).facet_count() == 2
-    p = inflation(path3())
-    assert p.facet_count() == 14
-    assert len(p.facets_ideal) == 4
 
 
 def test_descriptor_triangle():
