@@ -104,6 +104,7 @@ class Ball:
         self.pred_move = {}       # state -> covering move (signed cell)
         self.multi_cover = 0      # elements covering more than one convex cell
         self.nf_cache = {}
+        self._names = {}          # state -> normal-form string, formed once
         # nonempty sub-signed-sets of each move; they are moves themselves
         self._subcells = {t: [c for r in range(1, len(t) + 1)
                               for c in combinations(t, r)] for t in self.moves}
@@ -177,7 +178,10 @@ class Ball:
         return got
 
     def nf_string(self, state):
-        return words.nf_str(self.graph, self.nf(state))
+        got = self._names.get(state)
+        if got is None:
+            got = self._names[state] = words.nf_str(self.graph, self.nf(state))
+        return got
 
     def in_ball(self, state, n) -> bool:
         lvl = self.level_of.get(state)

@@ -21,16 +21,18 @@ a tile in the sphere, while the subdivision behaviour does not.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .balls import Ball, InvariantViolation, visible_region
 from .graphs import (Cell, DefiningGraph, cell_str, ideal_facets,
                      inflation_descriptor, support)
 
 
-@dataclass
+@dataclass(slots=True)
 class Tile:
     id: str
     level: int
@@ -48,26 +50,25 @@ class Tile:
         return (tuple(sorted(len(c) for c in self.cells)), len(self.attached_ideal))
 
 
-@dataclass
-class AdjacencyInstance:
-    tile1: str
+class Edge(NamedTuple):
+    """One adjacency instance: a cell shared by two non-ideal tiles."""
+    tile1: str            # tile1 < tile2
     tile2: str
     label: str            # "flat" (same codim) or "containment"
-    shared_cell: tuple     # canonical (owner nf string, signs) of the shared cell
 
 
 class Tiling:
-    def __init__(self, level, graph):
+    """The tiles of one level and its edges, one per shared cell; each
+    tile's sorted (neighbour id, label) list is built once from the edges."""
+
+    def __init__(self, level, graph, tiles, instances, adjacency=None):
         self.level = level
         self.graph = graph
-        self.tiles = []
-        self.by_id = {}
-        self.adjacency = defaultdict(set)   # id -> {(other_id, label)}
-        self.instances = []
-
-    def add(self, tile):
-        self.tiles.append(tile)
-        self.by_id[tile.id] = tile
+        self.tiles = tiles
+        self.by_id = {t.id: t for t in tiles}
+        self.instances = instances
+        self.adjacency = (_neighbor_lists(instances) if adjacency is None
+                          else adjacency)
 
     def nonideal(self):
         return [t for t in self.tiles if not t.ideal]
@@ -75,35 +76,35 @@ class Tiling:
     def ideal_tiles(self):
         return [t for t in self.tiles if t.ideal]
 
-    def add_edge(self, a, b, label, shared):
-        if a == b:
-            return
-        self.adjacency[a].add((b, label))
-        self.adjacency[b].add((a, label))
-        self.instances.append(AdjacencyInstance(*sorted((a, b)), label=label,
-                                                shared_cell=shared))
-
     def neighbors(self, tid):
-        return sorted(self.adjacency.get(tid, ()))
+        return self.adjacency.get(tid, ())
 
     def restricted(self, owners):
         """The same tiles, with every non-ideal tile whose owner is not in
-        `owners` flagged ideal.  Adjacency is shared with this tiling: every
-        reader drops ideal neighbours."""
-        out = Tiling(self.level, self.graph)
-        for tile in self.tiles:
-            out.add(tile if tile.ideal or tile.owner in owners
-                    else replace(tile, ideal=True))
-        out.adjacency, out.instances = self.adjacency, self.instances
-        return out
+        `owners` flagged ideal.  Edges and neighbour lists are shared with
+        this tiling: every reader drops ideal neighbours."""
+        tiles = [tile if tile.ideal or tile.owner in owners
+                 else replace(tile, ideal=True) for tile in self.tiles]
+        return Tiling(self.level, self.graph, tiles, self.instances,
+                      self.adjacency)
 
 
+def _neighbor_lists(instances):
+    pairs = defaultdict(set)
+    for a, b, label in instances:
+        pairs[a].add((b, label))
+        pairs[b].add((a, label))
+    return {tid: sorted(p) for tid, p in pairs.items()}
+
+
+# Ids are interned: a tile's id, its children's parent ids and the ids in
+# every edge, history and rule map are one string object, across levels too.
 def _nonideal_id(level, owner_nf, comp):
-    return "t%d|%s|%d" % (level, owner_nf, comp)
+    return sys.intern("t%d|%s|%d" % (level, owner_nf, comp))
 
 
 def _ideal_id(graph, owner_nf, facet):
-    return "i|%s|%s" % (owner_nf, cell_str(graph, facet))
+    return sys.intern("i|%s|%s" % (owner_nf, cell_str(graph, facet)))
 
 
 def build_tiling(ball: Ball, n: int) -> Tiling:
@@ -115,8 +116,8 @@ def build_tiling(ball: Ball, n: int) -> Tiling:
     if ball.N < n + 1:
         raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
     graph = ball.graph
-    tiling = Tiling(n, graph)
-
+    tiles = []
+    cliques = {}   # covering move -> its covered clique
     parents = {}   # owner -> parent of its tiles: the tile its covered cell is in
     for g in ball.levels[n + 1]:
         regions = visible_region(ball, n + 1, g)
@@ -129,11 +130,16 @@ def build_tiling(ball: Ball, n: int) -> Tiling:
                 raise InvariantViolation("covered cell missing from the parent "
                                          "tiling", g_nf, n + 1)
             parents[g] = _nonideal_id(n - 1, ball.nf_string(pred), comp)
+        clique = cliques.get(move)
+        if clique is None:
+            clique = cliques[move] = support(move)
         for r in regions:
-            tiling.add(Tile(id=_nonideal_id(n, g_nf, r.index), level=n, owner=g,
-                            owner_nf=g_nf, cells=r.cells,
-                            attached_ideal=r.attached_ideal, covered_move=move,
-                            covered_clique=support(move), parent_id=parents.get(g)))
+            tiles.append(Tile(id=_nonideal_id(n, g_nf, r.index), level=n, owner=g,
+                              owner_nf=g_nf, cells=r.cells,
+                              attached_ideal=r.attached_ideal, covered_move=move,
+                              covered_clique=clique, parent_id=parents.get(g)))
+    instances = [Edge(a, b, label)
+                 for a, b, label, _ in _compute_adjacency(ball, n, tiles)]
 
     # ideal tiles: truncation faces of every domain in the ball, except the
     # ones still glued into their owner's fresh region.  The parent of a face
@@ -159,59 +165,72 @@ def build_tiling(ball: Ball, n: int) -> Tiling:
                         parent_id = _nonideal_id(n - 1, g_nf, comp)
                     else:
                         parent_id = tid
-                    tiling.add(Tile(id=tid, level=n, owner=g, owner_nf=g_nf,
-                                    ideal=True, ideal_facet=f, parent_id=parent_id))
+                    tiles.append(Tile(id=tid, level=n, owner=g, owner_nf=g_nf,
+                                      ideal=True, ideal_facet=f, parent_id=parent_id))
 
-    _compute_adjacency(ball, n, tiling)
-    return tiling
+    return Tiling(n, graph, tiles, instances)
 
 
-def _compute_adjacency(ball: Ball, n: int, tiling: Tiling):
-    """Edges from exposed cells lying in exactly two domains of B(n+1).
+def _compute_adjacency(ball: Ball, n: int, tiles):
+    """Yield (tile1, tile2, label, shared cell) for the exposed cells lying
+    in exactly two domains of B(n+1); `tiles` are the level's non-ideal
+    tiles, each owner's in region order.
 
     Such a cell of g is flat: besides g it lies in h = g * s0 only.  It is
     taken from the side whose owner comes first by nf_key, and that owner is
     its canonical (lowest level, then nf_key) domain, as every further
-    domain of the cell lies outside B(n+1)."""
+    domain of the cell lies outside B(n+1); the shared cell is yielded as
+    (nf string of that owner, signs).  Which regions of g and h the cell
+    touches, and the label, depend only on the covering moves of g and h,
+    so they are worked out once per (move of g, cell, move of h)."""
     level = ball.levels[n + 1]
     rank = {g: i for i, g in enumerate(level)}   # levels are in nf_key order
-    names = [ball.nf_string(g) for g in level]
-    joined = {}   # (cell, s0) -> subcells of the cell, seen from g and from h
+    ids = [[] for _ in level]                    # tile ids by region index
+    for tile in tiles:
+        ids[rank[tile.owner]].append(tile.id)
+    local = [ball.local(g) for g in level]
+    move = ball.pred_move
+    joins = {}   # (move of g, cell, move of h) -> (regions of g, of h, label)
     for i, g in enumerate(level):
-        g_nf = names[i]
-        for cell, s0 in ball.local(g).flat:
+        for cell, s0 in local[i].flat:
             if len(cell) < 2:
                 continue
             h = ball.apply(g, s0)
             j = rank.get(h)
             if j is None:
                 raise InvariantViolation("flat cell %s leaves the sphere"
-                                         % cell_str(ball.graph, cell), g_nf, n + 1)
+                                         % cell_str(ball.graph, cell),
+                                         ball.nf_string(g), n + 1)
             if j < i:
                 continue  # processed from the other side
-            if (cell, s0) not in joined:
-                flipped = frozenset(s0)
-                cell_h = tuple((k, -e if (k, e) in flipped else e)
-                               for k, e in cell)
-                joined[cell, s0] = [
-                    [tuple(p for p in c if p[0] != drop) for drop, _ in s0]
-                    for c in (cell, cell_h)]
-            sides = []
-            for owner, owner_nf, subcells in zip((g, h), (g_nf, names[j]),
-                                                 joined[cell, s0]):
-                component = ball.local(owner).component
-                for u in subcells:
-                    comp = component.get(u)
-                    if comp is not None:
-                        sides.append(_nonideal_id(n, owner_nf, comp))
-            label = _edge_label(ball, g, h)
-            for a, b in combinations(sorted(set(sides)), 2):
-                tiling.add_edge(a, b, label, (g_nf, cell))
+            key = (move[g], cell, move[h])
+            join = joins.get(key)
+            if join is None:
+                join = joins[key] = (_join(cell, s0, local[i], local[j])
+                                     + (_edge_label(move[g], move[h]),))
+            comps_g, comps_h, label = join
+            sides = {ids[i][c] for c in comps_g}
+            sides.update(ids[j][c] for c in comps_h)
+            shared = (ball.nf_string(g), cell)
+            for a, b in combinations(sorted(sides), 2):
+                yield a, b, label, shared
 
 
-def _edge_label(ball: Ball, g, h) -> str:
-    kg = len(ball.pred_move[g])
-    kh = len(ball.pred_move[h])
+def _join(cell, s0, local_g, local_h):
+    """The regions of g and of h = g * s0 holding a codimension-one subcell
+    of the flat cell (g, cell)."""
+    flipped = frozenset(s0)
+    cell_h = tuple((k, -e if (k, e) in flipped else e) for k, e in cell)
+    sides = []
+    for c, rec in ((cell, local_g), (cell_h, local_h)):
+        subcells = (tuple(p for p in c if p[0] != drop) for drop, _ in s0)
+        sides.append(tuple(comp for comp in map(rec.component.get, subcells)
+                           if comp is not None))
+    return tuple(sides)
+
+
+def _edge_label(move_g, move_h) -> str:
+    kg, kh = len(move_g), len(move_h)
     if kg == kh:
         return "flat"
     if abs(kg - kh) == 1:

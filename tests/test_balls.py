@@ -13,7 +13,7 @@ from subdivlab.graphs import (DefiningGraph, diagonal_elements,
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
                                oracle_sphere_sizes)
-from subdivlab.tiling import build_tilings
+from subdivlab.tiling import _compute_adjacency, build_tilings
 from subdivlab.words import parse_word, state_of_word
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, get_ball,
                       get_tilings, graph_from_edges, path3, single, triangle)
@@ -190,15 +190,18 @@ def test_shared_cell_is_canonical_rep(name):
     ball = get_ball(name)
     for tiling in get_tilings(name):
         state_of = {ball.nf_string(g): g for g in ball.levels[tiling.level + 1]}
-        for inst in tiling.instances:
-            owner_nf, signs = inst.shared_cell
+        # the tiling keeps each yielded edge without its shared cell
+        edges = list(_compute_adjacency(ball, tiling.level, tiling.nonideal()))
+        assert [edge[:3] for edge in edges] == tiling.instances
+        for tile1, tile2, _, shared in edges:
+            owner_nf, signs = shared
             owner = state_of[owner_nf]
             rep_owner, rep_signs = canonical_rep(ball, owner, signs)
-            assert (ball.nf_string(rep_owner), rep_signs) == inst.shared_cell
+            assert (ball.nf_string(rep_owner), rep_signs) == shared
             # the same geometric cell, lying in both tiles' domains
             cell_domains = domains(ball, owner, signs)
             assert cell_domains == domains(ball, rep_owner, rep_signs)
-            for tid in (inst.tile1, inst.tile2):
+            for tid in (tile1, tile2):
                 assert tiling.by_id[tid].owner in cell_domains
 
 

@@ -1,0 +1,116 @@
+"""Byte-identical outputs of the four benchmark runs, pinned by sha256.
+
+The digests were recorded from the program as it stood before tile ids were
+shared and each level's adjacency stored once; a change that alters one of
+these files on purpose re-records its digest and says why.  The inputs are
+the benchmark's, written out here so the test reads no other directory.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from subdivlab.cli import main
+
+C4 = {"generators": ["a", "b", "c", "d"],
+      "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}
+K4 = {"generators": ["a", "b", "c", "d"],
+      "edges": [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"],
+                ["c", "d"]]}
+PATH3_SPECIAL = {
+    "defining_graph": {"generators": ["a", "z", "b"],
+                       "edges": [["a", "z"], ["b", "z"]]},
+    "vertices": ["v"],
+    "edges": [{"id": "e_a", "from": "v", "to": "v", "label": "a"},
+              {"id": "e_z", "from": "v", "to": "v", "label": "z"},
+              {"id": "e_b", "from": "v", "to": "v", "label": "b"}],
+    "squares": [[["e_a", 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]],
+                [["e_b", 1], ["e_z", 1], ["e_b", -1], ["e_z", -1]]]}
+TRIANGLE = {"generators": ["a", "b", "c"],
+            "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
+
+RUNS = {
+    "c4-raag-3": (C4, ["--mode", "raag", "--levels", "3",
+                       "--export", "reports"], {
+        "counts.csv":
+            "729be0fed88fa51399772fddc678bd418296ee972fd8563f0a9dca175922cc08",
+        "report.json":
+            "bb6bda0ec14d0445ff372bd88b23c79c746d06e0072eec96364e3e40b9bdf6eb",
+    }),
+    "k4-raag-3": (K4, ["--mode", "raag", "--levels", "3",
+                       "--export", "reports"], {
+        "counts.csv":
+            "3195a0515b2a1f54b5b782da73f2db9c08de74947aa73cef548829f00a1dcb9c",
+        "report.json":
+            "d6b75af3d7efbc2f4f96155dc3c0e9587a53ed113e78c6324b710c4d925a9962",
+    }),
+    "path3-special-5": (PATH3_SPECIAL, ["--mode", "special", "--levels", "5"], {
+        "counts.csv":
+            "86e9aa6b018cede9121994548256a19dcf5911a6c36390aa92b7a7c8eea7ab48",
+        "report.json":
+            "654e5c2081903347db6bbb9d59a57e61b8f74ec2352b21ca6475d7c4296c2389",
+    }),
+    "triangle-raag-5-all-exports": (TRIANGLE, [
+        "--mode", "raag", "--levels", "5",
+        "--export", "tilings,dot,svg,reports", "--layout-seed", "0"], {
+        "counts.csv":
+            "4e336f277a21e79fcd7abb647e29aff7a317fb48ef6564611a2e834ce9073f70",
+        "dot/history.dot":
+            "3381b9c081faa02d9591729787a23afc811cfaface0cbe895c436d58be23445a",
+        "dot/level_00.dot":
+            "d9cc9fdd7dcef2ff3b08e86dc2e8bc89467e76d441a9d5778748e865b1178701",
+        "dot/level_01.dot":
+            "2d058b295eac3c40371c87fac8c90004b9ab3bce98a10142059fd6aa03f531f0",
+        "dot/level_02.dot":
+            "d72d7c8e95fbc1159df251801c88dd6696cc3b54dcb00975388269b543b6a993",
+        "dot/level_03.dot":
+            "ede55bc811a3fffbfe0d6a3d6611bb7f912b388d2e0d0d802a97c09354aa1d72",
+        "dot/level_04.dot":
+            "3b8c71f4e2bd79a75256aaf3664cc52deeeab117e6555268228ba30fbd208c2f",
+        "report.json":
+            "7f04a67104fdd9fb639c9dd200b6905644770112b605b3e7e1dca8df84a578e4",
+        "svg/level_00.svg":
+            "53565eb68d5624f0cae0a3b289793bb4039be7f24189dd6c795557c750700de9",
+        "svg/level_01.svg":
+            "01ca18787b92ccc0731ccf26807b0e1bc465b4190357dd1acc5fc67a45897320",
+        "svg/level_02.svg":
+            "4b32fb0198011b77808438025c538fddc483a37133173e6c991fcdfe6e763f4d",
+        "svg/level_03.svg":
+            "6c5d00896562cfd36b582d2f52fefd38d375bad04abe22cc8dc2173a797090f7",
+        "svg/level_04.svg":
+            "515acb97722441a617796276a97b0628217561cbd8ac03f83471147ede224730",
+        "tilings/level_00.json":
+            "8ee1034a1d35879b6cafd7a6566494c1223df4ea405d4caaa5f5e192a481eaac",
+        "tilings/level_01.json":
+            "ad0618e5e15b0b1f462f3238de57578e90cba74e50a46d88536b3a2ad92682cf",
+        "tilings/level_02.json":
+            "8061872aed4219e687512c75ef4c870ef6b997723e1fc6401dadf5ff95bb27f9",
+        "tilings/level_03.json":
+            "1b75f5e5f41c3e1a5e221f041235ecde8038141fbe027d7d5c8deb1efa40de5b",
+        "tilings/level_04.json":
+            "600c84cfe80d90a73a1c1e860759890de70c7ae8b5f741dfabd1595ccf8c7d8c",
+    }),
+}
+
+
+def digests(root):
+    out = {}
+    for path, _, files in os.walk(root):
+        for name in files:
+            full = os.path.join(path, name)
+            with open(full, "rb") as f:
+                out[os.path.relpath(full, root).replace(os.sep, "/")] = \
+                    hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_outputs_byte_identical(tmp_path, run):
+    data, flags, expected = RUNS[run]
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", str(inp), "--out", str(out)] + flags) == 0
+    assert digests(out) == expected

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -210,6 +211,36 @@ def test_restricted_reflags_tiles_and_shares_adjacency():
         {t.id for t in ts[1].nonideal() if t.owner in owners}
     # the base tiling keeps its own flags
     assert all(not t.ideal for t in ts[1].tiles if t.covered_move is not None)
+
+
+def test_tilings_share_ids_and_stay_compact():
+    # path3 at depth 5, the tilings of the benchmark's path3-special run
+    ball = build_ball(path3(), 5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tilings = build_tilings(ball, 5)
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    tiles = sum(len(t.tiles) for t in tilings)
+    assert tiles == 13018
+    # ~470 B per tile; per-side id strings, edge objects with their shared
+    # cell and per-tile neighbour sets took ~920
+    assert used <= 650 * tiles, used / tiles
+    # one string object per distinct tile id, wherever the id is held
+    history = build_history(tilings)
+    ids = list(history.vertices) + list(history.tile_index)
+    for parent, kids in history.children.items():
+        ids += [parent] + kids
+    for t in tilings:
+        ids += [tile.id for tile in t.tiles]
+        ids += [tile.parent_id for tile in t.tiles if tile.parent_id]
+        for edge in t.instances:
+            ids += edge[:2]
+        for tid, pairs in t.adjacency.items():
+            ids += [tid] + [o for o, _ in pairs]
+    assert len({id(s) for s in ids}) == len(set(ids))
 
 
 def test_extract_rule_reads_the_history_without_adding_children():
