@@ -265,7 +265,11 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
                     ball: Ball, n_max: int) -> LiftSet:
     """Breadth-first lifting: walk the complex while multiplying the group
     element; every element of the ball realized at some vertex is a lift of
-    the basepoint into the subgroup's cover."""
+    the basepoint into the subgroup's cover.  The walk stays inside
+    B(n_max): a product outside it is never stored.  `n_max` is at most the
+    ball's depth."""
+    if n_max > ball.N:
+        raise ValueError("ball too shallow: need level %d, have %d" % (n_max, ball.N))
     violation = check_local_isometry(spec, graph)
     if violation is not None:
         raise CubeSpecError(violation)
@@ -282,21 +286,20 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
     members = {}
     while frontier:
         v, g = frontier.popleft()
-        lvl = ball.level_of.get(g)
-        if lvl is None or lvl > n_max:
-            continue
         if g not in members:
             members[g] = v
         for germ, w in steps[v]:
-            state = (w, words.apply_letters(g, graph, (germ,)))
+            h = words.apply_letters(g, graph, (germ,))
+            lvl = ball.level_of.get(h)
+            if lvl is None or lvl > n_max:
+                continue
+            state = (w, h)
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
-    levels = [[] for _ in range(n_max + 1)]
-    for g in members:
-        levels[ball.level_of[g]].append(g)
-    for lvl in levels:
-        lvl.sort(key=lambda s: words.nf_key(ball.nf(s)))
+    # ball levels are in canonical order already
+    levels = [[g for g in ball.levels[n] if g in members]
+              for n in range(n_max + 1)]
     return LiftSet(levels=levels, members=set(members), witness=members)
 
 

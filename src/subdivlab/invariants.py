@@ -490,35 +490,34 @@ def _bfs(adj, src):
     return dist, prev
 
 
-def _eccentricities(nbrs):
-    """Eccentricity of every vertex of a connected graph given as int
-    adjacency lists.  The sources run in blocks of ECC_BLOCK; within a block
-    their breadth-first searches run at once, level by level: bit s of a
-    vertex's mask marks it reached from the block's source s.  One pass per
-    block, and each mask array costs at most n * ECC_BLOCK / 8 bytes."""
+def _eccentricities(nbrs, sources):
+    """Eccentricities of `sources`, in their order, in a connected graph
+    given as int adjacency lists.  The sources run in blocks of ECC_BLOCK;
+    within a block their breadth-first searches run at once, level by level:
+    bit k of a vertex's mask marks it within the current radius of the
+    block's source k.  A vertex's next mask is the union of its own and its
+    neighbours' masks, so one pass per block keeps two mask arrays, each of
+    at most n * ECC_BLOCK / 8 bytes."""
     n = len(nbrs)
-    ecc = [0] * n
-    for base in range(0, n, ECC_BLOCK):
-        reached = [1 << (v - base) if 0 <= v - base < ECC_BLOCK else 0
-                   for v in range(n)]
-        frontier = list(reached)
+    ecc = [0] * len(sources)
+    for base in range(0, len(sources), ECC_BLOCK):
+        reached = [0] * n
+        for k, s in enumerate(sources[base:base + ECC_BLOCK]):
+            reached[s] |= 1 << k
         level = 0
         while True:
             level += 1
             nxt = []
             grown = 0
             for v in range(n):
-                got = 0
+                was = got = reached[v]
                 for u in nbrs[v]:
-                    got |= frontier[u]
-                was = reached[v]
-                got ^= got & was    # newly reached; as wide as got, not was
-                reached[v] = was | got
+                    got |= reached[u]
                 nxt.append(got)
-                grown |= got
+                grown |= got ^ was    # sources exactly `level` away from v
             if not grown:
                 break
-            frontier = nxt
+            reached = nxt
             while grown:
                 low = grown & -grown
                 ecc[base + low.bit_length() - 1] = level
@@ -526,29 +525,103 @@ def _eccentricities(nbrs):
     return ecc
 
 
-def _level_diameter(tiling):
-    ids = [t.id for t in tiling.nonideal()]
-    idset = set(ids)
-    adj = {i: sorted(o for o, _ in tiling.neighbors(i) if o in idset) for i in ids}
-    if not ids:
-        return 0, None
-    dist0, _ = _bfs(adj, ids[0])
-    if len(dist0) != len(ids):
-        return "inf", None
-    # the first source of largest eccentricity; only it needs the full BFS
-    # with predecessors for the witness
+def _dual_graph(tiling):
+    """The non-ideal tiles of a level, their ids, and each tile's neighbours
+    as sorted indices into that tile list."""
+    tiles = tiling.nonideal()
+    ids = [t.id for t in tiles]
     index = {tid: k for k, tid in enumerate(ids)}
-    eccs = _eccentricities([[index[o] for o in adj[tid]] for tid in ids])
-    src = ids[eccs.index(max(eccs))]
-    dist, prev = _bfs(adj, src)
-    dst = max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    diam = dist[dst]
+    nbrs = [sorted(index[o] for o, _ in tiling.neighbors(tid) if o in index)
+            for tid in ids]
+    return tiles, ids, nbrs
+
+
+def _inversion_orbits(tiling, tiles, nbrs):
+    """For each tile, the first tile (an index into `tiles`) of its orbit
+    under the d generator inversions.
+
+    Inverting generator i is a group automorphism that maps the diagonal
+    moves to themselves, so it maps the tiling onto itself: a tile's image
+    is owned by the owner with pile i negated, and holds the tile's cells
+    with sign i flipped.  It is looked up by its first cell among the few
+    tiles of that owner.  Each of the d maps must be one-to-one and carry
+    every neighbour list onto its image's; else InvariantViolation."""
+    graph = tiling.graph
+    n = len(tiles)
+    first_of = {}   # owner -> index of its first tile; an owner's tiles are adjacent
+    for k, tile in enumerate(tiles):
+        first_of.setdefault(tile.owner, k)
+    root = list(range(n))   # union-find; a root is its set's first tile
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i in range(graph.d):
+        what = "inversion of %s" % graph.generators[i]
+        flipped = {}   # cell -> the cell with sign i flipped
+        perm = []
+        hit = bytearray(n)
+        owner = None
+        for tile in tiles:
+            if tile.owner is not owner:
+                owner = tile.owner
+                image = owner[:i] + (tuple([-x for x in owner[i]]),) + owner[i + 1:]
+                start = first_of.get(image, n)
+            cell = flipped.get(tile.cells[0])
+            if cell is None:
+                cell = flipped[tile.cells[0]] = tuple(
+                    (j, -e if j == i else e) for j, e in tile.cells[0])
+            k = start
+            while k < n and tiles[k].owner == image and cell not in tiles[k].cells:
+                k += 1
+            if k == n or tiles[k].owner != image:
+                raise InvariantViolation("%s finds no image of tile %s"
+                                         % (what, tile.id), tile.id, tiling.level)
+            if hit[k]:
+                raise InvariantViolation("%s maps tile %s onto a tile already hit"
+                                         % (what, tile.id), tile.id, tiling.level)
+            hit[k] = 1
+            perm.append(k)
+        for v, w in enumerate(perm):
+            if sorted(map(perm.__getitem__, nbrs[v])) != nbrs[w]:
+                raise InvariantViolation(
+                    "%s does not map the neighbours of tile %s onto those of "
+                    "its image %s" % (what, tiles[v].id, tiles[w].id),
+                    tiles[v].id, tiling.level)
+            if w > v:
+                a, b = find(v), find(w)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def _level_diameter(tiling):
+    tiles, ids, nbrs = _dual_graph(tiling)
+    if not tiles:
+        return 0, None
+    first = _inversion_orbits(tiling, tiles, nbrs)
+    if len(_bfs(nbrs, 0)[0]) != len(tiles):
+        return "inf", None
+    # a tile's eccentricity is its orbit's, so one source per orbit is swept.
+    # The first tile of largest eccentricity is the first of its orbit, so it
+    # is a source; only it needs the full BFS with predecessors, for the
+    # witness, which walks neighbours and breaks ties in id order.
+    sources = [v for v, f in enumerate(first) if f == v]
+    eccs = _eccentricities(nbrs, sources)
+    src = sources[eccs.index(max(eccs))]
+    for vs in nbrs:
+        vs.sort(key=ids.__getitem__)
+    dist, prev = _bfs(nbrs, src)
+    dst = max(dist, key=lambda v: (dist[v], ids[v]))
     path = []
     cur = dst
     while cur is not None:
-        path.append(cur)
+        path.append(ids[cur])
         cur = prev[cur]
-    return diam, (src, dst, list(reversed(path)))
+    return dist[dst], (ids[src], ids[dst], list(reversed(path)))
 
 
 def _linear_fit(xs, ys):
@@ -580,8 +653,11 @@ def _exp_fit(xs, ys):
 
 def divergence_diameter(tilings) -> DivergenceReport:
     """Exact dual-graph diameter and witness path of every level, and a fit.
-    A level of n tiles costs one bit-parallel pass per ECC_BLOCK (4,096)
-    tiles, with masks of at most n * 512 B per array."""
+
+    The d generator inversions are checked as automorphisms of each level's
+    dual graph, and eccentricities are swept from one tile per orbit: a
+    level of n tiles costs one bit-parallel pass per ECC_BLOCK (4,096)
+    orbits, with two mask arrays of at most n * 512 B each."""
     if len(tilings) < 3:
         raise ValueError("need at least 3 levels")
     diameters = []

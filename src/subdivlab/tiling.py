@@ -262,14 +262,13 @@ class HistoryGraph:
         self.tilings = list(tilings)
         self.children = defaultdict(list)
         self.vertices = []
+        self.tile_index = {}   # id -> non-ideal tile
         for t in self.tilings:
             for tile in t.nonideal():
                 self.vertices.append(tile.id)
+                self.tile_index[tile.id] = tile
                 parent = tile.parent_id if tile.level > 0 else ROOT_ID
                 self.children[parent].append(tile.id)
-        self.tile_index = {}
-        for t in self.tilings:
-            self.tile_index.update(t.by_id)
 
     def vertex_count(self):
         return len(self.vertices)
@@ -280,7 +279,7 @@ class HistoryGraph:
     def horizontal_neighbors(self, tid):
         tile = self.tile_index[tid]
         return [o for o, _ in self.tilings[tile.level].neighbors(tid)
-                if not self.tile_index[o].ideal]
+                if o in self.tile_index]
 
 
 def build_history(tilings) -> HistoryGraph:
@@ -345,7 +344,7 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     if len(tilings) < 3:
         raise ValueError("need at least 3 consecutive levels")
     graph = tilings[0].graph
-    tiles = {tid: history.tile_index[tid] for tid in history.vertices}
+    tiles = history.tile_index
     deepest = len(tilings) - 1
     kids = history.children   # read with .get: adds no keys to the graph's map
 

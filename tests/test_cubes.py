@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from subdivlab.cubes import (CubeComplexSpec, CubeSpecError, Edge, LiftSet,
@@ -8,6 +10,7 @@ from subdivlab.balls import build_ball
 from subdivlab.graphs import DefiningGraph
 from subdivlab.invariants import ends, growth
 from subdivlab.tiling import build_history, build_tilings, extract_rule
+from subdivlab import words
 from subdivlab.words import empty_state
 from conftest import get_ball, get_rule, get_tilings, path3, square
 
@@ -77,6 +80,65 @@ def test_lift_induced_subgraph_matches_sub_ball():
     lifts = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, ball, 4)
     # the a-z subgroup is a rank-2 lattice: spheres 8n under diagonal moves
     assert lifts.level_sizes() == [1, 8, 16, 24, 32]
+
+
+def _lift_reference(spec, graph, ball, n_max):
+    """The lifting search as first written: every product enters the
+    frontier and one outside B(n_max) is dropped when it is popped; each
+    level is sorted by normal form.  Returns (levels, witnesses)."""
+    steps = {v: [] for v in spec.vertices}
+    for eid in sorted(spec.edges):
+        e = spec.edges[eid]
+        a, b = (e.src, e.dst) if e.sign > 0 else (e.dst, e.src)
+        steps[a].append(((e.label, 1), b))
+        steps[b].append(((e.label, -1), a))
+    start = (spec.basepoint, words.empty_state(graph))
+    seen = {start}
+    frontier = deque([start])
+    members = {}
+    while frontier:
+        v, g = frontier.popleft()
+        lvl = ball.level_of.get(g)
+        if lvl is None or lvl > n_max:
+            continue
+        if g not in members:
+            members[g] = v
+        for germ, w in steps[v]:
+            state = (w, words.apply_letters(g, graph, (germ,)))
+            if state not in seen:
+                seen.add(state)
+                frontier.append(state)
+    levels = [[] for _ in range(n_max + 1)]
+    for g in members:
+        levels[ball.level_of[g]].append(g)
+    for lvl in levels:
+        lvl.sort(key=lambda s: words.nf_key(ball.nf(s)))
+    return levels, members
+
+
+@pytest.mark.parametrize("which", ["loop-a", "salvetti", "salvetti-az",
+                                   "salvetti-az-shallow"])
+def test_lift_matches_the_first_search(which):
+    if which == "loop-a":
+        graph, ball, spec = square(), get_ball("square"), loop_a_spec(square())
+    elif which == "salvetti":
+        graph, ball, spec = square(), get_ball("square"), salvetti_spec(square())
+    else:
+        graph, ball = path3(), get_ball("path3")
+        spec = salvetti_spec(graph, ["a", "z"])
+    n_max = 3 if which == "salvetti-az-shallow" else ball.N
+    lifts = lift_basepoints(spec, graph, ball, n_max)
+    levels, witness = _lift_reference(spec, graph, ball, n_max)
+    assert lifts.levels == levels
+    assert lifts.witness == witness
+    assert list(lifts.witness) == list(witness)
+    assert lifts.members == set(witness)
+
+
+def test_lift_needs_the_ball_deep_enough():
+    g = square()
+    with pytest.raises(ValueError, match="too shallow"):
+        lift_basepoints(loop_a_spec(g), g, get_ball("square"), 7)
 
 
 def test_prune_loop_a():

@@ -6,13 +6,15 @@ import pytest
 
 from subdivlab import build_ball
 from subdivlab.balls import InvariantViolation
-from subdivlab.invariants import (ECC_BLOCK, _bfs, _eccentricities,
-                                  _level_diameter, classify_counts,
+from subdivlab.graphs import DefiningGraph
+from subdivlab.invariants import (ECC_BLOCK, _bfs, _dual_graph, _eccentricities,
+                                  _inversion_orbits, _level_diameter,
+                                  classify_counts,
                                   divergence_diameter, ends, growth,
                                   largest_real_root, mesh_certificate,
                                   minimal_recurrence, polynomial_degree,
                                   spectral_radius_exceeds_one)
-from subdivlab.tiling import build_history, build_tilings, extract_rule
+from subdivlab.tiling import Tiling, build_history, build_tilings, extract_rule
 from conftest import (all_graphs_up_to_iso, get_ball, get_rule, get_tilings,
                       graph_from_edges)
 
@@ -241,10 +243,11 @@ def test_exact_diameter_disconnected():
 
 
 def test_eccentricities_small_graphs():
-    assert _eccentricities([[]]) == [0]
-    assert _eccentricities([[1], [0, 2], [1, 3], [2]]) == [3, 2, 2, 3]
+    assert _eccentricities([[]], range(1)) == [0]
+    assert _eccentricities([[1], [0, 2], [1, 3], [2]], range(4)) == [3, 2, 2, 3]
     # a 5-cycle with duplicate adjacency entries
-    assert _eccentricities([[1, 4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]) == [2] * 5
+    five = [[1, 4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]
+    assert _eccentricities(five, range(5)) == [2] * 5
 
 
 def test_eccentricities_span_several_blocks():
@@ -263,5 +266,48 @@ def test_eccentricities_span_several_blocks():
                 nbrs[v].append(v + 1)
                 nbrs[v + 1].append(v)
     last = side - 1
-    assert _eccentricities(nbrs) == [max(x, last - x) + max(y, last - y)
-                                     for x in range(side) for y in range(side)]
+    every = _eccentricities(nbrs, range(n))
+    assert every == [max(x, last - x) + max(y, last - y)
+                     for x in range(side) for y in range(side)]
+    # a subset of the sources, in reverse and still in two blocks, gets the
+    # values those sources get in the all-source run
+    some = [v for v in reversed(range(n)) if v % 100]
+    assert len(some) > ECC_BLOCK
+    assert _eccentricities(nbrs, some) == [every[s] for s in some]
+    few = list(range(3, n, 97))
+    assert _eccentricities(nbrs, few) == [every[s] for s in few]
+
+
+# the path a-b-c-d: connected, not a join, with diameters growing quadratically
+P4 = DefiningGraph(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]])
+
+
+@pytest.mark.parametrize("name", ["c4", "k4", "path3", "p4"])
+def test_orbit_eccentricities_match_every_source(name):
+    if name == "p4":
+        tilings = build_tilings(build_ball(P4, 3), 3)
+    else:
+        tilings = get_tilings(name, None if name == "path3" else 3)
+    for t in tilings:
+        tiles, ids, nbrs = _dual_graph(t)
+        first = _inversion_orbits(t, tiles, nbrs)
+        sources = [v for v, f in enumerate(first) if f == v]
+        if t.level > 0:
+            assert len(sources) < len(tiles)
+        ecc_of = dict(zip(sources, _eccentricities(nbrs, sources)))
+        assert ([ecc_of[f] for f in first]
+                == _eccentricities(nbrs, range(len(tiles))))
+
+
+def test_inversion_check_catches_a_missing_edge():
+    t = get_tilings("path3")[2]
+    # one dual-graph edge is every instance of one pair of tiles
+    pair = t.instances[0][:2]
+    cut = Tiling(t.level, t.graph, t.tiles,
+                 [e for e in t.instances if e[:2] != pair])
+    with pytest.raises(InvariantViolation,
+                       match=r"inversion of [azb] does not map the neighbours "
+                             r"of tile t2\|") as exc:
+        _level_diameter(cut)
+    assert exc.value.level == 2
+    assert exc.value.element in cut.by_id
