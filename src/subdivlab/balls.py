@@ -268,9 +268,6 @@ class Region:
     attached_ideal: tuple   # truncation faces glued into this component
     index: int = 0
 
-    def codim_profile(self):
-        return tuple(sorted(len(c) for c in self.cells))
-
 
 def visible_region(ball: Ball, n: int, owner):
     """Connected components of the owner's exposed cells on S(n).

@@ -163,7 +163,7 @@ def run(config: RunConfig) -> int:
         d = divergence_diameter(tilings)
         report["divergence"] = {
             "diameters": d.diameters, "mode": d.mode, "verdict": d.verdict,
-            "fit": d.fit,
+            "degree": d.degree,
             "witnesses": [list(w[:2]) if w else None for w in d.witnesses],
             "witness_paths": [w[2] if w else None for w in d.witnesses],
         }

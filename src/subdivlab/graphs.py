@@ -134,15 +134,6 @@ def parse_graph_json(data) -> DefiningGraph:
     return DefiningGraph(gens, edges)
 
 
-def load_graph(path) -> DefiningGraph:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise GraphError("invalid JSON: %s" % exc) from exc
-    return parse_graph_json(data)
-
-
 # ---------------------------------------------------------------------------
 # cells
 

@@ -466,14 +466,19 @@ def mesh_certificate(rule) -> MeshReport:
 # sources per bit-parallel pass of _eccentricities: masks are 512 B wide
 ECC_BLOCK = 4096
 
+# the degree of the diameters, read exactly by polynomial_degree; None when no
+# finite-difference order is constant within the levels
+DIVERGENCE_VERDICTS = {None: "undetermined", 1: "linear", 2: "quadratic"}
+
 
 @dataclass
 class DivergenceReport:
     diameters: list      # int or "inf" per level
     witnesses: list      # per level: (tile1, tile2, path) or None
     mode: str            # always "exact"; report.json carries it
-    fit: dict | None
-    verdict: str         # "linear" | "superlinear" | "disconnected" | "short"
+    degree: int | None   # polynomial_degree(diameters); None if disconnected
+    verdict: str         # "linear" | "quadratic" | "undetermined" |
+                         # "disconnected" | "polynomial" (any other degree)
 
 
 def _bfs(adj, src):
@@ -624,35 +629,16 @@ def _level_diameter(tiling):
     return dist[dst], (ids[src], ids[dst], list(reversed(path)))
 
 
-def _linear_fit(xs, ys):
-    n = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    den = n * sxx - sx * sx
-    if den == 0:
-        return None
-    a = (n * sxy - sx * sy) / den
-    b = (sy - a * sx) / n
-    sse = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
-    return {"slope": a, "intercept": b, "sse": sse}
-
-
-def _exp_fit(xs, ys):
-    if any(y <= 0 for y in ys):
-        return None
-    lys = [math.log(y) for y in ys]
-    lf = _linear_fit(xs, lys)
-    if lf is None:
-        return None
-    c = math.exp(lf["intercept"])
-    lam = math.exp(lf["slope"])
-    sse = sum((y - c * lam ** x) ** 2 for x, y in zip(xs, ys))
-    return {"base": lam, "scale": c, "sse": sse}
-
-
 def divergence_diameter(tilings) -> DivergenceReport:
-    """Exact dual-graph diameter and witness path of every level, and a fit.
+    """Exact dual-graph diameter and witness path of every level, and the
+    divergence read off them with no fit.
+
+    A disconnected level makes the verdict "disconnected".  Otherwise the
+    verdict is the diameters' exact degree (`polynomial_degree`): for a
+    connected defining graph, divergence is linear when the graph is a join
+    and quadratic otherwise (Behrstock-Charney, Math. Ann. 352, 2012), and
+    the diameters show degree 1 or 2 accordingly once there are enough
+    levels; "undetermined" until then (P4 at 3 levels: [6, 16, 30]).
 
     The d generator inversions are checked as automorphisms of each level's
     dual graph, and eccentricities are swept from one tile per orbit: a
@@ -666,22 +652,9 @@ def divergence_diameter(tilings) -> DivergenceReport:
         diam, wit = _level_diameter(t)
         diameters.append(diam)
         witnesses.append(wit)
-    finite = [(i, d) for i, d in enumerate(diameters) if d != "inf"]
-    fit = None
-    if any(d == "inf" for d in diameters):
-        verdict = "disconnected"
-    elif len(finite) >= 3:
-        xs = [i for i, _ in finite]
-        ys = [d for _, d in finite]
-        lin = _linear_fit(xs, ys)
-        exp = _exp_fit(xs, ys)
-        fit = {"linear": lin, "exponential": exp}
-        if exp is None or lin is None:
-            verdict = "linear" if lin is not None else "short"
-        elif lin["sse"] <= 0.1 * exp["sse"] or (lin["sse"] == 0 and exp["sse"] == 0):
-            verdict = "linear"
-        else:
-            verdict = "superlinear"
-    else:
-        verdict = "short"
-    return DivergenceReport(diameters, witnesses, "exact", fit, verdict)
+    if "inf" in diameters:
+        return DivergenceReport(diameters, witnesses, "exact", None,
+                                "disconnected")
+    degree = polynomial_degree(diameters)
+    return DivergenceReport(diameters, witnesses, "exact", degree,
+                            DIVERGENCE_VERDICTS.get(degree, "polynomial"))

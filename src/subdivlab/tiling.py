@@ -270,9 +270,6 @@ class HistoryGraph:
                 parent = tile.parent_id if tile.level > 0 else ROOT_ID
                 self.children[parent].append(tile.id)
 
-    def vertex_count(self):
-        return len(self.vertices)
-
     def level_tiles(self, n):
         return self.tilings[n].nonideal()
 

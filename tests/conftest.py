@@ -1,7 +1,9 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from subdivlab import DefiningGraph, build_ball
-from subdivlab.tiling import build_history, build_tilings, extract_rule
+from subdivlab.tiling import build_history, build_tiling, build_tilings, extract_rule
 
 
 def triangle():
@@ -88,22 +90,51 @@ def balls():
     return {name: get_ball(name) for name in _SPECS}
 
 
+def _canonical_edges(d, edges):
+    return min(tuple(sorted(tuple(sorted((p[i], p[j]))) for i, j in edges))
+               for p in permutations(range(d)))
+
+
 def all_graphs_up_to_iso(d):
     """Representative edge sets of every isomorphism class on d vertices."""
-    from itertools import combinations, permutations
-    verts = list(range(d))
-    pairs = list(combinations(verts, 2))
+    pairs = list(combinations(range(d), 2))
     seen = set()
     reps = []
     for mask in range(1 << len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1)
-        canon = min(
-            tuple(sorted(tuple(sorted((p[i], p[j]))) for i, j in edges))
-            for p in permutations(verts))
+        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+        canon = _canonical_edges(d, edges)
         if canon not in seen:
             seen.add(canon)
-            reps.append(sorted(edges))
+            reps.append(edges)
     return reps
+
+
+@pytest.fixture(scope="module")
+def class_tilings():
+    """`class_tilings(d, edges, count)`: the first `count` tilings of the
+    defining graph on d vertices with these edges (balls capped at 300000),
+    or of the first isomorphic graph asked for: the cache key is canonical.
+
+    Tiling n reads the ball to depth n + 1 only.  So the first 3 tilings
+    come from a depth-3 ball, once per isomorphism class, and the tests of
+    one module that sweep every small defining graph share them (about
+    50 MB for the 18 classes on up to 4 generators, freed with the module).
+    Deeper levels are built on request from a ball as deep as they read,
+    and not kept: a 4th level holds more than the first 3 together."""
+    cache = {}
+
+    def get(d, edges, count):
+        key = (d, _canonical_edges(d, edges))
+        if key not in cache:
+            graph = graph_from_edges(d, edges)
+            cache[key] = graph, build_tilings(build_ball(graph, 3, cap=300000), 3)
+        graph, tilings = cache[key]
+        tilings = tilings[:count]
+        if count > 3:
+            ball = build_ball(graph, count, cap=300000)
+            tilings += [build_tiling(ball, n) for n in range(3, count)]
+        return tilings
+    return get
 
 
 def graph_from_edges(d, edges):

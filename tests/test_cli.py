@@ -38,6 +38,7 @@ def test_run_triangle(tmp_path):
     assert report["ends"]["verdict"] == 1
     assert report["mesh"]["certified"] is False
     assert report["divergence"]["verdict"] == "linear"
+    assert report["divergence"]["degree"] == 1
     assert report["meta"]["counters"]["descriptor_mismatches"] == 0
 
 

@@ -175,19 +175,19 @@ def test_divergence_triangle_linear():
     assert d.verdict == "linear"
     assert d.diameters == [6, 12, 18, 24]
     assert d.mode == "exact"
-    lin, exp = d.fit["linear"], d.fit["exponential"]
-    assert lin["sse"] <= 0.1 * exp["sse"]
+    assert d.degree == 1
 
 
 def test_divergence_path3_linear():
     d = divergence_diameter(get_tilings("path3"))
     assert d.verdict == "linear"
     assert all(x != "inf" for x in d.diameters)
+    assert d.degree == 1
 
 
 def test_divergence_free3_disconnected():
     d = divergence_diameter(get_tilings("free3"))
-    assert d.verdict == "disconnected"
+    assert (d.verdict, d.degree) == ("disconnected", None)
     assert all(x == "inf" for x in d.diameters)
 
 

@@ -140,7 +140,7 @@ def test_ideal_tile_parents(name):
 def test_history_free3():
     ts = get_tilings("free3", 2)
     h = build_history(ts)
-    assert h.vertex_count() == 6 + 30
+    assert len(h.vertices) == 6 + 30
     roots = h.children["origin"]
     assert len(roots) == 6
     for tid in roots:
@@ -151,7 +151,7 @@ def test_history_free3():
 def test_history_triangle():
     ts = get_tilings("triangle", 2)
     h = build_history(ts)
-    assert h.vertex_count() == 26 + 98
+    assert len(h.vertices) == 26 + 98
     # sphere dual graphs are connected at both levels
     for lvl in (0, 1):
         tiles = [t.id for t in h.level_tiles(lvl)]
