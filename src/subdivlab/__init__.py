@@ -6,13 +6,13 @@ __version__ = "0.1.0"
 from .graphs import (DefiningGraph, GraphError, cell_is_ideal, cells_intersect,
                      diagonal_elements, enumerate_cliques, parse_graph_json)
 from .words import equals, normalize, parse_word, predecessor, translate
-from .balls import (Ball, CapExceeded, InvariantViolation, build_ball, classify_cell,
-                    convex_cells, visible_region)
+from .balls import (Ball, CapExceeded, InvariantViolation, build_ball,
+                    visible_region)
 
 __all__ = [
     "DefiningGraph", "GraphError", "cell_is_ideal", "cells_intersect",
     "diagonal_elements", "enumerate_cliques", "parse_graph_json",
     "equals", "normalize", "parse_word", "predecessor", "translate",
-    "Ball", "CapExceeded", "InvariantViolation", "build_ball", "classify_cell",
-    "convex_cells", "visible_region", "__version__",
+    "Ball", "CapExceeded", "InvariantViolation", "build_ball",
+    "visible_region", "__version__",
 ]

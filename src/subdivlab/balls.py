@@ -1,5 +1,5 @@
-"""Exact metric balls over the diagonal generating set, with cell
-classification and visible regions.
+"""Exact metric balls over the diagonal generating set, with visible
+regions.
 
 Levels come from breadth-first search using every spherical signed set as a
 single move; one round of the staged gluing construction adds exactly the
@@ -13,9 +13,13 @@ cell reaching it: the canonically smallest h, as the frontier is in
 canonical order.  Each new sphere is checked against the subdivision rule's
 own count, which advances a count of covering moves through the inflation
 descriptor and needs no ball.  Elements covering several convex cells at
-once are counted; `word_predecessor_audit` counts the elements whose
-normal-form predecessor (drop the leftmost diagonal generator) fails to sit
-one level down.
+once are counted.
+
+Each level is sorted by normal form, computed once per element.  In that
+order each element is given its name and audited: the ball counts the
+elements whose normal-form predecessor (drop the leftmost diagonal
+generator) fails to sit one level down, with up to 10 examples.  Then the
+normal forms are dropped; the ball keeps names, not normal forms.
 
 The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
@@ -32,9 +36,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import words
-from .graphs import (Cell, DefiningGraph, cell_is_ideal, cell_str,
-                     cells_intersect, diagonal_elements, ideal_facets,
-                     inflation_descriptor, join_cells)
+from .graphs import (DefiningGraph, cell_str, cells_intersect,
+                     diagonal_elements, ideal_facets, inflation_descriptor,
+                     join_cells)
 
 DEFAULT_CAP = 10 ** 6
 
@@ -76,20 +80,6 @@ class Local:
     component: dict      # convex cell or attached ideal facet -> region index
 
 
-@dataclass
-class BoundaryCell:
-    """A cell of the domain boundary, addressed as (owner element, signs)."""
-    owner: tuple
-    cell: Cell
-
-    def domain_moves(self):
-        """Sub-signed-sets of the cell, including the empty one."""
-        pairs = self.cell
-        for r in range(len(pairs) + 1):
-            for combo in combinations(pairs, r):
-                yield combo
-
-
 class Ball:
     """Levels 0..N of the group under the diagonal generating set."""
 
@@ -103,7 +93,10 @@ class Ball:
         self.pred = {}            # state -> predecessor state (level >= 1)
         self.pred_move = {}       # state -> covering move (signed cell)
         self.multi_cover = 0      # elements covering more than one convex cell
-        self.nf_cache = {}
+        # elements whose normal-form predecessor is not one level down: their
+        # count and up to 10 of their names, in level order
+        self.predecessor_mismatches = 0
+        self.predecessor_mismatch_examples = []
         self._names = {}          # state -> normal-form string, formed once
         # nonempty sub-signed-sets of each move; they are moves themselves
         self._subcells = {t: [c for r in range(1, len(t) + 1)
@@ -165,22 +158,35 @@ class Ball:
                     "S(%d) has %d elements, the descriptor counts %d"
                     % (n, len(nxt), want), "sphere", n)
             self.multi_cover += len(multi)
-            # canonical level order: every downstream tie-break sees the same
-            # sequence regardless of discovery order
-            nxt.sort(key=lambda g: words.nf_key(self.nf(g)))
+            self._sort_and_name(nxt, n)
             self.levels.append(nxt)
 
-    def nf(self, state):
-        got = self.nf_cache.get(state)
-        if got is None:
-            got = words.syllables_of_state(self.graph, state)
-            self.nf_cache[state] = got
-        return got
+    def _sort_and_name(self, level, n):
+        """Put level n in canonical order, and name and audit each element.
+
+        Every downstream tie-break sees the same sequence regardless of
+        discovery order.  The normal forms live only for this call."""
+        graph = self.graph
+        nfs = {g: words.syllables_of_state(graph, g) for g in level}
+        level.sort(key=lambda g: words.nf_key(nfs[g]))
+        for g in level:
+            nf = nfs[g]
+            name = self._names[g] = words.nf_str(graph, nf)
+            # the piling state is a complete invariant: no normal form needed
+            hhat = words.state_of_word(graph, words.predecessor_word(nf))
+            if self.level_of.get(hhat) != n - 1:
+                self.predecessor_mismatches += 1
+                if len(self.predecessor_mismatch_examples) < 10:
+                    self.predecessor_mismatch_examples.append(name)
 
     def nf_string(self, state):
+        """The element's normal-form string.  Every element of levels 1..N
+        is named as its level is sorted; the identity is named on first
+        request, and so is a state outside the ball that an error names."""
         got = self._names.get(state)
         if got is None:
-            got = self._names[state] = words.nf_str(self.graph, self.nf(state))
+            got = self._names[state] = words.nf_str(
+                self.graph, words.syllables_of_state(self.graph, state))
         return got
 
     def in_ball(self, state, n) -> bool:
@@ -232,32 +238,6 @@ class Ball:
 
     def size(self):
         return len(self.level_of)
-
-
-def classify_cell(ball: Ball, n: int, owner, cell: Cell) -> str:
-    """Classify a boundary cell against B(n): convex / flat / concave /
-    covered for non-ideal cells, 'ideal' otherwise."""
-    if cell_is_ideal(ball.graph, cell):
-        return "ideal"
-    count = sum(1 for combo in BoundaryCell(owner, cell).domain_moves()
-                if ball.in_ball(ball.apply(owner, combo), n))
-    k = len(cell)
-    if count == 1:
-        return "convex"
-    if count == 2 ** k:
-        return "covered"
-    if count == 2:
-        return "flat"
-    return "concave"
-
-
-def convex_cells(ball: Ball, n: int):
-    """All convex (single-domain) non-ideal cells of S(n), owner-addressed.
-    The owner is the unique in-ball domain, so no deduplication is needed."""
-    out = []
-    for g in ball.levels[n]:
-        out.extend(BoundaryCell(g, cell) for cell in ball.local(g).convex)
-    return out
 
 
 @dataclass
@@ -331,20 +311,3 @@ def build_ball(graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP) -> B
     """Build the ball of the given depth."""
     return Ball(graph, n_levels, cap=cap)
 
-
-def word_predecessor_audit(ball: Ball):
-    """(count, examples) of the elements whose normal-form predecessor (drop
-    the leftmost diagonal generator) is not one level down; up to 10
-    examples, as normal-form strings."""
-    count = 0
-    examples = []
-    for n in range(1, ball.N + 1):
-        for g in ball.levels[n]:
-            nf = ball.nf(g)
-            # the piling state is a complete invariant: no normal form needed
-            hhat = words.state_of_word(ball.graph, words.predecessor_word(nf))
-            if ball.level_of.get(hhat) != n - 1:
-                count += 1
-                if len(examples) < 10:
-                    examples.append(words.nf_str(ball.graph, nf))
-    return count, examples

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .balls import DEFAULT_CAP, CapExceeded, build_ball, word_predecessor_audit
+from .balls import DEFAULT_CAP, CapExceeded, build_ball
 from .cubes import (CubeSpecError, StarConvexityViolation, check_local_isometry,
                     cone_types, lift_basepoints, parse_cube_spec, prune_history)
 from .exports import (counts_csv, history_to_dot, report_json, tiling_to_dot,
@@ -106,7 +106,6 @@ def run(config: RunConfig) -> int:
     except CapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    mismatches, examples = word_predecessor_audit(ball)
 
     tilings = build_tilings(ball, config.levels)
     history = build_history(tilings)
@@ -122,8 +121,9 @@ def run(config: RunConfig) -> int:
             "layout_seed": config.layout_seed,
             "warnings": [],
             "counters": {
-                "predecessor_level_mismatches": mismatches,
-                "predecessor_mismatch_examples": examples,
+                "predecessor_level_mismatches": ball.predecessor_mismatches,
+                "predecessor_mismatch_examples":
+                    ball.predecessor_mismatch_examples,
                 "covering_multiplicity_gt1": ball.multi_cover,
             },
         },
@@ -175,27 +175,31 @@ def run(config: RunConfig) -> int:
     if config.mode == "special":
         lifts = lift_basepoints(spec, graph, ball, config.levels)
         try:
-            pruned = prune_history(tilings, lifts, ball, rule)
+            pruned = prune_history(history, lifts, ball, rule)
         except StarConvexityViolation as exc:
             print("error: %s" % exc, file=sys.stderr)
             report["special"] = {"star_convex": False, "violation": str(exc)}
             _atomic_write(os.path.join(config.out_dir, "report.json"),
                           report_json(report))
             return EXIT_STAR
+        # every tile's owner lifts: the pruned history is the ambient one,
+        # and so are its cone types, growth and ends
+        same = pruned.history is history
         section = {
             "star_convex": True,
             "lift_level_sizes": lifts.level_sizes(),
             "tile_counts": pruned.tile_counts,
             "containment": pruned.containment,
-            "cone_types": cone_types(pruned.history, config.cone_depth),
+            "cone_types": (report["cone_types"] if same else
+                           cone_types(pruned.history, config.cone_depth)),
         }
         if pruned.rule is not None:
             section["rule_stable"] = pruned.rule.stable
             if len(pruned.tilings) >= 4 or pruned.rule.stable:
-                pg = growth(pruned.tilings, pruned.rule)
+                pg = g if same else growth(pruned.tilings, pruned.rule)
                 section["growth"] = {"counts": pg.counts,
                                      "classification": list(pg.classification())}
-            pe = ends(pruned.tilings, window=config.ends_window)
+            pe = e if same else ends(pruned.tilings, window=config.ends_window)
             section["ends"] = {"counts": pe.counts, "verdict": pe.verdict}
         report["special"] = section
 

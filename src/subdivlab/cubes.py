@@ -266,8 +266,9 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
     """Breadth-first lifting: walk the complex while multiplying the group
     element; every element of the ball realized at some vertex is a lift of
     the basepoint into the subgroup's cover.  The walk stays inside
-    B(n_max): a product outside it is never stored.  `n_max` is at most the
-    ball's depth."""
+    B(n_max): from an element of level n_max it takes only the letters of
+    its in-ball pattern, so a product outside the ball is never formed.
+    `n_max` is at most the ball's depth."""
     if n_max > ball.N:
         raise ValueError("ball too shallow: need level %d, have %d" % (n_max, ball.N))
     violation = check_local_isometry(spec, graph)
@@ -288,12 +289,12 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
         v, g = frontier.popleft()
         if g not in members:
             members[g] = v
+        # one letter moves a level at most: only level n_max can leave B(n_max)
+        inside = ball.local(g).pattern if ball.level_of[g] == n_max else None
         for germ, w in steps[v]:
-            h = words.apply_letters(g, graph, (germ,))
-            lvl = ball.level_of.get(h)
-            if lvl is None or lvl > n_max:
+            if inside is not None and (germ,) not in inside:
                 continue
-            state = (w, h)
+            state = (w, words.apply_letters(g, graph, (germ,)))
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
@@ -312,10 +313,12 @@ class PruneResult:
     containment: dict
 
 
-def prune_history(tilings, lifts: LiftSet, ball: Ball,
+def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
                   ambient_rule: SubdivisionRule | None = None) -> PruneResult:
-    """Re-flag tiles over unlifted elements as ideal and re-extract the rule
-    (none below three levels, as for the ambient tilings).
+    """Re-flag the ambient history's tiles over unlifted elements as ideal
+    and re-extract the rule (none below three levels, as for the ambient
+    tilings).  When no tile is re-flagged, the result holds the ambient
+    history itself and `ambient_rule`, if given.
 
     Aborts when the lift set is not closed under the ball's predecessor map
     (an ideal tile would subdivide into a non-ideal one)."""
@@ -323,9 +326,13 @@ def prune_history(tilings, lifts: LiftSet, ball: Ball,
         for g in lifts.levels[n]:
             if ball.pred[g] not in lifts.members:
                 raise StarConvexityViolation(ball.nf_string(g))
-    pruned = [t.restricted(lifts.members) for t in tilings]
-    history = HistoryGraph(pruned)
-    rule = extract_rule(history) if len(pruned) >= 3 else None
+    pruned = [t.restricted(lifts.members) for t in ambient.tilings]
+    if all(p is t for p, t in zip(pruned, ambient.tilings)):
+        history, rule = ambient, ambient_rule
+    else:
+        history, rule = HistoryGraph(pruned), None
+    if rule is None and len(pruned) >= 3:
+        rule = extract_rule(history)
     containment = {"mapping": {}, "injective": True, "children_consistent": True}
     if ambient_rule is not None:
         mapping = {}

@@ -81,8 +81,11 @@ class Tiling:
 
     def restricted(self, owners):
         """The same tiles, with every non-ideal tile whose owner is not in
-        `owners` flagged ideal.  Edges and neighbour lists are shared with
-        this tiling: every reader drops ideal neighbours."""
+        `owners` flagged ideal; this tiling itself when that flags none.
+        Edges and neighbour lists are shared with this tiling: every reader
+        drops ideal neighbours."""
+        if all(tile.ideal or tile.owner in owners for tile in self.tiles):
+            return self
         tiles = [tile if tile.ideal or tile.owner in owners
                  else replace(tile, ideal=True) for tile in self.tiles]
         return Tiling(self.level, self.graph, tiles, self.instances,
@@ -180,9 +183,9 @@ def _compute_adjacency(ball: Ball, n: int, tiles):
     taken from the side whose owner comes first by nf_key, and that owner is
     its canonical (lowest level, then nf_key) domain, as every further
     domain of the cell lies outside B(n+1); the shared cell is yielded as
-    (nf string of that owner, signs).  Which regions of g and h the cell
-    touches, and the label, depend only on the covering moves of g and h,
-    so they are worked out once per (move of g, cell, move of h)."""
+    (that owner, signs).  Which regions of g and h the cell touches, and the
+    label, depend only on the covering moves of g and h, so they are worked
+    out once per (move of g, cell, move of h)."""
     level = ball.levels[n + 1]
     rank = {g: i for i, g in enumerate(level)}   # levels are in nf_key order
     ids = [[] for _ in level]                    # tile ids by region index
@@ -211,9 +214,8 @@ def _compute_adjacency(ball: Ball, n: int, tiles):
             comps_g, comps_h, label = join
             sides = {ids[i][c] for c in comps_g}
             sides.update(ids[j][c] for c in comps_h)
-            shared = (ball.nf_string(g), cell)
             for a, b in combinations(sorted(sides), 2):
-                yield a, b, label, shared
+                yield a, b, label, (g, cell)
 
 
 def _join(cell, s0, local_g, local_h):

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from subdivlab import words
-from subdivlab.balls import CapExceeded, build_ball, word_predecessor_audit
+from subdivlab.balls import CapExceeded, build_ball
 from subdivlab.cubes import lift_basepoints, prune_history, salvetti_spec
 from subdivlab.graphs import DefiningGraph
 from subdivlab.invariants import (classify_counts, divergence_diameter, ends,
@@ -282,12 +282,13 @@ def test_criterion_9_special_pruning():
 
     loop_a = CubeComplexSpec(sq, ["v"], [Edge("e_a", "v", "v", 0, 1)], [])
     lifts = lift_basepoints(loop_a, sq, ball, ball.N)
-    pr = prune_history(ts, lifts, ball, rule)   # raises on any violation
+    # raises on any violation
+    pr = prune_history(build_history(ts), lifts, ball, rule)
     assert pr.tile_counts == [2, 2, 2, 2]
     assert ends(pr.tilings).verdict == 2
 
     full = lift_basepoints(salvetti_spec(sq), sq, ball, ball.N)
-    pr_full = prune_history(ts, full, ball, rule)
+    pr_full = prune_history(build_history(ts), full, ball, rule)
     assert pr_full.tile_counts == [len(t.nonideal()) for t in ts]
     assert all(k == v for k, v in pr_full.containment["mapping"].items())
 
@@ -296,7 +297,7 @@ def test_criterion_9_special_pruning():
     pts = get_tilings("path3")
     prule = get_rule("path3")
     ind = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, pball, pball.N)
-    pr_ind = prune_history(pts, ind, pball, prule)
+    pr_ind = prune_history(build_history(pts), ind, pball, prule)
     standalone = [len(t.nonideal()) for t in ts]
     assert pr_ind.tile_counts == standalone
     assert growth(pr_ind.tilings, pr_ind.rule).counts == \
@@ -316,7 +317,8 @@ def test_criterion_10_discrepancies_reported():
     # predecessor-level mismatches exist for the path graph and include the
     # a z^2 b class
     ball = get_ball("path3")
-    mismatches, examples = word_predecessor_audit(ball)
+    mismatches = ball.predecessor_mismatches
+    examples = ball.predecessor_mismatch_examples
     assert mismatches > 0
     assert len(examples) > 0
     g = path3()

@@ -1,15 +1,15 @@
+import gc
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import pytest
 
 from subdivlab import InvariantViolation, words
-from subdivlab.balls import (Ball, BoundaryCell, CapExceeded, build_ball,
-                             classify_cell, convex_cells, visible_region,
-                             word_predecessor_audit)
-from subdivlab.graphs import (DefiningGraph, diagonal_elements,
-                              inflation_descriptor)
+from subdivlab.balls import Ball, CapExceeded, build_ball, visible_region
+from subdivlab.graphs import (Cell, DefiningGraph, cell_is_ideal,
+                              diagonal_elements, inflation_descriptor)
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes, lattice_sphere_sizes_bfs,
                                oracle_sphere_sizes)
@@ -21,6 +21,47 @@ from conftest import (all_graphs_up_to_iso, edge_plus_vertex, get_ball,
 
 def el(graph, ball, text):
     return state_of_word(graph, parse_word(graph, text))
+
+
+@dataclass
+class BoundaryCell:
+    """A cell of the domain boundary, addressed as (owner element, signs)."""
+    owner: tuple
+    cell: Cell
+
+    def domain_moves(self):
+        """Sub-signed-sets of the cell, including the empty one."""
+        pairs = self.cell
+        for r in range(len(pairs) + 1):
+            for combo in combinations(pairs, r):
+                yield combo
+
+
+def classify_cell(ball, n, owner, cell):
+    """Classify a boundary cell against B(n) by products: convex / flat /
+    concave / covered for non-ideal cells, 'ideal' otherwise."""
+    if cell_is_ideal(ball.graph, cell):
+        return "ideal"
+    count = sum(1 for combo in BoundaryCell(owner, cell).domain_moves()
+                if ball.in_ball(ball.apply(owner, combo), n))
+    k = len(cell)
+    if count == 1:
+        return "convex"
+    if count == 2 ** k:
+        return "covered"
+    if count == 2:
+        return "flat"
+    return "concave"
+
+
+def convex_cells(ball, n):
+    """All convex (single-domain) non-ideal cells of S(n), owner-addressed,
+    read off `Ball.local`.  The owner is the unique in-ball domain, so no
+    deduplication is needed."""
+    out = []
+    for g in ball.levels[n]:
+        out.extend(BoundaryCell(g, cell) for cell in ball.local(g).convex)
+    return out
 
 
 def test_lattice_oracle_closed_form_matches_bfs():
@@ -59,18 +100,67 @@ def test_predecessor_levels_and_cover():
     assert ball.multi_cover == 0
 
 
+def word_predecessor_audit(ball):
+    """Reference audit over the finished ball: (count, examples) of the
+    elements whose normal-form predecessor (drop the leftmost diagonal
+    generator) is not one level down; up to 10 examples, in level order."""
+    count = 0
+    examples = []
+    for n in range(1, ball.N + 1):
+        for g in ball.levels[n]:
+            form = words.syllables_of_state(ball.graph, g)
+            hhat = words.state_of_word(ball.graph, words.predecessor_word(form))
+            if ball.level_of.get(hhat) != n - 1:
+                count += 1
+                if len(examples) < 10:
+                    examples.append(words.nf_str(ball.graph, form))
+    return count, examples
+
+
+@pytest.mark.parametrize("name", ["triangle", "free3", "path3"])
+def test_recorded_audit_matches_the_reference(name):
+    ball = get_ball(name)
+    count, examples = word_predecessor_audit(ball)
+    assert (ball.predecessor_mismatches,
+            ball.predecessor_mismatch_examples) == (count, examples)
+    assert (count > 0) == (name == "path3")
+    if name == "path3":
+        assert len(examples) == 10
+
+
+def test_ball_keeps_names_not_normal_forms():
+    # P4, the path a-b-c-d, at depth 4: 19,025 elements, ~565 B each.  With
+    # every element's syllable tuples kept for the run it was ~1,020 B, and
+    # ~1,100 B once every element was named
+    graph = DefiningGraph(["a", "b", "c", "d"],
+                          [["a", "b"], ["b", "c"], ["c", "d"]])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ball = build_ball(graph, 4)
+        gc.collect()   # empties the tuple free lists, which tracemalloc counts
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ball.size() == 19025
+    assert used <= 600 * ball.size(), used / ball.size()
+    assert all(ball.nf_string(g)
+               == words.nf_str(graph, words.syllables_of_state(graph, g))
+               for g in ball.levels[4][:200])
+
+
 def test_word_predecessor_mismatches_detected():
     ball = get_ball("path3")
     # elements like a z^2 b have a normal-form predecessor at the same level
-    assert word_predecessor_audit(ball)[0] > 0
+    assert ball.predecessor_mismatches > 0
     g = path3()
     nf = words.normalize(g, parse_word(g, "a z^2 b"))
     state = words.state_of_nf(g, nf)
     assert ball.level_of[state] == 2
     hhat = words.predecessor(g, nf)
     assert ball.level_of[words.state_of_nf(g, hhat)] == 2  # not one lower
-    assert word_predecessor_audit(get_ball("triangle"))[0] == 0
-    assert word_predecessor_audit(get_ball("free3"))[0] == 0
+    assert get_ball("triangle").predecessor_mismatches == 0
+    assert get_ball("free3").predecessor_mismatches == 0
 
 
 def test_classify_cell_examples():
@@ -173,7 +263,7 @@ def canonical_rep(ball, owner, cell):
             continue
         flipped = frozenset(combo)
         signs = tuple((i, -s if (i, s) in flipped else s) for i, s in cell)
-        key = (lvl, words.nf_key(ball.nf(dom)))
+        key = (lvl, words.nf_key(words.syllables_of_state(ball.graph, dom)))
         if best is None or key < best[0]:
             best = (key, dom, signs)
     return best[1], best[2]
@@ -189,15 +279,14 @@ def domains(ball, owner, cell):
 def test_shared_cell_is_canonical_rep(name):
     ball = get_ball(name)
     for tiling in get_tilings(name):
-        state_of = {ball.nf_string(g): g for g in ball.levels[tiling.level + 1]}
         # the tiling keeps each yielded edge without its shared cell
         edges = list(_compute_adjacency(ball, tiling.level, tiling.nonideal()))
         assert [edge[:3] for edge in edges] == tiling.instances
         for tile1, tile2, _, shared in edges:
-            owner_nf, signs = shared
-            owner = state_of[owner_nf]
+            owner, signs = shared
+            assert ball.level_of[owner] == tiling.level + 1
             rep_owner, rep_signs = canonical_rep(ball, owner, signs)
-            assert (ball.nf_string(rep_owner), rep_signs) == shared
+            assert (rep_owner, rep_signs) == shared
             # the same geometric cell, lying in both tiles' domains
             cell_domains = domains(ball, owner, signs)
             assert cell_domains == domains(ball, rep_owner, rep_signs)
@@ -291,7 +380,8 @@ def test_predecessors_match_per_element_search(graph):
                 if ball.level_of.get(h) == n - 1 and not any(
                         ball.in_ball(ball.apply(h, c), n - 1)
                         for r in range(1, len(t) + 1) for c in combinations(t, r)):
-                    candidates.append((words.nf_key(ball.nf(h)), t, h))
+                    form = words.syllables_of_state(ball.graph, h)
+                    candidates.append((words.nf_key(form), t, h))
             key, t, h = min(candidates)
             assert (ball.pred[g], ball.pred_move[g]) == (h, t)
             multi += len(candidates) > 1

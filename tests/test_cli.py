@@ -117,6 +117,33 @@ def test_special_partial_lift_pinned(tmp_path, data, special):
     assert sp == special
 
 
+PATH3_FULL = dict(
+    PATH3_AZ,
+    edges=PATH3_AZ["edges"] + [{"id": "e_b", "from": "v", "to": "v",
+                                "label": "b"}],
+    squares=PATH3_AZ["squares"] + [[["e_b", 1], ["e_z", 1], ["e_b", -1],
+                                    ["e_z", -1]]])
+
+
+def test_special_full_lift_is_the_ambient_run(tmp_path):
+    # the whole ball lifts to the full complex: its special section reads
+    # the ambient cone types, growth and ends
+    inp = write(tmp_path, "complex.json", PATH3_FULL)
+    assert main(["run", inp, "--mode", "special", "--levels", "4",
+                 "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    sp = report["special"]
+    assert sp["lift_level_sizes"] == report["sphere_sizes"]
+    assert sp["tile_counts"] == report["growth"]["counts"] == [14, 70, 286, 1078]
+    assert sp["cone_types"] == report["cone_types"]
+    assert sp["growth"] == {k: report["growth"][k]
+                            for k in ("counts", "classification")}
+    assert sp["ends"] == {k: report["ends"][k] for k in ("counts", "verdict")}
+    assert sp["rule_stable"] is report["rule"]["stable"] is True
+    mapping = sp["containment"]["mapping"]
+    assert mapping and all(k == v for k, v in mapping.items())
+
+
 def test_run_parser_defaults_are_the_config_defaults():
     args = make_parser().parse_args(["run", "x"])
     config = RunConfig("x")

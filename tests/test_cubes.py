@@ -112,7 +112,8 @@ def _lift_reference(spec, graph, ball, n_max):
     for g in members:
         levels[ball.level_of[g]].append(g)
     for lvl in levels:
-        lvl.sort(key=lambda s: words.nf_key(ball.nf(s)))
+        lvl.sort(key=lambda s: words.nf_key(
+            words.syllables_of_state(ball.graph, s)))
     return levels, members
 
 
@@ -147,7 +148,7 @@ def test_prune_loop_a():
     ts = get_tilings("square")
     rule = get_rule("square")
     lifts = lift_basepoints(loop_a_spec(g), g, ball, ball.N)
-    pr = prune_history(ts, lifts, ball, rule)
+    pr = prune_history(build_history(ts), lifts, ball, rule)
     assert pr.tile_counts == [2, 2, 2, 2]
     assert pr.tile_counts == [len(lifts.levels[n + 1]) for n in range(4)]
     assert pr.containment["injective"]
@@ -163,7 +164,10 @@ def test_prune_full_salvetti_is_identity():
     ts = get_tilings("square")
     rule = get_rule("square")
     lifts = lift_basepoints(salvetti_spec(g), g, ball, ball.N)
-    pr = prune_history(ts, lifts, ball, rule)
+    history = build_history(ts)
+    pr = prune_history(history, lifts, ball, rule)
+    # no tile is re-flagged: the ambient history and rule, not copies
+    assert pr.history is history and pr.rule is rule
     assert pr.tile_counts == [len(t.nonideal()) for t in ts]
     assert pr.rule.stable
     assert {t.name for t in pr.rule.types} == {t.name for t in rule.types}
@@ -177,7 +181,7 @@ def test_prune_induced_matches_standalone():
     ts = get_tilings("path3")
     rule = get_rule("path3")
     lifts = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, ball, ball.N)
-    pr = prune_history(ts, lifts, ball, rule)
+    pr = prune_history(build_history(ts), lifts, ball, rule)
     standalone = [len(t.nonideal()) for t in get_tilings("square")]
     assert pr.tile_counts == standalone
     pg = growth(pr.tilings, pr.rule)
@@ -197,7 +201,7 @@ def test_prune_star_convexity_violation():
                      members=lifts.members - set(lifts.levels[1]),
                      witness=lifts.witness)
     with pytest.raises(StarConvexityViolation):
-        prune_history(ts, broken, ball)
+        prune_history(build_history(ts), broken, ball)
 
 
 def test_cone_types_free3():
@@ -244,7 +248,7 @@ def test_cone_types_pruned_loop_a():
     ball = get_ball("square")
     ts = get_tilings("square")
     lifts = lift_basepoints(loop_a_spec(g), g, ball, ball.N)
-    pr = prune_history(ts, lifts, ball)
+    pr = prune_history(build_history(ts), lifts, ball)
     out = cone_types(pr.history, 1)
     assert out["total_classes"] == 2
 

@@ -211,6 +211,8 @@ def test_restricted_reflags_tiles_and_shares_adjacency():
         {t.id for t in ts[1].nonideal() if t.owner in owners}
     # the base tiling keeps its own flags
     assert all(not t.ideal for t in ts[1].tiles if t.covered_move is not None)
+    # a restriction that flags no tile is the tiling itself
+    assert ts[1].restricted({t.owner for t in ts[1].tiles}) is ts[1]
 
 
 def test_tilings_share_ids_and_stay_compact():
