@@ -114,6 +114,9 @@ class Ball:
         total = 1
         count = Counter({None: 1})   # covering move -> elements of the sphere
         rule = {None: self.moves}    # covering move -> the rule's convex cells
+        # pile tuple -> its one shared copy: equal piles such as (0,) or
+        # (1, 0) recur across elements, and a stored element holds the copy
+        shared = {}.setdefault
         for n in range(1, self.N + 1):
             nxt = []
             multi = set()
@@ -126,6 +129,7 @@ class Ball:
                     g = words.apply_letters(h, self.graph, t)
                     lvl = self.level_of.get(g)
                     if lvl is None:
+                        g = tuple(map(shared, g, g))
                         self.level_of[g] = n
                         self.pred[g] = h
                         self.pred_move[g] = t
@@ -207,7 +211,7 @@ class Ball:
         level = self.level_of[g]
         move = self.pred_move.get(g)
         rec = self._local.get(move)
-        checked = self._spot_checked.setdefault((level, move), [])
+        checked = self._spot_checked.get((level, move), ())
         if rec is None or (len(checked) < 2 and g not in checked):
             pattern = frozenset(t for t in self.moves
                                 if self.in_ball(self.apply(g, t), level))
@@ -217,7 +221,7 @@ class Ball:
                 raise InvariantViolation(
                     "in-ball pattern differs from that of its covering move",
                     self.nf_string(g), level)
-            checked.append(g)
+            self._spot_checked.setdefault((level, move), []).append(g)
         return rec
 
     def _local_of(self, pattern):

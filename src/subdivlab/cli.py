@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
@@ -64,11 +65,19 @@ class RunConfig:
                              % (",".join(unknown), ",".join(EXPORTS)))
 
 
-def _atomic_write(path, text):
+@contextmanager
+def _atomic_open(path):
+    """A file to write `path` through: a temporary file that replaces `path`
+    when the block ends."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        f.write(text)
+        yield f
     os.replace(tmp, path)
+
+
+def _atomic_write(path, text):
+    with _atomic_open(path) as f:
+        f.write(text)
 
 
 def _load_input(config: RunConfig):
@@ -209,9 +218,10 @@ def run(config: RunConfig) -> int:
         tdir = os.path.join(config.out_dir, "tilings")
         os.makedirs(tdir, exist_ok=True)
         for t in tilings:
-            _atomic_write(os.path.join(tdir, "level_%02d.json" % t.level),
-                          json.dumps(tiling_to_json(t, rule), sort_keys=True,
-                                     indent=2) + "\n")
+            with _atomic_open(os.path.join(tdir, "level_%02d.json" % t.level)) as f:
+                # streamed: the encoder writes its chunks as they come
+                json.dump(tiling_to_json(t, rule), f, sort_keys=True, indent=2)
+                f.write("\n")
     if "dot" in config.exports:
         ddir = os.path.join(config.out_dir, "dot")
         os.makedirs(ddir, exist_ok=True)

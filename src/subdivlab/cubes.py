@@ -19,7 +19,7 @@ from itertools import combinations, product
 from . import words
 from .balls import Ball
 from .graphs import DefiningGraph
-from .tiling import ROOT_ID, HistoryGraph, SubdivisionRule, extract_rule
+from .tiling import ROOT, HistoryGraph, SubdivisionRule, extract_rule
 
 
 class CubeSpecError(ValueError):
@@ -337,9 +337,10 @@ def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
     if ambient_rule is not None:
         mapping = {}
         consistent = True
-        for tid in history.vertices:
-            p = rule.type_of.get(tid)
-            a = ambient_rule.type_of.get(tid)
+        for v in history.vertices:
+            n, i = history.locate(v)
+            p = rule.type_of[n][i]
+            a = ambient_rule.type_of[n][i]
             if p is None or a is None:
                 continue
             if p in mapping and mapping[p] != a:
@@ -380,18 +381,18 @@ def cone_types(history: HistoryGraph, k: int):
         for step in range(k):
             nxt = []
             for u in frontier:
-                for c in history.children.get(u, ()):
+                for c in history.children(u):
                     if c not in nodes:
                         nodes[c] = step + 1
                         nxt.append(c)
             frontier = nxt
         edges = defaultdict(set)
         for u in nodes:
-            for c in history.children.get(u, ()):
+            for c in history.children(u):
                 if c in nodes:
                     edges[u].add(("v", c))
                     edges[c].add(("v^", u))
-            if u != ROOT_ID:
+            if u != ROOT:
                 for o in history.horizontal_neighbors(u):
                     if o in nodes:
                         edges[u].add(("h", o))
@@ -408,12 +409,12 @@ def cone_types(history: HistoryGraph, k: int):
 
     by_level = defaultdict(dict)
     if -1 + k <= levels - 1:
-        sig = cone_signature(ROOT_ID, -1)
+        sig = cone_signature(ROOT, -1)
         by_level[-1][sig] = 1
     for lvl in range(0, max_classified + 1):
         counts = Counter()
-        for tile in history.level_tiles(lvl):
-            counts[cone_signature(tile.id, lvl)] += 1
+        for v in history.level_tiles(lvl):
+            counts[cone_signature(v, lvl)] += 1
         by_level[lvl] = dict(counts)
     class_counts = {lvl: len(sigs) for lvl, sigs in sorted(by_level.items())}
     all_sigs = set()

@@ -1,6 +1,6 @@
-"""Deterministic artifact exports: tiling JSON (with re-import), DOT, an SVG
-of each level's tiles on a circle ordered by parent, report JSON and CSV
-count tables."""
+"""Deterministic artifact exports: tiling JSON, DOT, an SVG of each level's
+tiles on a circle ordered by parent, report JSON and CSV count tables.  Tile
+names are formed here, from the ball, once per exported level."""
 
 from __future__ import annotations
 
@@ -11,75 +11,60 @@ import math
 from collections import Counter
 
 from .graphs import cell_str
+from .tiling import ROOT
 
 SVG_SIZE = 640   # width and height of the drawing, in px
 
 
+def _types(tiling, rule):
+    """Each stored tile's refined type; None for an ideal one or no rule."""
+    if rule is None:
+        return [None] * len(tiling.owner)
+    return [None if flag else name
+            for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
+
+
 def tiling_to_json(tiling, rule=None):
+    ball, gens = tiling.ball, tiling.graph.generators
+    names = tiling.names()
     tiles = []
-    for t in tiling.tiles:
-        rec = {
-            "id": t.id,
-            "level": t.level,
-            "owner": t.owner_nf,
-            "ideal": t.ideal,
-            "parent": t.parent_id,
-            "adjacent": [[o, lab] for o, lab in tiling.neighbors(t.id)],
-        }
-        if not t.ideal:
-            rec["cells"] = [
-                [[tiling.graph.generators[i], s] for i, s in c] for c in t.cells]
-            rec["covered_clique"] = [tiling.graph.generators[i]
-                                     for i in t.covered_clique]
+    for i, (name, parent, adjacent, type_name) in enumerate(zip(
+            names, tiling.parent_names(), tiling.adjacency(names),
+            _types(tiling, rule))):
+        rec = {"id": name, "level": tiling.level,
+               "owner": ball.nf_string(tiling.owner_of(i)),
+               "ideal": bool(tiling.ideal[i]), "parent": parent,
+               "adjacent": [list(p) for p in adjacent]}
+        if not tiling.ideal[i]:
+            rec["cells"] = [[[gens[k], s] for k, s in c] for c in tiling.cells(i)]
+            rec["covered_clique"] = [gens[k] for k in tiling.covered_clique(i)]
             if rule is not None:
-                name = rule.type_of.get(t.id)
-                rec["type"] = name
-                rec["type_coalesced"] = rule.coalesced_of.get(name)
-        else:
-            rec["facet"] = cell_str(tiling.graph, t.ideal_facet)
+                rec["type"] = type_name
+                rec["type_coalesced"] = rule.coalesced_of.get(type_name)
         tiles.append(rec)
+    for name, owner, facet, parent in tiling.ideal_tiles():
+        tiles.append({"id": name, "level": tiling.level,
+                      "owner": ball.nf_string(owner), "ideal": True,
+                      "parent": parent, "adjacent": [],
+                      "facet": cell_str(tiling.graph, facet)})
     return {"level": tiling.level, "tiles": tiles}
-
-
-def tiling_from_json(data):
-    """Re-import an exported tiling as a lightweight isomorphic structure."""
-    class Imported:
-        pass
-
-    imp = Imported()
-    imp.level = data["level"]
-    imp.tiles = data["tiles"]
-    imp.by_id = {t["id"]: t for t in data["tiles"]}
-    imp.adjacency = {t["id"]: sorted(map(tuple, t["adjacent"])) for t in data["tiles"]}
-    return imp
-
-
-def tiling_isomorphic(tiling, imported) -> bool:
-    """Relabelling-equality check between a built tiling and a re-import."""
-    ids = sorted(t.id for t in tiling.tiles)
-    if ids != sorted(imported.by_id):
-        return False
-    for t in tiling.tiles:
-        if sorted(tiling.neighbors(t.id)) != imported.adjacency[t.id]:
-            return False
-        rec = imported.by_id[t.id]
-        if rec["ideal"] != t.ideal or rec["parent"] != t.parent_id:
-            return False
-    return True
 
 
 def tiling_to_dot(tiling, rule=None, name="tiling"):
     lines = ["graph %s {" % name]
-    for t in tiling.tiles:
-        style = "dashed" if t.ideal else "solid"
-        label = t.id
-        if rule is not None and not t.ideal:
-            label += "\\n%s" % rule.coalesced_of.get(rule.type_of.get(t.id), "")
-        lines.append('  "%s" [style=%s, label="%s"];' % (t.id, style, label))
+    names = tiling.names()
+    nodes = list(zip(names, tiling.ideal, _types(tiling, rule)))
+    nodes += [(tid, True, None) for tid, _, _, _ in tiling.ideal_tiles()]
+    for tid, ideal, type_name in nodes:
+        label = tid
+        if rule is not None and not ideal:
+            label += "\\n%s" % rule.coalesced_of.get(type_name, "")
+        lines.append('  "%s" [style=%s, label="%s"];'
+                     % (tid, "dashed" if ideal else "solid", label))
     seen = set()
-    for t in tiling.tiles:
-        for o, lab in tiling.neighbors(t.id):
-            key = tuple(sorted((t.id, o)))
+    for tid, adjacent in zip(names, tiling.adjacency(names)):
+        for o, lab in adjacent:
+            key = tuple(sorted((tid, o)))
             if key in seen:
                 continue
             seen.add(key)
@@ -90,18 +75,22 @@ def tiling_to_dot(tiling, rule=None, name="tiling"):
 
 
 def history_to_dot(history, name="history"):
-    lines = ["digraph %s {" % name, '  "origin";']
-    for t in history.tilings:
-        for tile in t.nonideal():
-            lines.append('  "%s";' % tile.id)
-    for parent, kids in sorted(history.children.items()):
-        for k in sorted(kids):
+    lines = ["digraph %s {" % name, '  "%s";' % history.name(ROOT)]
+    names = [t.names() for t in history.tilings]
+    flat = [tid for level in names for tid in level]   # by vertex
+    lines += ['  "%s";' % flat[v] for v in history.vertices]
+    # subdivision edges, parents and children in name order
+    parents = [(history.name(ROOT), ROOT)]
+    parents += [(flat[v], v) for v in range(history.offsets[-2])]
+    for parent, v in sorted(parents):
+        for k in sorted(flat[c] for c in history.children(v)):
             lines.append('  "%s" -> "%s";' % (parent, k))
-    for t in history.tilings:
+    for n, t in enumerate(history.tilings):
         seen = set()
-        for tile in t.nonideal():
-            for o, _ in t.neighbors(tile.id):
-                key = tuple(sorted((tile.id, o)))
+        adjacency = t.adjacency(names[n])
+        for i in t.nonideal():
+            for o, _ in adjacency[i]:
+                key = tuple(sorted((names[n][i], o)))
                 if key not in seen:
                     seen.add(key)
                     lines.append('  "%s" -> "%s" [dir=none, style=dashed];' % key)
@@ -110,21 +99,27 @@ def history_to_dot(history, name="history"):
 
 
 def tiling_to_svg(tiling, rule=None, seed=0):
-    """Tiles evenly spaced on a circle, sorted by (parent id, id) so that the
-    children of one tile sit side by side; `seed` rotates the start by whole
-    steps.  Distances carry no metric meaning."""
-    order = sorted(tiling.tiles, key=lambda t: (t.parent_id or "", t.id))
+    """Tiles evenly spaced on a circle, sorted by (parent name, name) so
+    that the children of one tile sit side by side; `seed` rotates the start
+    by whole steps.  Distances carry no metric meaning."""
+    names = tiling.names()
+    # (name, parent name, refined type, ideal) of every tile, stored first
+    tiles = list(zip(names, tiling.parent_names(), _types(tiling, rule),
+                     tiling.ideal))
+    tiles += [(tid, parent, None, True)
+              for tid, _, _, parent in tiling.ideal_tiles()]
+    order = sorted(tiles, key=lambda t: (t[1] or "", t[0]))
     n = max(len(order), 1)
     centre, radius = SVG_SIZE / 2, 0.45 * SVG_SIZE
     pos = {}
     for k, t in enumerate(order):
         angle = 2 * math.pi * (k + seed) / n
-        pos[t.id] = (round(centre + radius * math.cos(angle), 3),
+        pos[t[0]] = (round(centre + radius * math.cos(angle), 3),
                      round(centre + radius * math.sin(angle), 3))
     edges = set()
-    for t in tiling.tiles:
-        for o, _ in tiling.neighbors(t.id):
-            edges.add(tuple(sorted((t.id, o))))
+    for i, tid in enumerate(names):
+        for j in tiling.neighbors(i):
+            edges.add(tuple(sorted((tid, names[j]))))
 
     legend = []
     if rule is not None:
@@ -141,14 +136,14 @@ def tiling_to_svg(tiling, rule=None, seed=0):
                   % (xa, ya, xb, yb))
     palette = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
                "#aa3377", "#bbbbbb"]
-    for t in tiling.tiles:
-        x, y = pos[t.id]
+    for tid, _, type_name, ideal in tiles:
+        x, y = pos[tid]
         color = "#dddddd"
-        if rule is not None and not t.ideal:
-            co = rule.coalesced_of.get(rule.type_of.get(t.id))
+        if type_name is not None:
+            co = rule.coalesced_of.get(type_name)
             if co is not None and co in legend:
                 color = palette[legend.index(co) % len(palette)]
-        dash = ' stroke-dasharray="3,3"' if t.ideal else ""
+        dash = ' stroke-dasharray="3,3"' if ideal else ""
         out.write('<circle cx="%s" cy="%s" r="5" fill="%s" stroke="#333"%s/>\n'
                   % (x, y, color, dash))
     for i, name in enumerate(legend):
@@ -166,12 +161,12 @@ def counts_csv(tilings, rule=None):
     names = rule.coalesced_names() if rule is not None else []
     w.writerow(["level", "nonideal_tiles", "ideal_tiles"] + ["type_%s" % n for n in names])
     for t in tilings:
-        row = [t.level, len(t.nonideal()), len(t.ideal_tiles())]
+        tiles = t.nonideal()
+        row = [t.level, len(tiles), len(t.tiles) - len(tiles)]
         if rule is not None:
             c = Counter()
-            for tile in t.nonideal():
-                name = rule.type_of.get(tile.id)
-                c[rule.coalesced_of.get(name)] += 1
+            for i in tiles:
+                c[rule.coalesced_of.get(rule.type_of[t.level][i])] += 1
             row += [c.get(n, 0) for n in names]
         w.writerow(row)
     return out.getvalue()

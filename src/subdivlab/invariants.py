@@ -292,8 +292,9 @@ def growth(tilings, rule=None) -> GrowthReport:
     if rule is not None:
         for t in tilings:
             c = Counter()
-            for tile in t.nonideal():
-                name = rule.type_of.get(tile.id)
+            types = rule.type_of[t.level]
+            for i in t.nonideal():
+                name = types[i]
                 c[rule.coalesced_of.get(name, name)] += 1
             by_type.append(dict(sorted(c.items())))
     transition = None
@@ -339,10 +340,10 @@ class EndsReport:
 
 
 def _components(tiling):
-    """Connected components of the non-ideal dual graph at one level."""
-    ids = [t.id for t in tiling.nonideal()]
-    idset = set(ids)
-    parent = {i: i for i in ids}
+    """Connected components of the non-ideal dual graph at one level: their
+    number, and each tile's component (-1 for an ideal one)."""
+    flags = tiling.ideal
+    parent = list(range(len(flags)))
 
     def find(x):
         while parent[x] != x:
@@ -350,21 +351,18 @@ def _components(tiling):
             x = parent[x]
         return x
 
-    for tid in ids:
-        for other, _ in tiling.neighbors(tid):
-            if other in idset:
-                ra, rb = find(tid), find(other)
+    tiles = tiling.nonideal()
+    for i in tiles:
+        for j in tiling.neighbors(i):
+            if not flags[j]:
+                ra, rb = find(i), find(j)
                 if ra != rb:
                     parent[ra] = rb
-    comps = defaultdict(list)
-    for tid in ids:
-        comps[find(tid)].append(tid)
-    ordered = sorted(comps.values(), key=min)
-    comp_of = {}
-    for i, members in enumerate(ordered):
-        for tid in members:
-            comp_of[tid] = i
-    return len(ordered), comp_of
+    comp_of = [-1] * len(flags)
+    number = {}   # root -> component, numbered by first tile
+    for i in tiles:
+        comp_of[i] = number.setdefault(find(i), len(number))
+    return len(number), comp_of
 
 
 def ends(tilings, window: int = 3) -> EndsReport:
@@ -380,9 +378,10 @@ def ends(tilings, window: int = 3) -> EndsReport:
         _, comp_of = data[lvl]
         _, comp_parent = data[lvl - 1]
         mapping = defaultdict(set)
-        for tile in tilings[lvl].nonideal():
-            if tile.parent_id in comp_parent:
-                mapping[comp_of[tile.id]].add(comp_parent[tile.parent_id])
+        parent = tilings[lvl].parent
+        for i in tilings[lvl].nonideal():
+            if comp_parent[parent[i]] >= 0:
+                mapping[comp_of[i]].add(comp_parent[parent[i]])
         images = [v for v in mapping.values()]
         flat = set()
         for v in images:
@@ -531,18 +530,18 @@ def _eccentricities(nbrs, sources):
 
 
 def _dual_graph(tiling):
-    """The non-ideal tiles of a level, their ids, and each tile's neighbours
-    as sorted indices into that tile list."""
+    """The non-ideal tiles of a level (indices into it), and each one's
+    neighbours as ascending positions in that list."""
     tiles = tiling.nonideal()
-    ids = [t.id for t in tiles]
-    index = {tid: k for k, tid in enumerate(ids)}
-    nbrs = [sorted(index[o] for o, _ in tiling.neighbors(tid) if o in index)
-            for tid in ids]
-    return tiles, ids, nbrs
+    pos = [-1] * len(tiling.ideal)
+    for k, i in enumerate(tiles):
+        pos[i] = k
+    nbrs = [[pos[j] for j in tiling.neighbors(i) if pos[j] >= 0] for i in tiles]
+    return tiles, nbrs
 
 
 def _inversion_orbits(tiling, tiles, nbrs):
-    """For each tile, the first tile (an index into `tiles`) of its orbit
+    """For each tile, the first tile (a position in `tiles`) of its orbit
     under the d generator inversions.
 
     Inverting generator i is a group automorphism that maps the diagonal
@@ -553,9 +552,13 @@ def _inversion_orbits(tiling, tiles, nbrs):
     every neighbour list onto its image's; else InvariantViolation."""
     graph = tiling.graph
     n = len(tiles)
-    first_of = {}   # owner -> index of its first tile; an owner's tiles are adjacent
-    for k, tile in enumerate(tiles):
-        first_of.setdefault(tile.owner, k)
+    level = tiling.ball.levels[tiling.level + 1]
+    rank = {g: r for r, g in enumerate(level)}
+    owner = [tiling.owner[i] for i in tiles]   # owner ranks; an owner's tiles are adjacent
+    cells = [tiling.cells(i) for i in tiles]
+    first_of = {}   # owner rank -> position of its first tile
+    for k, r in enumerate(owner):
+        first_of.setdefault(r, k)
     root = list(range(n))   # union-find; a root is its set's first tile
 
     def find(x):
@@ -564,38 +567,42 @@ def _inversion_orbits(tiling, tiles, nbrs):
             x = root[x]
         return x
 
+    def name(k):
+        return tiling.name(tiles[k])
+
     for i in range(graph.d):
         what = "inversion of %s" % graph.generators[i]
         flipped = {}   # cell -> the cell with sign i flipped
         perm = []
         hit = bytearray(n)
-        owner = None
-        for tile in tiles:
-            if tile.owner is not owner:
-                owner = tile.owner
-                image = owner[:i] + (tuple([-x for x in owner[i]]),) + owner[i + 1:]
+        current = None
+        for v in range(n):
+            if owner[v] != current:
+                current = owner[v]
+                g = level[current]
+                image = rank.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:])
                 start = first_of.get(image, n)
-            cell = flipped.get(tile.cells[0])
+            cell = flipped.get(cells[v][0])
             if cell is None:
-                cell = flipped[tile.cells[0]] = tuple(
-                    (j, -e if j == i else e) for j, e in tile.cells[0])
+                cell = flipped[cells[v][0]] = tuple(
+                    (j, -e if j == i else e) for j, e in cells[v][0])
             k = start
-            while k < n and tiles[k].owner == image and cell not in tiles[k].cells:
+            while k < n and owner[k] == image and cell not in cells[k]:
                 k += 1
-            if k == n or tiles[k].owner != image:
+            if k == n or owner[k] != image:
                 raise InvariantViolation("%s finds no image of tile %s"
-                                         % (what, tile.id), tile.id, tiling.level)
+                                         % (what, name(v)), name(v), tiling.level)
             if hit[k]:
                 raise InvariantViolation("%s maps tile %s onto a tile already hit"
-                                         % (what, tile.id), tile.id, tiling.level)
+                                         % (what, name(v)), name(v), tiling.level)
             hit[k] = 1
             perm.append(k)
         for v, w in enumerate(perm):
             if sorted(map(perm.__getitem__, nbrs[v])) != nbrs[w]:
                 raise InvariantViolation(
                     "%s does not map the neighbours of tile %s onto those of "
-                    "its image %s" % (what, tiles[v].id, tiles[w].id),
-                    tiles[v].id, tiling.level)
+                    "its image %s" % (what, name(v), name(w)),
+                    name(v), tiling.level)
             if w > v:
                 a, b = find(v), find(w)
                 if a != b:
@@ -604,7 +611,7 @@ def _inversion_orbits(tiling, tiles, nbrs):
 
 
 def _level_diameter(tiling):
-    tiles, ids, nbrs = _dual_graph(tiling)
+    tiles, nbrs = _dual_graph(tiling)
     if not tiles:
         return 0, None
     first = _inversion_orbits(tiling, tiles, nbrs)
@@ -613,20 +620,21 @@ def _level_diameter(tiling):
     # a tile's eccentricity is its orbit's, so one source per orbit is swept.
     # The first tile of largest eccentricity is the first of its orbit, so it
     # is a source; only it needs the full BFS with predecessors, for the
-    # witness, which walks neighbours and breaks ties in id order.
+    # witness, which walks neighbours and breaks ties in name order.
     sources = [v for v, f in enumerate(first) if f == v]
     eccs = _eccentricities(nbrs, sources)
     src = sources[eccs.index(max(eccs))]
+    names = list(map(tiling.names().__getitem__, tiles))
     for vs in nbrs:
-        vs.sort(key=ids.__getitem__)
+        vs.sort(key=names.__getitem__)
     dist, prev = _bfs(nbrs, src)
-    dst = max(dist, key=lambda v: (dist[v], ids[v]))
+    dst = max(dist, key=lambda v: (dist[v], names[v]))
     path = []
     cur = dst
     while cur is not None:
-        path.append(ids[cur])
+        path.append(names[cur])
         cur = prev[cur]
-    return dist[dst], (ids[src], ids[dst], list(reversed(path)))
+    return dist[dst], (names[src], names[dst], list(reversed(path)))
 
 
 def divergence_diameter(tilings) -> DivergenceReport:

@@ -12,6 +12,17 @@ parent tile all come from the ball's per-covering-move record
 (`Ball.local`), so a tiling needs no earlier level, and an element costs
 one group product per flat cell of codimension two or more that it owns.
 
+A tile is an int index into its level.  A level stores its non-ideal tiles
+as parallel arrays: the owner's rank in `ball.levels[n + 1]`, the region
+index, the parent's index into level n - 1 and an ideal flag
+(`Tiling.restricted` sets flags).  Its edges are index pairs with a label
+code, one per shared cell, and each tile's neighbours are compressed rows
+(an offset array, an index array and a label array) built once from the
+edges.  A name such as `t3|a^-4 b^-1|0`, the cells, shape and covered
+clique are read off the ball when asked for.  Ideal tiles are not stored:
+the level keeps their count, and `Tiling.ideal_tiles` forms them from the
+ball, with their parents' names, in a fixed order.
+
 Rule extraction refines the initial partition (covered clique, region shape)
 by child-type multisets and by the adjacency structure *among* the children,
 until the partition is stable across the observed levels.  Within-level
@@ -21,136 +32,117 @@ a tile in the sphere, while the subdivision behaviour does not.
 
 from __future__ import annotations
 
-import sys
+from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .balls import Ball, InvariantViolation, visible_region
-from .graphs import (Cell, DefiningGraph, cell_str, ideal_facets,
+from .graphs import (DefiningGraph, cell_str, ideal_facets,
                      inflation_descriptor, support)
 
-
-@dataclass(slots=True)
-class Tile:
-    id: str
-    level: int
-    owner: tuple
-    owner_nf: str
-    cells: tuple = ()
-    attached_ideal: tuple = ()
-    ideal: bool = False
-    ideal_facet: Cell | None = None
-    covered_move: Cell | None = None
-    covered_clique: tuple | None = None
-    parent_id: str | None = None
-
-    def shape(self):
-        return (tuple(sorted(len(c) for c in self.cells)), len(self.attached_ideal))
-
-
-class Edge(NamedTuple):
-    """One adjacency instance: a cell shared by two non-ideal tiles."""
-    tile1: str            # tile1 < tile2
-    tile2: str
-    label: str            # "flat" (same codim) or "containment"
+# edge labels by code, in name order: "flat" joins tiles whose covered cells
+# have the same codimension, "containment" nested ones one apart
+LABELS = ("containment", "flat", "other")
 
 
 class Tiling:
-    """The tiles of one level and its edges, one per shared cell; each
-    tile's sorted (neighbour id, label) list is built once from the edges."""
+    """The non-ideal tiles of one level as parallel arrays, its edges and
+    each tile's neighbour row; a tile is an index into the arrays."""
 
-    def __init__(self, level, graph, tiles, instances, adjacency=None):
-        self.level = level
-        self.graph = graph
-        self.tiles = tiles
-        self.by_id = {t.id: t for t in tiles}
+    def __init__(self, ball, level, owner, region, parent, ideal_count,
+                 instances, ideal=None, rows=None):
+        self.ball, self.graph, self.level = ball, ball.graph, level
+        self.owner = owner     # rank of the owner in ball.levels[level + 1]
+        self.region = region   # index of the tile's region in the owner's record
+        self.parent = parent   # the parent's index into level - 1; -1 at level 0
+        self.ideal = bytearray(len(owner)) if ideal is None else ideal
+        self.ideal_count = ideal_count   # truncation faces, formed on demand
+        # one entry per shared cell, (tile1 * tiles + tile2) * 4 + label code
+        # with tile1 < tile2: read through `edges`
         self.instances = instances
-        self.adjacency = (_neighbor_lists(instances) if adjacency is None
-                          else adjacency)
+        # (start, neighbour, label): tile i's neighbours, ascending by
+        # (index, label code), are entries start[i]..start[i + 1] - 1
+        self.rows = _neighbor_rows(self) if rows is None else rows
+
+    @property
+    def tiles(self):
+        """Every tile: the stored ones, then the ideal ones in `ideal_tiles`
+        order."""
+        return range(len(self.owner) + self.ideal_count)
 
     def nonideal(self):
-        return [t for t in self.tiles if not t.ideal]
+        if 1 in self.ideal:
+            return [i for i, flag in enumerate(self.ideal) if not flag]
+        return range(len(self.owner))
+
+    def edges(self):
+        """(tile1, tile2, label code) of each adjacency instance."""
+        n = len(self.owner)
+        return (((key >> 2) // n, (key >> 2) % n, key & 3)
+                for key in self.instances)
+
+    def neighbors(self, i):
+        """Indices of tile i's neighbours, ascending; a neighbour met
+        through edges of two labels is listed twice."""
+        start, nbr, _ = self.rows
+        return nbr[start[i]:start[i + 1]]
+
+    def adjacency(self, names):
+        """Each stored tile's (neighbour name, label) pairs, sorted; `names`
+        maps a tile index to its name (a range gives the indices)."""
+        start, nbr, label = self.rows
+        entries = list(zip(map(names.__getitem__, nbr),
+                           map(LABELS.__getitem__, label)))
+        start = start.tolist()
+        return [sorted(entries[s:e]) for s, e in zip(start, start[1:])]
+
+    def owner_of(self, i):
+        return self.ball.levels[self.level + 1][self.owner[i]]
+
+    def covered_move(self, i):
+        return self.ball.pred_move[self.owner_of(i)]
+
+    def covered_clique(self, i):
+        return support(self.covered_move(i))
+
+    def cells(self, i):
+        return self.ball.local(self.owner_of(i)).regions[self.region[i]][0]
+
+    def shape(self, i):
+        cells, ideals = self.ball.local(self.owner_of(i)).regions[self.region[i]]
+        return (tuple(sorted(len(c) for c in cells)), len(ideals))
+
+    def name(self, i):
+        return _nonideal_name(self.level, self.ball.nf_string(self.owner_of(i)),
+                              self.region[i])
+
+    def names(self):
+        """The name of each stored tile, by index."""
+        level, nf = self.ball.levels[self.level + 1], self.ball.nf_string
+        return [_nonideal_name(self.level, nf(level[r]), c)
+                for r, c in zip(self.owner, self.region)]
+
+    def parent_names(self):
+        """The name of each stored tile's parent, by index; None at level 0,
+        whose parent is the origin."""
+        if self.level == 0:
+            return [None] * len(self.owner)
+        level = self.ball.levels[self.level + 1]
+        return [_parent_name(self.ball, self.level, level[r]) for r in self.owner]
 
     def ideal_tiles(self):
-        return [t for t in self.tiles if t.ideal]
-
-    def neighbors(self, tid):
-        return self.adjacency.get(tid, ())
-
-    def restricted(self, owners):
-        """The same tiles, with every non-ideal tile whose owner is not in
-        `owners` flagged ideal; this tiling itself when that flags none.
-        Edges and neighbour lists are shared with this tiling: every reader
-        drops ideal neighbours."""
-        if all(tile.ideal or tile.owner in owners for tile in self.tiles):
-            return self
-        tiles = [tile if tile.ideal or tile.owner in owners
-                 else replace(tile, ideal=True) for tile in self.tiles]
-        return Tiling(self.level, self.graph, tiles, self.instances,
-                      self.adjacency)
-
-
-def _neighbor_lists(instances):
-    pairs = defaultdict(set)
-    for a, b, label in instances:
-        pairs[a].add((b, label))
-        pairs[b].add((a, label))
-    return {tid: sorted(p) for tid, p in pairs.items()}
-
-
-# Ids are interned: a tile's id, its children's parent ids and the ids in
-# every edge, history and rule map are one string object, across levels too.
-def _nonideal_id(level, owner_nf, comp):
-    return sys.intern("t%d|%s|%d" % (level, owner_nf, comp))
-
-
-def _ideal_id(graph, owner_nf, facet):
-    return sys.intern("i|%s|%s" % (owner_nf, cell_str(graph, facet)))
-
-
-def build_tiling(ball: Ball, n: int) -> Tiling:
-    """Tiling at level n (the flat structure of the sphere of radius n+1).
-
-    It reads the ball up to level n + 1 and no further, so `ball.N` must be
-    at least n + 1.  Parent ids name tiles of the level-(n-1) tiling, read
-    off the ball alone."""
-    if ball.N < n + 1:
-        raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
-    graph = ball.graph
-    tiles = []
-    cliques = {}   # covering move -> its covered clique
-    parents = {}   # owner -> parent of its tiles: the tile its covered cell is in
-    for g in ball.levels[n + 1]:
-        regions = visible_region(ball, n + 1, g)
-        g_nf = ball.nf_string(g)
-        pred = ball.pred[g]
-        move = ball.pred_move[g]
-        if n > 0:
-            comp = ball.local(pred).component.get(move)
-            if comp is None:
-                raise InvariantViolation("covered cell missing from the parent "
-                                         "tiling", g_nf, n + 1)
-            parents[g] = _nonideal_id(n - 1, ball.nf_string(pred), comp)
-        clique = cliques.get(move)
-        if clique is None:
-            clique = cliques[move] = support(move)
-        for r in regions:
-            tiles.append(Tile(id=_nonideal_id(n, g_nf, r.index), level=n, owner=g,
-                              owner_nf=g_nf, cells=r.cells,
-                              attached_ideal=r.attached_ideal, covered_move=move,
-                              covered_clique=clique, parent_id=parents.get(g)))
-    instances = [Edge(a, b, label)
-                 for a, b, label, _ in _compute_adjacency(ball, n, tiles)]
-
-    # ideal tiles: truncation faces of every domain in the ball, except the
-    # ones still glued into their owner's fresh region.  The parent of a face
-    # that was an ideal tile one level up is that tile, itself; of a face
-    # then glued into its fresh owner's region, that region's tile; and of a
-    # face born at level n + 1, its owner's parent tile.
-    facets = ideal_facets(graph)
-    if facets:
+        """Yield (name, owner, facet, parent name) of each ideal tile, from
+        the ball: every truncation face of a domain in the ball, except the
+        ones glued into their owner's fresh region.  The parent of a face
+        that was an ideal tile one level up is itself; of a face then glued
+        into its fresh owner's region, that region's tile; of a face born at
+        level n + 1, its owner's parent tile."""
+        ball, n = self.ball, self.level
+        facets = ideal_facets(self.graph)
+        if not facets:
+            return
         for lvl in range(n + 2):
             for g in ball.levels[lvl]:
                 g_nf = ball.nf_string(g)
@@ -159,25 +151,102 @@ def build_tiling(ball: Ball, n: int) -> Tiling:
                     comp = component.get(f)
                     if lvl == n + 1 and comp is not None:
                         continue
-                    tid = _ideal_id(graph, g_nf, f)
+                    name = "i|%s|%s" % (g_nf, cell_str(self.graph, f))
                     if n == 0:
-                        parent_id = None
+                        parent = None
                     elif lvl == n + 1:
-                        parent_id = parents[g]
+                        parent = _parent_name(ball, n, g)
                     elif comp is not None:
-                        parent_id = _nonideal_id(n - 1, g_nf, comp)
+                        parent = _nonideal_name(n - 1, g_nf, comp)
                     else:
-                        parent_id = tid
-                    tiles.append(Tile(id=tid, level=n, owner=g, owner_nf=g_nf,
-                                      ideal=True, ideal_facet=f, parent_id=parent_id))
+                        parent = name
+                    yield name, g, f, parent
 
-    return Tiling(n, graph, tiles, instances)
+    def restricted(self, owners):
+        """The same tiles, with every non-ideal tile whose owner is not in
+        `owners` flagged ideal; this tiling itself when that flags none.
+        Edges and neighbour rows are shared with this tiling: every reader
+        drops ideal neighbours."""
+        level = self.ball.levels[self.level + 1]
+        flags = bytearray(f or level[r] not in owners
+                          for f, r in zip(self.ideal, self.owner))
+        if flags == self.ideal:
+            return self
+        return Tiling(self.ball, self.level, self.owner, self.region,
+                      self.parent, self.ideal_count, self.instances, flags,
+                      self.rows)
 
 
-def _compute_adjacency(ball: Ball, n: int, tiles):
-    """Yield (tile1, tile2, label, shared cell) for the exposed cells lying
-    in exactly two domains of B(n+1); `tiles` are the level's non-ideal
-    tiles, each owner's in region order.
+def _neighbor_rows(tiling):
+    # each (tile, neighbour, label) once, as one int that sorts in that order
+    n = len(tiling.owner)
+    keys = set(tiling.instances)
+    keys.update((b * n + a) * 4 + label for a, b, label in tiling.edges())
+    keys = sorted(keys)
+    return (array("i", [bisect_left(keys, 4 * n * i) for i in range(n + 1)]),
+            array("i", [(key >> 2) % n for key in keys]),
+            bytearray(key & 3 for key in keys))
+
+
+def _nonideal_name(level, owner_nf, comp):
+    return "t%d|%s|%d" % (level, owner_nf, comp)
+
+
+def _parent_name(ball, n, g):
+    """The name of the level-(n-1) tile holding the cell that covers g."""
+    pred = ball.pred[g]
+    comp = ball.local(pred).component[ball.pred_move[g]]
+    return _nonideal_name(n - 1, ball.nf_string(pred), comp)
+
+
+def build_tiling(ball: Ball, n: int) -> Tiling:
+    """Tiling at level n (the flat structure of the sphere of radius n+1).
+
+    It reads the ball up to level n + 1 and no further, so `ball.N` must be
+    at least n + 1.  Parent indices point into the level-(n-1) tiling, read
+    off the ball alone: that level's tiles are its owners' regions, in
+    owner order."""
+    if ball.N < n + 1:
+        raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
+    first = {}   # owner at level n -> index of its first tile in level n - 1
+    if n > 0:
+        k = 0
+        for h in ball.levels[n]:
+            first[h] = k
+            k += len(ball.local(h).regions)
+    facets = len(ideal_facets(ball.graph))
+    ideal_count = facets * sum(map(len, ball.levels[:n + 1]))
+    owner, region, parent = array("i"), array("i"), array("i")
+    starts = array("i")   # index of each owner's first tile, then the count
+    for rank, g in enumerate(ball.levels[n + 1]):
+        regions = visible_region(ball, n + 1, g)
+        p = -1
+        if n > 0:
+            pred = ball.pred[g]
+            comp = ball.local(pred).component.get(ball.pred_move[g])
+            if comp is None:
+                raise InvariantViolation("covered cell missing from the parent "
+                                         "tiling", ball.nf_string(g), n + 1)
+            p = first[pred] + comp
+        starts.append(len(owner))
+        ideal_count += facets
+        for r in regions:
+            owner.append(rank)
+            region.append(r.index)
+            parent.append(p)
+            ideal_count -= len(r.attached_ideal)
+    starts.append(len(owner))
+    tiles = len(owner)
+    instances = array("q", [(a * tiles + b) * 4 + label for a, b, label, _
+                            in _compute_adjacency(ball, n, starts)])
+    return Tiling(ball, n, owner, region, parent, ideal_count, instances)
+
+
+def _compute_adjacency(ball: Ball, n: int, starts):
+    """Yield (tile1, tile2, label code, shared cell) for the exposed cells
+    lying in exactly two domains of B(n+1), tile1 < tile2; the tiles of the
+    owner of rank i in `ball.levels[n + 1]` are starts[i]..starts[i + 1] - 1,
+    in region order.
 
     Such a cell of g is flat: besides g it lies in h = g * s0 only.  It is
     taken from the side whose owner comes first by nf_key, and that owner is
@@ -188,9 +257,6 @@ def _compute_adjacency(ball: Ball, n: int, tiles):
     out once per (move of g, cell, move of h)."""
     level = ball.levels[n + 1]
     rank = {g: i for i, g in enumerate(level)}   # levels are in nf_key order
-    ids = [[] for _ in level]                    # tile ids by region index
-    for tile in tiles:
-        ids[rank[tile.owner]].append(tile.id)
     local = [ball.local(g) for g in level]
     move = ball.pred_move
     joins = {}   # (move of g, cell, move of h) -> (regions of g, of h, label)
@@ -212,8 +278,8 @@ def _compute_adjacency(ball: Ball, n: int, tiles):
                 join = joins[key] = (_join(cell, s0, local[i], local[j])
                                      + (_edge_label(move[g], move[h]),))
             comps_g, comps_h, label = join
-            sides = {ids[i][c] for c in comps_g}
-            sides.update(ids[j][c] for c in comps_h)
+            sides = {starts[i] + c for c in comps_g}
+            sides.update(starts[j] + c for c in comps_h)
             for a, b in combinations(sorted(sides), 2):
                 yield a, b, label, (g, cell)
 
@@ -231,13 +297,13 @@ def _join(cell, s0, local_g, local_h):
     return tuple(sides)
 
 
-def _edge_label(move_g, move_h) -> str:
+def _edge_label(move_g, move_h) -> int:
     kg, kh = len(move_g), len(move_h)
     if kg == kh:
-        return "flat"
+        return LABELS.index("flat")
     if abs(kg - kh) == 1:
-        return "containment"
-    return "other"
+        return LABELS.index("containment")
+    return LABELS.index("other")
 
 
 def build_tilings(ball: Ball, count: int):
@@ -249,36 +315,62 @@ def build_tilings(ball: Ball, count: int):
 # history graph
 
 
-ROOT_ID = "origin"
+ROOT = -1   # the origin vertex
 
 
 class HistoryGraph:
     """Dual graphs of all levels plus vertical subdivision edges.
 
-    Vertices are the non-ideal tiles; an origin vertex for the base complex
-    is kept separately (it is the parent of every level-0 tile and carries
-    the identity element) and is excluded from tile-count identities.
+    A vertex is a tile's index in its level plus that level's offset, the
+    number of tiles stored on the levels before it.  The vertices are the
+    non-ideal tiles; an origin vertex, ROOT, stands for the base complex (it
+    is the parent of every level-0 tile and carries the identity element)
+    and is excluded from tile-count identities.  Children lists are
+    compressed rows built from the levels' parent arrays, in vertex order.
     """
 
     def __init__(self, tilings):
         self.tilings = list(tilings)
-        self.children = defaultdict(list)
-        self.vertices = []
-        self.tile_index = {}   # id -> non-ideal tile
-        for t in self.tilings:
-            for tile in t.nonideal():
-                self.vertices.append(tile.id)
-                self.tile_index[tile.id] = tile
-                parent = tile.parent_id if tile.level > 0 else ROOT_ID
-                self.children[parent].append(tile.id)
+        self.offsets = [0]
+        self.level_of = bytearray()   # vertex -> its level
+        vertices, parents = [], []    # a vertex's parent is ROOT at level 0
+        for n, t in enumerate(self.tilings):
+            off = self.offsets[-1]
+            vertices += [off + i for i in t.nonideal()]
+            parents += [self.offsets[-2] + t.parent[i] if n else ROOT
+                        for i in t.nonideal()]
+            self.offsets.append(off + len(t.owner))
+            self.level_of += bytes([n]) * len(t.owner)
+        total = self.offsets[-1]
+        self.vertices = range(total) if len(vertices) == total else vertices
+        order = sorted(range(len(vertices)), key=parents.__getitem__)   # stable
+        self._kids = array("i", [vertices[k] for k in order])
+        parents = [parents[k] for k in order]
+        self._kid_start = array("i", [bisect_left(parents, v)
+                                      for v in range(ROOT, total + 1)])
+
+    def locate(self, v):
+        """(level, index in that level) of vertex v."""
+        n = self.level_of[v]
+        return n, v - self.offsets[n]
+
+    def children(self, v):
+        """The non-ideal children of vertex v (or of ROOT), in vertex order."""
+        return self._kids[self._kid_start[v + 1]:self._kid_start[v + 2]]
 
     def level_tiles(self, n):
-        return self.tilings[n].nonideal()
+        return [self.offsets[n] + i for i in self.tilings[n].nonideal()]
 
-    def horizontal_neighbors(self, tid):
-        tile = self.tile_index[tid]
-        return [o for o, _ in self.tilings[tile.level].neighbors(tid)
-                if o in self.tile_index]
+    def horizontal_neighbors(self, v):
+        n, i = self.locate(v)
+        t, off = self.tilings[n], self.offsets[n]
+        return [off + j for j in t.neighbors(i) if not t.ideal[j]]
+
+    def name(self, v):
+        if v == ROOT:
+            return "origin"
+        n, i = self.locate(v)
+        return self.tilings[n].name(i)
 
 
 def build_history(tilings) -> HistoryGraph:
@@ -297,7 +389,7 @@ class RuleType:
     children: Counter
     internal: Counter
     count: int
-    example: str
+    example: int               # the first tile of the type, a history vertex
     coalesced: str = ""
 
 
@@ -305,7 +397,7 @@ class RuleType:
 class SubdivisionRule:
     graph: DefiningGraph
     types: list
-    type_of: dict              # tile id -> refined type name
+    type_of: list              # per level, per tile: refined type name or None
     coalesced_of: dict         # refined type name -> coalesced name
     coalesced_children: dict   # coalesced name -> Counter
     stable: bool
@@ -332,58 +424,66 @@ class SubdivisionRule:
         return sorted(set(self.coalesced_of.values()))
 
 
-def _raw_key(tile):
-    return ("raw", tile.covered_clique, tile.shape())
-
-
 def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     """Partition-refinement extraction of the subdivision rule from the
-    history's non-ideal tiles and their children."""
+    history's non-ideal tiles and their children.  Signatures are lists
+    indexed by vertex; where a tie is broken, it is broken by tile name."""
     tilings = history.tilings
     if len(tilings) < 3:
         raise ValueError("need at least 3 consecutive levels")
     graph = tilings[0].graph
-    tiles = history.tile_index
     deepest = len(tilings) - 1
-    kids = history.children   # read with .get: adds no keys to the graph's map
+    level = history.level_of
+    offsets = history.offsets
+    vertices = history.vertices
+    kids = history.children
 
-    internal_pairs = defaultdict(list)  # parent id -> [(child1, child2, label)]
-    for t in tilings[1:]:
-        for inst in t.instances:
-            a, b = inst.tile1, inst.tile2
-            if a in tiles and b in tiles:
-                pa, pb = tiles[a].parent_id, tiles[b].parent_id
-                if pa is not None and pa == pb and pa in tiles:
-                    internal_pairs[pa].append((a, b, inst.label))
+    internal_pairs = defaultdict(list)  # parent -> [(child1, child2, label)]
+    for n in range(1, len(tilings)):
+        t, flags, pflags = tilings[n], tilings[n].ideal, tilings[n - 1].ideal
+        off, poff = offsets[n], offsets[n - 1]
+        for a, b, label in t.edges():
+            if not (flags[a] or flags[b]):
+                pa = t.parent[a]
+                if pa == t.parent[b] and not pflags[pa]:
+                    internal_pairs[poff + pa].append((off + a, off + b,
+                                                      LABELS[label]))
 
-    # depth-limited signatures
-    sig = [{tid: _raw_key(tile) for tid, tile in tiles.items()}]
+    # depth-limited signatures, starting from (covered clique, shape), which
+    # depend on the covering move and region index only
+    raw = {}
+    raw_sig = [None] * offsets[-1]
+    for v in vertices:
+        n, i = history.locate(v)
+        t = tilings[n]
+        key = (t.covered_move(i), t.region[i])
+        if key not in raw:
+            raw[key] = ("raw", t.covered_clique(i), t.shape(i))
+        raw_sig[v] = raw[key]
+    sig = [raw_sig]
 
     def refine_once(prev_sig):
-        nxt = {}
-        for tid, tile in tiles.items():
-            if tile.level < deepest:
-                ch = tuple(sorted(prev_sig[c] for c in kids.get(tid, ())))
+        nxt = list(prev_sig)
+        for v in vertices:
+            if level[v] < deepest:
+                ch = tuple(sorted(prev_sig[c] for c in kids(v)))
                 internal = tuple(sorted(
                     (tuple(sorted((prev_sig[a], prev_sig[b]))), lab)
-                    for a, b, lab in internal_pairs[tid]))
-                nxt[tid] = (prev_sig[tid], ch, internal)
-            else:
-                nxt[tid] = prev_sig[tid]
+                    for a, b, lab in internal_pairs.get(v, ())))
+                nxt[v] = (prev_sig[v], ch, internal)
         return nxt
 
     def partition_on(signature, universe):
         groups = defaultdict(list)
-        for tid in universe:
-            groups[signature[tid]].append(tid)
-        return frozenset(frozenset(v) for v in groups.values())
+        for v in universe:
+            groups[signature[v]].append(v)
+        return frozenset(frozenset(g) for g in groups.values())
 
     stable = False
     j_stable = None
     for j in range(deepest):
         sig.append(refine_once(sig[-1]))
-        universe = [tid for tid, tile in tiles.items()
-                    if tile.level <= deepest - (j + 1)]
+        universe = [v for v in vertices if level[v] <= deepest - (j + 1)]
         if partition_on(sig[j + 1], universe) == partition_on(sig[j], universe):
             stable = True
             j_stable = j
@@ -393,48 +493,60 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
 
     # final types from the stable signature on tiles with enough depth below
     final_sig = sig[j_stable]
-    core = [tid for tid, tile in tiles.items() if tile.level <= deepest - j_stable]
+    core = [v for v in vertices if level[v] <= deepest - j_stable]
     classes = defaultdict(list)
-    for tid in core:
-        classes[final_sig[tid]].append(tid)
+    for v in core:
+        classes[final_sig[v]].append(v)
+
+    def first_member(members):
+        # (level, name) of the first member: members are in vertex order,
+        # so the lowest level is the first member's
+        low = level[members[0]]
+        return low, min(history.name(v) for v in members if level[v] == low)
 
     unstable_detail = []
-    type_of = {}
-    ordered = sorted(classes.items(),
-                     key=lambda kv: min((tiles[t].level, t) for t in kv[1]))
-    names = {}
-    for idx, (s, members) in enumerate(ordered):
+    type_of = [None] * offsets[-1]
+    ordered = sorted(classes.values(), key=first_member)
+    for idx, members in enumerate(ordered):
         name = "T%d" % idx
-        names[s] = name
-        for tid in members:
-            type_of[tid] = name
+        for v in members:
+            type_of[v] = name
 
     # deep tiles: resolve through the deepest signature they support
-    for tid, tile in sorted(tiles.items()):
-        if tid in type_of:
+    types_by_sig = {}   # depth -> signature -> types of the core tiles with it
+    unresolved = []
+    for v in vertices:
+        if type_of[v] is not None:
             continue
-        depth = deepest - tile.level
-        cands = {type_of[u] for u in core if sig[depth][u] == sig[depth][tid]}
+        depth = deepest - level[v]
+        if depth not in types_by_sig:
+            by = types_by_sig[depth] = defaultdict(set)
+            for u in core:
+                by[sig[depth][u]].add(type_of[u])
+        cands = types_by_sig[depth].get(sig[depth][v], set())
         if len(cands) == 1:
-            type_of[tid] = cands.pop()
+            type_of[v] = next(iter(cands))
         else:
-            unstable_detail.append(
-                "tile %s unresolved among %s" % (tid, sorted(cands)))
-            type_of[tid] = "T?%s" % (sorted(cands),)
+            unresolved.append((history.name(v), v, sorted(cands)))
+    for name, v, cands in sorted(unresolved):
+        unstable_detail.append("tile %s unresolved among %s" % (name, cands))
+        type_of[v] = "T?%s" % (cands,)
 
     # per-type data, consistency of child multisets
     data = {}
-    for tid, tile in tiles.items():
-        name = type_of[tid]
-        rec = data.setdefault(name, {"clique": tile.covered_clique,
-                                     "shape": tile.shape(), "count": 0,
-                                     "children": None, "internal": None,
-                                     "example": tid})
+    for v in vertices:
+        name = type_of[v]
+        rec = data.get(name)
+        if rec is None:
+            _, clique, shape = raw_sig[v]
+            rec = data[name] = {"clique": clique, "shape": shape, "count": 0,
+                                "children": None, "internal": None,
+                                "example": v}
         rec["count"] += 1
-        if tile.level < deepest:
-            ch = Counter(type_of[c] for c in kids.get(tid, ()))
+        if level[v] < deepest:
+            ch = Counter(type_of[c] for c in kids(v))
             internal = Counter((tuple(sorted((type_of[a], type_of[b]))), lab)
-                               for a, b, lab in internal_pairs[tid])
+                               for a, b, lab in internal_pairs.get(v, ()))
             if rec["children"] is None:
                 rec["children"] = ch
                 rec["internal"] = internal
@@ -486,18 +598,20 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
             "".join(graph.generators[i] for i in t.clique), t.shape)
         split_report[key] = split_report.get(key, 0) + 1
 
-    interface_classes = _interface_classes(tilings, tiles, type_of)
+    interface_classes = _interface_classes(history, type_of)
 
     return SubdivisionRule(
-        graph=graph, types=types, type_of=type_of,
+        graph=graph, types=types,
+        type_of=[type_of[offsets[n]:offsets[n + 1]] for n in range(len(tilings))],
         coalesced_of=coalesced_of, coalesced_children=coalesced_children,
         stable=stable, unstable_detail=unstable_detail,
         interface_classes=interface_classes,
         split_report=split_report)
 
 
-def _interface_classes(tilings, tiles, type_of):
-    """Interface persistence data for the mesh certificate.
+def _interface_classes(history, type_of):
+    """Interface persistence data for the mesh certificate; `type_of` is
+    indexed by vertex.
 
     The interface between two tiles continues, at the next level, as the
     adjacency instances between their respective children.  Every observed
@@ -506,29 +620,32 @@ def _interface_classes(tilings, tiles, type_of):
     resulting digraph still soundly certifies that every crossing is
     eventually subdivided away.
     """
-    def iclass(inst):
-        return (tuple(sorted((type_of[inst.tile1], type_of[inst.tile2]))),
-                inst.label)
+    tilings, offsets = history.tilings, history.offsets
+
+    def iclass(a, b, label):
+        return (tuple(sorted((type_of[a], type_of[b]))), LABELS[label])
 
     classes = {}
     for lvl in range(len(tilings) - 1):
-        cur = [i for i in tilings[lvl].instances
-               if i.tile1 in tiles and i.tile2 in tiles]
-        nxt_by_parents = defaultdict(list)
-        for i in tilings[lvl + 1].instances:
-            if i.tile1 in tiles and i.tile2 in tiles:
-                pa = tiles[i.tile1].parent_id
-                pb = tiles[i.tile2].parent_id
-                if pa != pb and pa is not None and pb is not None:
-                    nxt_by_parents[tuple(sorted((pa, pb)))].append(i)
-        for inst in cur:
-            key = iclass(inst)
-            rec = classes.setdefault(key, {"count": 0, "continuations": Counter(),
-                                           "witness": (inst.tile1, inst.tile2)})
+        t, nt = tilings[lvl], tilings[lvl + 1]
+        off, noff = offsets[lvl], offsets[lvl + 1]
+        nxt_by_parents = defaultdict(list)   # parent pair -> continuations
+        for a, b, label in nt.edges():
+            if not (nt.ideal[a] or nt.ideal[b]):
+                pa, pb = nt.parent[a], nt.parent[b]
+                if pa != pb:
+                    nxt_by_parents[min(pa, pb), max(pa, pb)].append(
+                        iclass(noff + a, noff + b, label))
+        for a, b, label in t.edges():
+            if t.ideal[a] or t.ideal[b]:
+                continue
+            key = iclass(off + a, off + b, label)
+            rec = classes.get(key)
+            if rec is None:
+                rec = classes[key] = {"count": 0, "continuations": Counter(),
+                                      "witness": (off + a, off + b)}
             rec["count"] += 1
-            cont = nxt_by_parents.get(tuple(sorted((inst.tile1, inst.tile2))), [])
-            for c in cont:
-                rec["continuations"][iclass(c)] += 1
+            rec["continuations"].update(nxt_by_parents.get((a, b), ()))
     return classes
 
 
@@ -541,23 +658,24 @@ def descriptor_crosscheck(rule: SubdivisionRule, history: HistoryGraph):
     covered clique, with the descriptor's prediction.  Returns a list of
     mismatch records; an empty list means full agreement."""
     graph = rule.graph
-    tiles = history.tile_index
+    tilings = history.tilings
     # per type, the empirical children of its first tile at a level that has
     # children in the observed window
-    deepest = len(history.tilings) - 1
+    deepest = len(tilings) - 1
     reps = {}
-    for tid in history.vertices:
-        if tiles[tid].level < deepest:
-            reps.setdefault(rule.type_of.get(tid), tid)
+    for v in history.vertices:
+        n, i = history.locate(v)
+        if n < deepest:
+            reps.setdefault(rule.type_of[n][i], v)
     mismatches = []
     for rt in rule.types:
-        tile = tiles.get(rt.example)
-        if tile is None or tile.covered_move is None or rt.name not in reps:
+        if rt.name not in reps:
             continue
-        desc = inflation_descriptor(graph, tile.covered_move)
+        n, i = history.locate(rt.example)
+        desc = inflation_descriptor(graph, tilings[n].covered_move(i))
         expected = Counter(desc.child_clique_counter())
-        got = Counter(tiles[c].covered_clique
-                      for c in history.children.get(reps[rt.name], ()))
+        got = Counter(tilings[n + 1].covered_clique(c - history.offsets[n + 1])
+                      for c in history.children(reps[rt.name]))
         if got != expected:
             mismatches.append({
                 "type": rt.name,

@@ -47,7 +47,7 @@ def test_criterion_1_tile_type_counts():
         assert len(coalesced) == want, name
         # level-0 shape classes for the path graph
         if name == "path3":
-            shapes = {t.shape() for t in ts[0].nonideal()}
+            shapes = {ts[0].shape(i) for i in ts[0].nonideal()}
             assert len(shapes) == 3
         assert elapsed < 10.0, "%s took %.1fs" % (name, elapsed)
     ok(1, "coalesced tile types: triangle=3, free3=1, path3=3 shape classes"
@@ -59,8 +59,8 @@ def test_criterion_2_subdivision_replay():
     assert rule.coalesced_children == {
         "A": {"A": 1}, "B": {"A": 2, "B": 1}, "C": {"A": 3, "B": 3, "C": 1}}
     ts = get_tilings("triangle")
-    counts = Counter(rule.coalesced_of[rule.type_of[t.id]]
-                     for t in ts[0].nonideal())
+    counts = Counter(rule.coalesced_of[rule.type_of[0][i]]
+                     for i in ts[0].nonideal())
     assert dict(counts) == {"A": 6, "B": 12, "C": 8}
     cur = dict(counts)
     totals = [sum(cur.values())]
@@ -246,8 +246,10 @@ def test_criterion_8_divergence(class_tilings):
         for lvl, wit in enumerate(rep.witnesses):
             src, dst, path = wit
             assert len(path) - 1 == rep.diameters[lvl]
+            t = tilings[lvl]
+            index = {t.name(i): i for i in t.nonideal()}
             for a, b in zip(path, path[1:]):
-                assert any(o == b for o, _ in tilings[lvl].neighbors(a))
+                assert index[b] in t.neighbors(index[a])
     ok(8, "triangle diameters %s and path diameters %s of degree exactly 1"
           " with verified witness paths; P4 %s undetermined;"
           " free3 infinite at every level >= 1"

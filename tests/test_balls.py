@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -129,9 +130,8 @@ def test_recorded_audit_matches_the_reference(name):
 
 
 def test_ball_keeps_names_not_normal_forms():
-    # P4, the path a-b-c-d, at depth 4: 19,025 elements, ~565 B each.  With
-    # every element's syllable tuples kept for the run it was ~1,020 B, and
-    # ~1,100 B once every element was named
+    # P4, the path a-b-c-d, at depth 4: 19,025 elements, ~282 B each, with
+    # equal piles stored once and no normal form kept
     graph = DefiningGraph(["a", "b", "c", "d"],
                           [["a", "b"], ["b", "c"], ["c", "d"]])
     tracemalloc.start()
@@ -143,7 +143,7 @@ def test_ball_keeps_names_not_normal_forms():
     finally:
         tracemalloc.stop()
     assert ball.size() == 19025
-    assert used <= 600 * ball.size(), used / ball.size()
+    assert used <= 350 * ball.size(), used / ball.size()
     assert all(ball.nf_string(g)
                == words.nf_str(graph, words.syllables_of_state(graph, g))
                for g in ball.levels[4][:200])
@@ -279,9 +279,12 @@ def domains(ball, owner, cell):
 def test_shared_cell_is_canonical_rep(name):
     ball = get_ball(name)
     for tiling in get_tilings(name):
-        # the tiling keeps each yielded edge without its shared cell
-        edges = list(_compute_adjacency(ball, tiling.level, tiling.nonideal()))
-        assert [edge[:3] for edge in edges] == tiling.instances
+        # the tiling keeps each yielded edge without its shared cell; the
+        # tiles of the owner of rank r start at the first index holding r
+        starts = [bisect_left(tiling.owner, r)
+                  for r in range(len(ball.levels[tiling.level + 1]) + 1)]
+        edges = list(_compute_adjacency(ball, tiling.level, starts))
+        assert [edge[:3] for edge in edges] == list(tiling.edges())
         for tile1, tile2, _, shared in edges:
             owner, signs = shared
             assert ball.level_of[owner] == tiling.level + 1
@@ -290,8 +293,8 @@ def test_shared_cell_is_canonical_rep(name):
             # the same geometric cell, lying in both tiles' domains
             cell_domains = domains(ball, owner, signs)
             assert cell_domains == domains(ball, rep_owner, rep_signs)
-            for tid in (tile1, tile2):
-                assert tiling.by_id[tid].owner in cell_domains
+            for tile in (tile1, tile2):
+                assert tiling.owner_of(tile) in cell_domains
 
 
 def pattern_by_products(ball, g):

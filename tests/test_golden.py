@@ -1,4 +1,12 @@
-"""Byte-identical outputs of the four benchmark runs, pinned by sha256.
+"""Byte-identical outputs of the four benchmark runs and two more, pinned by
+sha256.
+
+`c4-raag-3-all-exports` pins every export of a graph with ideal tiles: its
+tiling JSON, DOT and SVG files print each ideal tile with its parent id and
+facet.  `path3-az-special-5` pins a partial lift, whose pruned tilings are
+restricted ones (tiles over unlifted elements re-flagged ideal).  Both were
+recorded before tiles became indices into their level and ideal tiles came
+to be formed on demand.
 
 The `report.json` digests were re-recorded when the divergence verdict came
 to be read exactly off the diameters: `divergence.fit` (two float
@@ -33,6 +41,13 @@ PATH3_SPECIAL = {
                 [["e_b", 1], ["e_z", 1], ["e_b", -1], ["e_z", -1]]]}
 TRIANGLE = {"generators": ["a", "b", "c"],
             "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
+# path3 with only the a and z loops and their square (tests/test_cli.py)
+PATH3_AZ = {"defining_graph": {"generators": ["a", "z", "b"],
+                               "edges": [["a", "z"], ["b", "z"]]},
+            "vertices": ["v"],
+            "edges": [{"id": "e_a", "from": "v", "to": "v", "label": "a"},
+                      {"id": "e_z", "from": "v", "to": "v", "label": "z"}],
+            "squares": [[["e_a", 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]]]}
 
 RUNS = {
     "c4-raag-3": (C4, ["--mode", "raag", "--levels", "3",
@@ -41,6 +56,33 @@ RUNS = {
             "729be0fed88fa51399772fddc678bd418296ee972fd8563f0a9dca175922cc08",
         "report.json":
             "847c6ec8c8032161faaae14a4051878794151e83ca0daaf9bffe1a0054d7b2f4",
+    }),
+    "c4-raag-3-all-exports": (C4, ["--mode", "raag", "--levels", "3",
+                                   "--export", "tilings,dot,svg,reports"], {
+        "counts.csv":
+            "729be0fed88fa51399772fddc678bd418296ee972fd8563f0a9dca175922cc08",
+        "dot/history.dot":
+            "16ae430d83b51b2ab8b3f3379d369fb98d46edd309bf34139208d3498f8b7142",
+        "dot/level_00.dot":
+            "3c47ffd8fb47e31f4243da48308e39df5406fd07ebef4aed20e35f73d987a5da",
+        "dot/level_01.dot":
+            "846fccf020bbea61cb7a752530a5842461412f034522e7c9f068d5e241d7e8b8",
+        "dot/level_02.dot":
+            "9b52d20b6b117d3a44b8b8b66feaee015c9d5d36edf1c603c77d4b5a55a6cd8b",
+        "report.json":
+            "847c6ec8c8032161faaae14a4051878794151e83ca0daaf9bffe1a0054d7b2f4",
+        "svg/level_00.svg":
+            "8399423006798f5ace66ccfd94bd0ce29e8a7fc0e4f09b93392cde0efd243b2f",
+        "svg/level_01.svg":
+            "f8e03e058a13517727f109327b9645b501e861f7228f3529239abe30e07252bf",
+        "svg/level_02.svg":
+            "d97e0ec1d529f55f2309aa2bbb80d4c45ad099c6ca07d973fb5f4da2ac089e2e",
+        "tilings/level_00.json":
+            "bf17cc45bf23827d60b0719af82e0a0e79a96fef10ef98bfca001832c0f34273",
+        "tilings/level_01.json":
+            "94ed17d84bdc89a3db132e44319ce91516e866d6219978f125c02a60891c5812",
+        "tilings/level_02.json":
+            "02cd3526933c3535d9857a66fa265eb19923a96d48b52af21cfa336756a1dbe2",
     }),
     "k4-raag-3": (K4, ["--mode", "raag", "--levels", "3",
                        "--export", "reports"], {
@@ -54,6 +96,12 @@ RUNS = {
             "86e9aa6b018cede9121994548256a19dcf5911a6c36390aa92b7a7c8eea7ab48",
         "report.json":
             "1a2f8139683af86a5cbf4756b914268d4e88bac32a85de444bb11d5707b33ae7",
+    }),
+    "path3-az-special-5": (PATH3_AZ, ["--mode", "special", "--levels", "5"], {
+        "counts.csv":
+            "86e9aa6b018cede9121994548256a19dcf5911a6c36390aa92b7a7c8eea7ab48",
+        "report.json":
+            "ade512cb9757df4b5290f98a21357e497121c184b8248c274e899570cc3c4b31",
     }),
     "triangle-raag-5-all-exports": (TRIANGLE, [
         "--mode", "raag", "--levels", "5",

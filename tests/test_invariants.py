@@ -1,4 +1,5 @@
 import dataclasses
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -122,8 +123,8 @@ def test_rule_replay_matches_tile_counts_every_small_graph():
                                                levels), levels)
             rule = extract_rule(build_history(tilings))
             assert rule.stable, (d, edges)
-            counts0 = Counter(rule.coalesced_of[rule.type_of[t.id]]
-                              for t in tilings[0].nonideal())
+            counts0 = Counter(rule.coalesced_of[rule.type_of[0][i]]
+                              for i in tilings[0].nonideal())
             assert rule.replay(counts0, levels - 1) == \
                 [len(t.nonideal()) for t in tilings], (d, edges)
             growth(tilings, rule)
@@ -200,17 +201,20 @@ def test_divergence_witness_paths_are_valid():
         assert path[0] == src and path[-1] == dst
         assert len(path) - 1 == d.diameters[lvl]
         t = ts[lvl]
+        index = {t.name(i): i for i in t.nonideal()}
         for a, b in zip(path, path[1:]):
-            assert any(o == b for o, _ in t.neighbors(a))
+            assert index[b] in t.neighbors(index[a])
 
 
 def _all_sources_diameter(tiling):
     """Reference: a full BFS with predecessors from every tile; the first
     source of largest eccentricity wins."""
-    ids = [t.id for t in tiling.nonideal()]
+    names = tiling.names()
+    ids = [names[i] for i in tiling.nonideal()]
     idset = set(ids)
-    adj = {i: sorted(o for o, _ in tiling.neighbors(i) if o in idset)
-           for i in ids}
+    adj = {names[i]: sorted(names[o] for o in tiling.neighbors(i)
+                            if names[o] in idset)
+           for i in tiling.nonideal()}
     if not ids:
         return 0, None
     if len(_bfs(adj, ids[0])[0]) != len(ids):
@@ -289,7 +293,7 @@ def test_orbit_eccentricities_match_every_source(name):
     else:
         tilings = get_tilings(name, None if name == "path3" else 3)
     for t in tilings:
-        tiles, ids, nbrs = _dual_graph(t)
+        tiles, nbrs = _dual_graph(t)
         first = _inversion_orbits(t, tiles, nbrs)
         sources = [v for v, f in enumerate(first) if f == v]
         if t.level > 0:
@@ -302,12 +306,14 @@ def test_orbit_eccentricities_match_every_source(name):
 def test_inversion_check_catches_a_missing_edge():
     t = get_tilings("path3")[2]
     # one dual-graph edge is every instance of one pair of tiles
-    pair = t.instances[0][:2]
-    cut = Tiling(t.level, t.graph, t.tiles,
-                 [e for e in t.instances if e[:2] != pair])
+    pair = next(t.edges())[:2]
+    kept = array("q", [key for key, edge in zip(t.instances, t.edges())
+                       if edge[:2] != pair])
+    cut = Tiling(t.ball, t.level, t.owner, t.region, t.parent, t.ideal_count,
+                 kept)
     with pytest.raises(InvariantViolation,
                        match=r"inversion of [azb] does not map the neighbours "
                              r"of tile t2\|") as exc:
         _level_diameter(cut)
     assert exc.value.level == 2
-    assert exc.value.element in cut.by_id
+    assert exc.value.element in {cut.name(i) for i in cut.nonideal()}

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from subdivlab.balls import build_ball
 from subdivlab.exports import tiling_to_json
 from subdivlab.graphs import DefiningGraph, support
-from subdivlab.tiling import (HistoryGraph, build_history, build_tiling,
+from subdivlab.tiling import (LABELS, ROOT, build_history, build_tiling,
                               build_tilings, descriptor_crosscheck,
                               extract_rule, inflation_descriptor)
 from subdivlab.words import nf_key
@@ -17,15 +18,16 @@ from conftest import (free3, get_ball, get_rule, get_tilings, path3,
 def test_tile_counts_triangle():
     ts = get_tilings("triangle")
     assert [len(t.nonideal()) for t in ts] == [26, 98, 218, 386]
-    assert Counter(len(t.covered_clique) for t in ts[0].nonideal()) == \
+    assert Counter(len(ts[0].covered_clique(i)) for i in ts[0].nonideal()) == \
         {1: 6, 2: 12, 3: 8}
-    assert all(len(t.ideal_tiles()) == 0 for t in ts)
+    assert all(list(t.ideal_tiles()) == [] for t in ts)
+    assert all(len(t.tiles) == len(t.nonideal()) for t in ts)
 
 
 def test_tile_counts_path3():
     ts = get_tilings("path3")
     assert [len(t.nonideal()) for t in ts] == [14, 70, 286, 1078]
-    shapes = Counter(t.shape()[0] for t in ts[0].nonideal())
+    shapes = Counter(ts[0].shape(i)[0] for i in ts[0].nonideal())
     assert shapes == {(1,): 2, (1, 1, 1): 4, (1, 1, 1, 1, 2, 2, 2): 8}
 
 
@@ -33,8 +35,8 @@ def test_tile_counts_free3():
     ts = get_tilings("free3", 3)
     assert [len(t.nonideal()) for t in ts] == [6, 30, 150]
     rule = get_rule("free3", 3)
-    assert len({rule.coalesced_of[rule.type_of[t.id]]
-                for t in ts[1].nonideal()}) == 1
+    assert len({rule.coalesced_of[rule.type_of[1][i]]
+                for i in ts[1].nonideal()}) == 1
 
 
 def test_count_identity_matches_sphere():
@@ -47,21 +49,28 @@ def test_count_identity_matches_sphere():
 
 def test_ideal_tiles_persist():
     ts = get_tilings("free3", 3)
-    ids0 = {t.id for t in ts[0].ideal_tiles()}
-    ids1 = {t.id for t in ts[1].ideal_tiles()}
+    ids0 = {name for name, _, _, _ in ts[0].ideal_tiles()}
+    ids1 = {name for name, _, _, _ in ts[1].ideal_tiles()}
     assert ids0 <= ids1
     # a persisting ideal tile is its own parent
-    for t in ts[1].ideal_tiles():
-        if t.id in ids0:
-            assert t.parent_id == t.id
+    for name, _, _, parent in ts[1].ideal_tiles():
+        if name in ids0:
+            assert parent == name
+    # the count the level keeps is the number formed
+    for t in ts:
+        assert t.ideal_count == len(list(t.ideal_tiles()))
+        assert len(t.tiles) == len(t.nonideal()) + t.ideal_count
 
 
 def test_parent_partition():
     ts = get_tilings("triangle")
     for lvl in range(1, len(ts)):
-        parents = {t.id for t in ts[lvl - 1].nonideal()}
-        for tile in ts[lvl].nonideal():
-            assert tile.parent_id in parents
+        parents = {ts[lvl - 1].name(i) for i in ts[lvl - 1].nonideal()}
+        names = ts[lvl].parent_names()
+        for i in ts[lvl].nonideal():
+            assert names[i] in parents
+            # the parent index names the same tile
+            assert ts[lvl - 1].name(ts[lvl].parent[i]) == names[i]
     # children of distinct tiles are disjoint by construction (unique parent)
 
 
@@ -70,20 +79,21 @@ def test_adjacency_symmetric_and_local():
         ball = get_ball(name)
         ts = get_tilings(name)
         t = ts[1]
-        for tile in t.nonideal():
-            for other, label in t.neighbors(tile.id):
-                assert (tile.id, label) in t.adjacency[other]
+        adjacency = t.adjacency(range(len(t.owner)))
+        for i in t.nonideal():
+            for other, label in adjacency[i]:
+                assert (i, label) in adjacency[other]
                 # owners differ by one diagonal move
-                g = t.by_id[tile.id].owner
-                h = t.by_id[other].owner
-                if t.by_id[other].ideal:
+                g = t.owner_of(i)
+                h = t.owner_of(other)
+                if t.ideal[other]:
                     continue
                 assert any(ball.apply(g, m) == h for m in ball.moves)
 
 
 def test_adjacency_labels():
     ts = get_tilings("triangle")
-    labels = {lab for inst in ts[1].instances for lab in [inst.label]}
+    labels = {LABELS[lab] for _, _, lab in ts[1].edges()}
     assert labels == {"flat", "containment"}
 
 
@@ -120,32 +130,34 @@ def test_build_tiling_alone_matches_chained(name):
 def test_ideal_tile_parents(name):
     ball = get_ball(name)
     ts = get_tilings(name)
-    assert all(t.parent_id is None for t in ts[0].tiles)
+    assert ts[0].parent_names() == [None] * len(ts[0].nonideal())
+    assert all(parent is None for _, _, _, parent in ts[0].ideal_tiles())
     for n in range(1, len(ts)):
         prev = ts[n - 1]
-        attached = {(t.owner, f): t.id for t in prev.nonideal()
-                    for f in t.attached_ideal}
-        holding = {(t.owner, c): t.id for t in prev.nonideal() for c in t.cells}
-        for tile in ts[n].ideal_tiles():
-            g, f = tile.owner, tile.ideal_facet
-            if tile.id in prev.by_id and prev.by_id[tile.id].ideal:
-                expected = tile.id
+        prev_ideal = {name for name, _, _, _ in prev.ideal_tiles()}
+        attached = {(prev.owner_of(i), f): prev.name(i) for i in prev.nonideal()
+                    for f in ball.local(prev.owner_of(i)).regions[prev.region[i]][1]}
+        holding = {(prev.owner_of(i), c): prev.name(i) for i in prev.nonideal()
+                   for c in prev.cells(i)}
+        for tid, g, f, parent in ts[n].ideal_tiles():
+            if tid in prev_ideal:
+                expected = tid
             elif (g, f) in attached:
                 expected = attached[g, f]
             else:   # born with its owner: inside the owner's parent tile
                 expected = holding[ball.pred[g], ball.pred_move[g]]
-            assert tile.parent_id == expected, tile.id
+            assert parent == expected, tid
 
 
 def test_history_free3():
     ts = get_tilings("free3", 2)
     h = build_history(ts)
     assert len(h.vertices) == 6 + 30
-    roots = h.children["origin"]
-    assert len(roots) == 6
-    for tid in roots:
-        assert len(h.children[tid]) == 5
-        assert h.horizontal_neighbors(tid) == []
+    roots = h.children(ROOT)
+    assert len(roots) == 6 and h.name(ROOT) == "origin"
+    for v in roots:
+        assert len(h.children(v)) == 5
+        assert h.horizontal_neighbors(v) == []
 
 
 def test_history_triangle():
@@ -154,7 +166,7 @@ def test_history_triangle():
     assert len(h.vertices) == 26 + 98
     # sphere dual graphs are connected at both levels
     for lvl in (0, 1):
-        tiles = [t.id for t in h.level_tiles(lvl)]
+        tiles = h.level_tiles(lvl)
         seen = {tiles[0]}
         frontier = [tiles[0]]
         while frontier:
@@ -172,10 +184,10 @@ def test_history_single_generator_is_two_rays():
     for lvl in range(len(ts)):
         tiles = h.level_tiles(lvl)
         assert len(tiles) == 2
-        for t in tiles:
-            assert h.horizontal_neighbors(t.id) == []
+        for v in tiles:
+            assert h.horizontal_neighbors(v) == []
             if lvl + 1 < len(ts):
-                assert len(h.children[t.id]) == 1
+                assert len(h.children(v)) == 1
 
 
 def test_extract_rule_triangle():
@@ -186,8 +198,8 @@ def test_extract_rule_triangle():
     assert rule.coalesced_children == {
         "A": {"A": 1}, "B": {"A": 2, "B": 1}, "C": {"A": 3, "B": 3, "C": 1}}
     ts = get_tilings("triangle")
-    counts0 = Counter(rule.coalesced_of[rule.type_of[t.id]]
-                      for t in ts[0].nonideal())
+    counts0 = Counter(rule.coalesced_of[rule.type_of[0][i]]
+                      for i in ts[0].nonideal())
     # replay through the coalesced multisets reproduces the exact counts
     cur = dict(counts0)
     totals = [sum(cur.values())]
@@ -203,55 +215,64 @@ def test_extract_rule_triangle():
 
 def test_restricted_reflags_tiles_and_shares_adjacency():
     ts = get_tilings("path3", 3)
-    owners = {t.owner for t in ts[1].nonideal()[::2]}
+    owners = {ts[1].owner_of(i) for i in ts[1].nonideal()[::2]}
     r = ts[1].restricted(owners)
-    assert r.adjacency is ts[1].adjacency and r.instances is ts[1].instances
-    assert [t.id for t in r.tiles] == [t.id for t in ts[1].tiles]
-    assert {t.id for t in r.nonideal()} == \
-        {t.id for t in ts[1].nonideal() if t.owner in owners}
+    assert r.rows is ts[1].rows and r.instances is ts[1].instances
+    assert r.names() == ts[1].names() and len(r.tiles) == len(ts[1].tiles)
+    assert set(r.nonideal()) == \
+        {i for i in ts[1].nonideal() if ts[1].owner_of(i) in owners}
     # the base tiling keeps its own flags
-    assert all(not t.ideal for t in ts[1].tiles if t.covered_move is not None)
+    assert not any(ts[1].ideal)
     # a restriction that flags no tile is the tiling itself
-    assert ts[1].restricted({t.owner for t in ts[1].tiles}) is ts[1]
+    assert ts[1].restricted({ts[1].owner_of(i)
+                             for i in ts[1].nonideal()}) is ts[1]
 
 
-def test_tilings_share_ids_and_stay_compact():
+def test_tilings_stay_compact():
     # path3 at depth 5, the tilings of the benchmark's path3-special run
     ball = build_ball(path3(), 5)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tilings = build_tilings(ball, 5)
+        gc.collect()   # empties the free lists, which tracemalloc counts
         used = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     tiles = sum(len(t.tiles) for t in tilings)
     assert tiles == 13018
-    # ~470 B per tile; per-side id strings, edge objects with their shared
-    # cell and per-tile neighbour sets took ~920
-    assert used <= 650 * tiles, used / tiles
-    # one string object per distinct tile id, wherever the id is held
-    history = build_history(tilings)
-    ids = list(history.vertices) + list(history.tile_index)
-    for parent, kids in history.children.items():
-        ids += [parent] + kids
-    for t in tilings:
-        ids += [tile.id for tile in t.tiles]
-        ids += [tile.parent_id for tile in t.tiles if tile.parent_id]
-        for edge in t.instances:
-            ids += edge[:2]
-        for tid, pairs in t.adjacency.items():
-            ids += [tid] + [o for o, _ in pairs]
-    assert len({id(s) for s in ids}) == len(set(ids))
+    # ~21 B per tile: index arrays, with names and ideal tiles formed on
+    # demand
+    assert used <= 100 * tiles, used / tiles
+
+
+@pytest.mark.parametrize("name,levels,tiles,instances,nonideal", [
+    ("c4", 3, 5328, 12480, 2808),
+    ("k4", 3, 2400, 13536, 2400),
+    ("path3", 5, 13018, 14560, 5334),
+    ("triangle", 5, 1330, 3360, 1330),
+])
+def test_tracer_reads_the_workload_counts(name, levels, tiles, instances,
+                                          nonideal):
+    # the benchmark's tracer reads len(t.tiles), len(t.instances) and
+    # len(t.nonideal()) off build_tilings' result, summed over the levels of
+    # the workloads c4-sparse, k4-clique, path3-special and tri-export
+    ts = get_tilings(name, levels)
+    assert sum(len(t.tiles) for t in ts) == tiles
+    assert sum(len(t.instances) for t in ts) == instances
+    assert sum(len(t.nonideal()) for t in ts) == nonideal
 
 
 def test_extract_rule_reads_the_history_without_adding_children():
     h = build_history(get_tilings("path3", 3))
-    keys = set(h.children)
+    kids = [list(h.children(v)) for v in [ROOT, *h.vertices]]
     rule = extract_rule(h)
     descriptor_crosscheck(rule, h)
-    assert set(h.children) == keys
-    assert set(rule.type_of) == set(h.vertices)
+    assert [list(h.children(v)) for v in [ROOT, *h.vertices]] == kids
+    # every vertex is typed, and no other tile
+    typed = [h.offsets[n] + i for n, types in enumerate(rule.type_of)
+             for i, name in enumerate(types) if name is not None]
+    assert typed == list(h.vertices)
 
 
 def test_extract_rule_free3():
