@@ -1,5 +1,5 @@
-"""Exact metric balls over the diagonal generating set, with visible
-regions.
+"""Exact metric balls over the diagonal generating set, with each element's
+visible region.
 
 Levels come from breadth-first search using every spherical signed set as a
 single move; one round of the staged gluing construction adds exactly the
@@ -25,8 +25,18 @@ The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
 subdivision rule has finitely many tile types.  `Ball.local` holds one
 record per covering move: the pattern and everything read off it (convex
-cells, flat cells, visible-region components).  The pattern is spot-checked
-with products on the first two elements of each level and covering move.
+cells, flat cells, the visible region).  The pattern is spot-checked with
+products on the first two elements of each level and covering move.
+
+An element's visible region is one connected piece, so it owns exactly one
+tile.  For a covering move sigma the convex cells are the children of
+sigma's inflation descriptor with every sign flipped.  sigma's own letters
+commute pairwise and form one cell; every other convex letter (i, +-) fails
+to commute with some k of sigma's support, and the ideal facet
+{(i, +-), (k, sigma_k)} joins it to the cell {(k, sigma_k)}.  A record that
+falls into several components raises InvariantViolation.  The identity,
+which owns no tile, is exempt: on one generator its visible sphere is the
+two points a+ and a-.
 """
 
 from __future__ import annotations
@@ -76,8 +86,9 @@ class Local:
     convex: tuple        # moves whose cell (g, t) touches no other domain,
                          # in move order
     flat: tuple          # (cell, s0): cells in exactly two domains, g and g * s0
-    regions: tuple       # (cells, attached ideal facets) per visible component
-    component: dict      # convex cell or attached ideal facet -> region index
+    region: tuple        # (convex cells, attached ideal facets); None when
+                         # they form several components
+    visible: frozenset   # the convex cells and attached ideal facets
 
 
 class Ball:
@@ -216,7 +227,13 @@ class Ball:
             pattern = frozenset(t for t in self.moves
                                 if self.in_ball(self.apply(g, t), level))
             if rec is None:
-                self._local[move] = rec = self._local_of(pattern)
+                rec = self._local_of(pattern)
+                if rec.region is None and move is not None:
+                    raise InvariantViolation(
+                        "convex cells of covering move %s form several "
+                        "components" % cell_str(self.graph, move),
+                        self.nf_string(g), level)
+                self._local[move] = rec
             elif pattern != rec.pattern:
                 raise InvariantViolation(
                     "in-ball pattern differs from that of its covering move",
@@ -232,10 +249,10 @@ class Ball:
                 convex.append(cell)
             elif len(inside) == 1:
                 flat.append((cell, inside[0]))
-        regions = tuple(_components(self.graph, convex))
-        component = {x: i for i, (cells, ideals) in enumerate(regions)
-                     for x in cells + ideals}
-        return Local(pattern, tuple(convex), tuple(flat), regions, component)
+        comps = _components(self.graph, convex)
+        visible = frozenset(x for cells, ideals in comps for x in cells + ideals)
+        return Local(pattern, tuple(convex), tuple(flat),
+                     comps[0] if len(comps) == 1 else None, visible)
 
     def sphere_sizes(self):
         return [len(lvl) for lvl in self.levels]
@@ -244,30 +261,19 @@ class Ball:
         return len(self.level_of)
 
 
-@dataclass
-class Region:
-    """One connected component of a domain's visible part of the sphere."""
-    owner: tuple
-    cells: tuple            # convex cells, canonical order
-    attached_ideal: tuple   # truncation faces glued into this component
-    index: int = 0
-
-
 def visible_region(ball: Ball, n: int, owner):
-    """Connected components of the owner's exposed cells on S(n).
+    """(convex cells, attached ideal facets) of the owner's exposed part of
+    S(n), read from its per-covering-move record, `Ball.local`.
 
-    Components are joined through shared non-ideal subcells that are
+    The cells are joined through shared non-ideal subcells that are
     themselves exposed, and through the owner's own truncation faces (an
     ideal facet touches every compatible cell; its boundary toward covered
     facets is sealed off by the matching faces of neighbouring domains).
-    The components depend only on the owner's convex cells, so they are
-    read from its per-covering-move record, `Ball.local`.
     """
     if ball.level_of.get(owner) != n:
         raise InvariantViolation("no visible region on S(%d)" % n,
                                  ball.nf_string(owner), ball.level_of.get(owner))
-    return [Region(owner, cells, ideals, i)
-            for i, (cells, ideals) in enumerate(ball.local(owner).regions)]
+    return ball.local(owner).region
 
 
 def _components(graph: DefiningGraph, convex):

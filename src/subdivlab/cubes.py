@@ -251,8 +251,8 @@ def _germ_str(graph, germ):
 @dataclass
 class LiftSet:
     levels: list            # per level: canonically ordered element states
-    members: set
-    witness: dict           # state -> vertex of the complex
+    members: dict           # state -> the first vertex of the complex it
+                            # was realized at, in discovery order
 
     def size(self):
         return len(self.members)
@@ -301,7 +301,7 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
     # ball levels are in canonical order already
     levels = [[g for g in ball.levels[n] if g in members]
               for n in range(n_max + 1)]
-    return LiftSet(levels=levels, members=set(members), witness=members)
+    return LiftSet(levels=levels, members=members)
 
 
 @dataclass

@@ -19,7 +19,7 @@ SVG_SIZE = 640   # width and height of the drawing, in px
 def _types(tiling, rule):
     """Each stored tile's refined type; None for an ideal one or no rule."""
     if rule is None:
-        return [None] * len(tiling.owner)
+        return [None] * len(tiling.parent)
     return [None if flag else name
             for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
 

@@ -546,19 +546,15 @@ def _inversion_orbits(tiling, tiles, nbrs):
 
     Inverting generator i is a group automorphism that maps the diagonal
     moves to themselves, so it maps the tiling onto itself: a tile's image
-    is owned by the owner with pile i negated, and holds the tile's cells
-    with sign i flipped.  It is looked up by its first cell among the few
-    tiles of that owner.  Each of the d maps must be one-to-one and carry
-    every neighbour list onto its image's; else InvariantViolation."""
+    is the tile of the owner with pile i negated, and must hold the tile's
+    first cell with sign i flipped.  Each of the d maps must be one-to-one
+    and carry every neighbour list onto its image's; else
+    InvariantViolation."""
     graph = tiling.graph
     n = len(tiles)
-    level = tiling.ball.levels[tiling.level + 1]
-    rank = {g: r for r, g in enumerate(level)}
-    owner = [tiling.owner[i] for i in tiles]   # owner ranks; an owner's tiles are adjacent
+    owner = list(map(tiling.owner_of, tiles))
+    pos = {g: k for k, g in enumerate(owner)}   # owner -> position of its tile
     cells = [tiling.cells(i) for i in tiles]
-    first_of = {}   # owner rank -> position of its first tile
-    for k, r in enumerate(owner):
-        first_of.setdefault(r, k)
     root = list(range(n))   # union-find; a root is its set's first tile
 
     def find(x):
@@ -575,21 +571,13 @@ def _inversion_orbits(tiling, tiles, nbrs):
         flipped = {}   # cell -> the cell with sign i flipped
         perm = []
         hit = bytearray(n)
-        current = None
-        for v in range(n):
-            if owner[v] != current:
-                current = owner[v]
-                g = level[current]
-                image = rank.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:])
-                start = first_of.get(image, n)
+        for v, g in enumerate(owner):
+            k = pos.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:])
             cell = flipped.get(cells[v][0])
             if cell is None:
                 cell = flipped[cells[v][0]] = tuple(
                     (j, -e if j == i else e) for j, e in cells[v][0])
-            k = start
-            while k < n and owner[k] == image and cell not in cells[k]:
-                k += 1
-            if k == n or owner[k] != image:
+            if k is None or cell not in cells[k]:
                 raise InvariantViolation("%s finds no image of tile %s"
                                          % (what, name(v)), name(v), tiling.level)
             if hit[k]:

@@ -2,23 +2,24 @@
 cross-check against the subdivision descriptor.
 
 The level-n tiling is the flat structure of the sphere one step further out:
-every element g of level n+1 contributes one tile per connected component of
-its visible region, and every truncation face of a domain already inside the
-ball persists as an ideal tile.  Two non-ideal tiles are adjacent when their
-regions share an exposed cell lying in exactly two domains of the ball; the
-edge is labelled by how the tiles' covered cells relate (same codimension,
-or nested with codimension difference one).  Regions, flat cells and the
-parent tile all come from the ball's per-covering-move record
-(`Ball.local`), so a tiling needs no earlier level, and an element costs
-one group product per flat cell of codimension two or more that it owns.
+every element g of level n+1 contributes one tile, its visible region, and
+every truncation face of a domain already inside the ball persists as an
+ideal tile.  The visible region is connected (the `balls` module docstring
+gives the reason), so an element never owns two tiles.  Two non-ideal tiles
+are adjacent when their regions share an exposed cell lying in exactly two
+domains of the ball; the edge is labelled by how the tiles' covered cells
+relate (same codimension, or nested with codimension difference one).
+The region, flat cells and the parent tile all come from the ball's
+per-covering-move record (`Ball.local`), so a tiling needs no earlier level,
+and an element costs one group product per flat cell of codimension two or
+more that it owns.
 
-A tile is an int index into its level.  A level stores its non-ideal tiles
-as parallel arrays: the owner's rank in `ball.levels[n + 1]`, the region
-index, the parent's index into level n - 1 and an ideal flag
-(`Tiling.restricted` sets flags).  Its edges are index pairs with a label
-code, one per shared cell, and each tile's neighbours are compressed rows
-(an offset array, an index array and a label array) built once from the
-edges.  A name such as `t3|a^-4 b^-1|0`, the cells, shape and covered
+A tile is an int index into its level: non-ideal tile i is owned by element
+i of `ball.levels[n + 1]`.  A level stores the parent's index into level
+n - 1 and an ideal flag of each non-ideal tile (`Tiling.restricted` sets
+flags).  Its edges are index pairs with a label code, one per shared cell,
+and each tile's neighbours are compressed rows (an offset array, an index
+array and a label array) built once from the edges.  A name such as `t3|a^-4 b^-1|0`, the cells, shape and covered
 clique are read off the ball when asked for.  Ideal tiles are not stored:
 the level keeps their count, and `Tiling.ideal_tiles` forms them from the
 ball, with their parents' names, in a fixed order.
@@ -36,7 +37,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 
 from .balls import Ball, InvariantViolation, visible_region
 from .graphs import (DefiningGraph, cell_str, ideal_facets,
@@ -51,13 +51,11 @@ class Tiling:
     """The non-ideal tiles of one level as parallel arrays, its edges and
     each tile's neighbour row; a tile is an index into the arrays."""
 
-    def __init__(self, ball, level, owner, region, parent, ideal_count,
-                 instances, ideal=None, rows=None):
+    def __init__(self, ball, level, parent, ideal_count, instances, ideal=None,
+                 rows=None):
         self.ball, self.graph, self.level = ball, ball.graph, level
-        self.owner = owner     # rank of the owner in ball.levels[level + 1]
-        self.region = region   # index of the tile's region in the owner's record
         self.parent = parent   # the parent's index into level - 1; -1 at level 0
-        self.ideal = bytearray(len(owner)) if ideal is None else ideal
+        self.ideal = bytearray(len(parent)) if ideal is None else ideal
         self.ideal_count = ideal_count   # truncation faces, formed on demand
         # one entry per shared cell, (tile1 * tiles + tile2) * 4 + label code
         # with tile1 < tile2: read through `edges`
@@ -70,16 +68,16 @@ class Tiling:
     def tiles(self):
         """Every tile: the stored ones, then the ideal ones in `ideal_tiles`
         order."""
-        return range(len(self.owner) + self.ideal_count)
+        return range(len(self.parent) + self.ideal_count)
 
     def nonideal(self):
         if 1 in self.ideal:
             return [i for i, flag in enumerate(self.ideal) if not flag]
-        return range(len(self.owner))
+        return range(len(self.parent))
 
     def edges(self):
         """(tile1, tile2, label code) of each adjacency instance."""
-        n = len(self.owner)
+        n = len(self.parent)
         return (((key >> 2) // n, (key >> 2) % n, key & 3)
                 for key in self.instances)
 
@@ -99,7 +97,7 @@ class Tiling:
         return [sorted(entries[s:e]) for s, e in zip(start, start[1:])]
 
     def owner_of(self, i):
-        return self.ball.levels[self.level + 1][self.owner[i]]
+        return self.ball.levels[self.level + 1][i]
 
     def covered_move(self, i):
         return self.ball.pred_move[self.owner_of(i)]
@@ -108,36 +106,36 @@ class Tiling:
         return support(self.covered_move(i))
 
     def cells(self, i):
-        return self.ball.local(self.owner_of(i)).regions[self.region[i]][0]
+        cells, _ = self.ball.local(self.owner_of(i)).region
+        return cells
 
     def shape(self, i):
-        cells, ideals = self.ball.local(self.owner_of(i)).regions[self.region[i]]
+        cells, ideals = self.ball.local(self.owner_of(i)).region
         return (tuple(sorted(len(c) for c in cells)), len(ideals))
 
     def name(self, i):
-        return _nonideal_name(self.level, self.ball.nf_string(self.owner_of(i)),
-                              self.region[i])
+        return _nonideal_name(self.level, self.ball.nf_string(self.owner_of(i)))
 
     def names(self):
         """The name of each stored tile, by index."""
-        level, nf = self.ball.levels[self.level + 1], self.ball.nf_string
-        return [_nonideal_name(self.level, nf(level[r]), c)
-                for r, c in zip(self.owner, self.region)]
+        nf = self.ball.nf_string
+        return [_nonideal_name(self.level, nf(g))
+                for g in self.ball.levels[self.level + 1]]
 
     def parent_names(self):
         """The name of each stored tile's parent, by index; None at level 0,
         whose parent is the origin."""
         if self.level == 0:
-            return [None] * len(self.owner)
-        level = self.ball.levels[self.level + 1]
-        return [_parent_name(self.ball, self.level, level[r]) for r in self.owner]
+            return [None] * len(self.parent)
+        return [_parent_name(self.ball, self.level, g)
+                for g in self.ball.levels[self.level + 1]]
 
     def ideal_tiles(self):
         """Yield (name, owner, facet, parent name) of each ideal tile, from
         the ball: every truncation face of a domain in the ball, except the
         ones glued into their owner's fresh region.  The parent of a face
         that was an ideal tile one level up is itself; of a face then glued
-        into its fresh owner's region, that region's tile; of a face born at
+        into its fresh owner's region, that owner's tile; of a face born at
         level n + 1, its owner's parent tile."""
         ball, n = self.ball, self.level
         facets = ideal_facets(self.graph)
@@ -146,18 +144,17 @@ class Tiling:
         for lvl in range(n + 2):
             for g in ball.levels[lvl]:
                 g_nf = ball.nf_string(g)
-                component = ball.local(g).component if lvl >= n else {}
+                visible = ball.local(g).visible if lvl >= n else ()
                 for f in facets:
-                    comp = component.get(f)
-                    if lvl == n + 1 and comp is not None:
+                    if lvl == n + 1 and f in visible:
                         continue
                     name = "i|%s|%s" % (g_nf, cell_str(self.graph, f))
                     if n == 0:
                         parent = None
                     elif lvl == n + 1:
                         parent = _parent_name(ball, n, g)
-                    elif comp is not None:
-                        parent = _nonideal_name(n - 1, g_nf, comp)
+                    elif f in visible:
+                        parent = _nonideal_name(n - 1, g_nf)
                     else:
                         parent = name
                     yield name, g, f, parent
@@ -167,19 +164,17 @@ class Tiling:
         `owners` flagged ideal; this tiling itself when that flags none.
         Edges and neighbour rows are shared with this tiling: every reader
         drops ideal neighbours."""
-        level = self.ball.levels[self.level + 1]
-        flags = bytearray(f or level[r] not in owners
-                          for f, r in zip(self.ideal, self.owner))
+        flags = bytearray(f or g not in owners for f, g
+                          in zip(self.ideal, self.ball.levels[self.level + 1]))
         if flags == self.ideal:
             return self
-        return Tiling(self.ball, self.level, self.owner, self.region,
-                      self.parent, self.ideal_count, self.instances, flags,
-                      self.rows)
+        return Tiling(self.ball, self.level, self.parent, self.ideal_count,
+                      self.instances, flags, self.rows)
 
 
 def _neighbor_rows(tiling):
     # each (tile, neighbour, label) once, as one int that sorts in that order
-    n = len(tiling.owner)
+    n = len(tiling.parent)
     keys = set(tiling.instances)
     keys.update((b * n + a) * 4 + label for a, b, label in tiling.edges())
     keys = sorted(keys)
@@ -188,15 +183,14 @@ def _neighbor_rows(tiling):
             bytearray(key & 3 for key in keys))
 
 
-def _nonideal_name(level, owner_nf, comp):
-    return "t%d|%s|%d" % (level, owner_nf, comp)
+def _nonideal_name(level, owner_nf):
+    # the "|0" is the index of the owner's one region, kept in every name
+    return "t%d|%s|0" % (level, owner_nf)
 
 
 def _parent_name(ball, n, g):
     """The name of the level-(n-1) tile holding the cell that covers g."""
-    pred = ball.pred[g]
-    comp = ball.local(pred).component[ball.pred_move[g]]
-    return _nonideal_name(n - 1, ball.nf_string(pred), comp)
+    return _nonideal_name(n - 1, ball.nf_string(ball.pred[g]))
 
 
 def build_tiling(ball: Ball, n: int) -> Tiling:
@@ -204,62 +198,46 @@ def build_tiling(ball: Ball, n: int) -> Tiling:
 
     It reads the ball up to level n + 1 and no further, so `ball.N` must be
     at least n + 1.  Parent indices point into the level-(n-1) tiling, read
-    off the ball alone: that level's tiles are its owners' regions, in
-    owner order."""
+    off the ball alone: a tile's parent is its owner's predecessor's rank in
+    `ball.levels[n]`."""
     if ball.N < n + 1:
         raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
-    first = {}   # owner at level n -> index of its first tile in level n - 1
-    if n > 0:
-        k = 0
-        for h in ball.levels[n]:
-            first[h] = k
-            k += len(ball.local(h).regions)
+    rank = {h: i for i, h in enumerate(ball.levels[n])}
+    level = ball.levels[n + 1]
     facets = len(ideal_facets(ball.graph))
-    ideal_count = facets * sum(map(len, ball.levels[:n + 1]))
-    owner, region, parent = array("i"), array("i"), array("i")
-    starts = array("i")   # index of each owner's first tile, then the count
-    for rank, g in enumerate(ball.levels[n + 1]):
-        regions = visible_region(ball, n + 1, g)
-        p = -1
-        if n > 0:
-            pred = ball.pred[g]
-            comp = ball.local(pred).component.get(ball.pred_move[g])
-            if comp is None:
-                raise InvariantViolation("covered cell missing from the parent "
-                                         "tiling", ball.nf_string(g), n + 1)
-            p = first[pred] + comp
-        starts.append(len(owner))
-        ideal_count += facets
-        for r in regions:
-            owner.append(rank)
-            region.append(r.index)
-            parent.append(p)
-            ideal_count -= len(r.attached_ideal)
-    starts.append(len(owner))
-    tiles = len(owner)
+    ideal_count = facets * sum(map(len, ball.levels[:n + 2]))
+    parent = array("i")
+    for g in level:
+        ideal_count -= len(visible_region(ball, n + 1, g)[1])
+        pred = ball.pred[g]
+        if n > 0 and ball.pred_move[g] not in ball.local(pred).visible:
+            raise InvariantViolation("covered cell missing from the parent "
+                                     "tiling", ball.nf_string(g), n + 1)
+        parent.append(rank[pred] if n > 0 else -1)
+    tiles = len(level)
     instances = array("q", [(a * tiles + b) * 4 + label for a, b, label, _
-                            in _compute_adjacency(ball, n, starts)])
-    return Tiling(ball, n, owner, region, parent, ideal_count, instances)
+                            in _compute_adjacency(ball, n)])
+    return Tiling(ball, n, parent, ideal_count, instances)
 
 
-def _compute_adjacency(ball: Ball, n: int, starts):
+def _compute_adjacency(ball: Ball, n: int):
     """Yield (tile1, tile2, label code, shared cell) for the exposed cells
-    lying in exactly two domains of B(n+1), tile1 < tile2; the tiles of the
-    owner of rank i in `ball.levels[n + 1]` are starts[i]..starts[i + 1] - 1,
-    in region order.
+    lying in exactly two domains of B(n+1), tile1 < tile2; tile i is the
+    owner of rank i in `ball.levels[n + 1]`, and each cell gives at most one
+    edge.
 
     Such a cell of g is flat: besides g it lies in h = g * s0 only.  It is
     taken from the side whose owner comes first by nf_key, and that owner is
     its canonical (lowest level, then nf_key) domain, as every further
     domain of the cell lies outside B(n+1); the shared cell is yielded as
-    (that owner, signs).  Which regions of g and h the cell touches, and the
-    label, depend only on the covering moves of g and h, so they are worked
-    out once per (move of g, cell, move of h)."""
+    (that owner, signs).  Whether the cell joins the regions of g and h, and
+    the label, depend only on the covering moves of g and h, so they are
+    worked out once per (move of g, cell, move of h)."""
     level = ball.levels[n + 1]
     rank = {g: i for i, g in enumerate(level)}   # levels are in nf_key order
     local = [ball.local(g) for g in level]
     move = ball.pred_move
-    joins = {}   # (move of g, cell, move of h) -> (regions of g, of h, label)
+    joins = {}   # (move of g, cell, move of h) -> label code, None: no edge
     for i, g in enumerate(level):
         for cell, s0 in local[i].flat:
             if len(cell) < 2:
@@ -273,28 +251,21 @@ def _compute_adjacency(ball: Ball, n: int, starts):
             if j < i:
                 continue  # processed from the other side
             key = (move[g], cell, move[h])
-            join = joins.get(key)
-            if join is None:
-                join = joins[key] = (_join(cell, s0, local[i], local[j])
-                                     + (_edge_label(move[g], move[h]),))
-            comps_g, comps_h, label = join
-            sides = {starts[i] + c for c in comps_g}
-            sides.update(starts[j] + c for c in comps_h)
-            for a, b in combinations(sorted(sides), 2):
-                yield a, b, label, (g, cell)
+            if key not in joins:
+                joins[key] = (_edge_label(move[g], move[h])
+                              if _join(cell, s0, local[i], local[j]) else None)
+            if joins[key] is not None:
+                yield i, j, joins[key], (g, cell)
 
 
 def _join(cell, s0, local_g, local_h):
-    """The regions of g and of h = g * s0 holding a codimension-one subcell
-    of the flat cell (g, cell)."""
+    """Whether the regions of g and of h = g * s0 both hold a
+    codimension-one subcell of the flat cell (g, cell)."""
     flipped = frozenset(s0)
     cell_h = tuple((k, -e if (k, e) in flipped else e) for k, e in cell)
-    sides = []
-    for c, rec in ((cell, local_g), (cell_h, local_h)):
-        subcells = (tuple(p for p in c if p[0] != drop) for drop, _ in s0)
-        sides.append(tuple(comp for comp in map(rec.component.get, subcells)
-                           if comp is not None))
-    return tuple(sides)
+    return all(any(tuple(p for p in c if p[0] != drop) in rec.visible
+                   for drop, _ in s0)
+               for c, rec in ((cell, local_g), (cell_h, local_h)))
 
 
 def _edge_label(move_g, move_h) -> int:
@@ -339,8 +310,8 @@ class HistoryGraph:
             vertices += [off + i for i in t.nonideal()]
             parents += [self.offsets[-2] + t.parent[i] if n else ROOT
                         for i in t.nonideal()]
-            self.offsets.append(off + len(t.owner))
-            self.level_of += bytes([n]) * len(t.owner)
+            self.offsets.append(off + len(t.parent))
+            self.level_of += bytes([n]) * len(t.parent)
         total = self.offsets[-1]
         self.vertices = range(total) if len(vertices) == total else vertices
         order = sorted(range(len(vertices)), key=parents.__getitem__)   # stable
@@ -450,13 +421,13 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
                                                       LABELS[label]))
 
     # depth-limited signatures, starting from (covered clique, shape), which
-    # depend on the covering move and region index only
+    # depend on the covering move only
     raw = {}
     raw_sig = [None] * offsets[-1]
     for v in vertices:
         n, i = history.locate(v)
         t = tilings[n]
-        key = (t.covered_move(i), t.region[i])
+        key = t.covered_move(i)
         if key not in raw:
             raw[key] = ("raw", t.covered_clique(i), t.shape(i))
         raw_sig[v] = raw[key]

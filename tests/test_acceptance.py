@@ -84,15 +84,26 @@ def test_criterion_2_subdivision_replay():
           " 6->30->150->750 (A->5A), exact")
 
 
-def test_criterion_3_tile_count_equals_sphere():
+def test_criterion_3_tile_count_equals_sphere(class_tilings):
     for name in ("triangle", "path3", "free3", "edge_plus_vertex"):
         ball = get_ball(name)
         tilings = get_tilings(name, 5)   # levels 0..4
         for t in tilings:
             assert len(t.nonideal()) == len(ball.levels[t.level + 1]), \
                 (name, t.level)
+    # the theorem behind the count: an element's tile holds all of its
+    # convex cells, so its visible region is one component
+    tiles = 0
+    for d in (1, 2, 3, 4):
+        for edges in all_graphs_up_to_iso(d):
+            for t in class_tilings(d, edges, 3):
+                for i in t.nonideal():
+                    convex = t.ball.local(t.owner_of(i)).convex
+                    assert set(t.cells(i)) == set(convex), (d, edges, t.name(i))
+                    tiles += 1
     ok(3, "non-ideal tile count at level n equals sphere size at n+1,"
-          " n <= 4, four graphs, exact")
+          " n <= 4, four graphs, exact; each of %d tiles holds all its"
+          " owner's convex cells, 18 graphs with d <= 4, 3 levels" % tiles)
 
 
 def test_criterion_4_oracle_equivalence():

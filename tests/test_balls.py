@@ -1,13 +1,12 @@
 import gc
 import tracemalloc
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import pytest
 
-from subdivlab import InvariantViolation, words
+from subdivlab import InvariantViolation, balls, words
 from subdivlab.balls import Ball, CapExceeded, build_ball, visible_region
 from subdivlab.graphs import (Cell, DefiningGraph, cell_is_ideal,
                               diagonal_elements, inflation_descriptor)
@@ -218,31 +217,28 @@ def test_convex_cells_counts():
 def test_visible_region_examples():
     p = path3()
     ball = get_ball("path3")
-    regs = visible_region(ball, 1, el(p, ball, "z"))
-    assert len(regs) == 1 and regs[0].cells == (((1, 1),),)
-    regs = visible_region(ball, 1, el(p, ball, "a z"))
-    assert len(regs) == 1
-    cells = set(regs[0].cells)
+    cells, _ = visible_region(ball, 1, el(p, ball, "z"))
+    assert cells == (((1, 1),),)
+    cells, _ = visible_region(ball, 1, el(p, ball, "a z"))
+    cells = set(cells)
     a, z, b = 0, 1, 2
     expected = [((a, 1),), ((b, 1),), ((b, -1),), ((z, 1),),
                 ((a, 1), (z, 1)), ((z, 1), (b, 1)), ((z, 1), (b, -1))]
     assert cells == {tuple(sorted(c)) for c in expected}
     tri = triangle()
     tball = get_ball("triangle")
-    regs = visible_region(tball, 1, el(tri, tball, "a b c"))
-    assert len(regs) == 1
-    profile = tuple(sorted(len(c) for c in regs[0].cells))
+    cells, _ = visible_region(tball, 1, el(tri, tball, "a b c"))
+    profile = tuple(sorted(len(c) for c in cells))
     assert profile == (1, 1, 1, 2, 2, 2, 3)
 
 
 def test_visible_region_components_are_linked_by_truncation_faces():
     p = path3()
     ball = get_ball("path3")
-    regs = visible_region(ball, 1, el(p, ball, "a"))
+    cells, attached_ideal = visible_region(ball, 1, el(p, ball, "a"))
     # facets a+, b+, b- only meet through the owner's truncation faces
-    assert len(regs) == 1
-    assert tuple(sorted(len(c) for c in regs[0].cells)) == (1, 1, 1)
-    assert len(regs[0].attached_ideal) == 4
+    assert tuple(sorted(len(c) for c in cells)) == (1, 1, 1)
+    assert len(attached_ideal) == 4
 
 
 def test_covering_map_is_onto_next_level():
@@ -279,11 +275,8 @@ def domains(ball, owner, cell):
 def test_shared_cell_is_canonical_rep(name):
     ball = get_ball(name)
     for tiling in get_tilings(name):
-        # the tiling keeps each yielded edge without its shared cell; the
-        # tiles of the owner of rank r start at the first index holding r
-        starts = [bisect_left(tiling.owner, r)
-                  for r in range(len(ball.levels[tiling.level + 1]) + 1)]
-        edges = list(_compute_adjacency(ball, tiling.level, starts))
+        # the tiling keeps each yielded edge without its shared cell
+        edges = list(_compute_adjacency(ball, tiling.level))
         assert [edge[:3] for edge in edges] == list(tiling.edges())
         for tile1, tile2, _, shared in edges:
             owner, signs = shared
@@ -400,6 +393,37 @@ def test_pattern_mismatch_raises_invariant_violation():
         build_tilings(ball, ball.N)   # its last level reads S(3)
     assert ball.nf_string(g) in str(err.value) and "level 3" in str(err.value)
     assert (err.value.element, err.value.level) == (ball.nf_string(g), 3)
+
+
+def test_split_visible_region_raises(monkeypatch):
+    ball = get_ball("triangle")
+    # the split leaves a one-cell record whole
+    first = next(ball.nf_string(g) for g in ball.levels[1]
+                 if len(ball.local(g).convex) > 1)
+    components = balls._components
+
+    def split(graph, convex):
+        comps = components(graph, convex)
+        [(cells, ideals)] = comps
+        return [(cells[:1], ()), (cells[1:], ideals)] if len(cells) > 1 else comps
+
+    monkeypatch.setattr(balls, "_components", split)
+    with pytest.raises(InvariantViolation) as err:
+        build_ball(triangle(), 3)
+    # the identity's record is split too, but exempt: the first split
+    # record of a covering move raises, at its first element
+    assert err.value.level >= 1
+    assert (err.value.element, err.value.level) == (first, 1)
+    assert first in str(err.value) and "several components" in str(err.value)
+
+
+def test_identity_may_see_two_components():
+    # on one generator the identity's visible sphere is the points a+ and
+    # a-; it owns no tile, so the ball builds
+    ball = build_ball(single(), 3)
+    assert ball.sphere_sizes() == [1, 2, 2, 2]
+    assert ball.local(ball.levels[0][0]).region is None
+    assert all(ball.local(g).region is not None for g in ball.levels[1])
 
 
 def test_corrupted_convex_record_raises(monkeypatch):

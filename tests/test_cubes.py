@@ -131,9 +131,9 @@ def test_lift_matches_the_first_search(which):
     lifts = lift_basepoints(spec, graph, ball, n_max)
     levels, witness = _lift_reference(spec, graph, ball, n_max)
     assert lifts.levels == levels
-    assert lifts.witness == witness
-    assert list(lifts.witness) == list(witness)
-    assert lifts.members == set(witness)
+    assert lifts.members == witness
+    assert list(lifts.members) == list(witness)
+    assert set(lifts.members) == set(witness)
 
 
 def test_lift_needs_the_ball_deep_enough():
@@ -198,8 +198,8 @@ def test_prune_star_convexity_violation():
     lifts = lift_basepoints(loop_a_spec(g), g, ball, ball.N)
     # drop the level-1 elements: level-2 members lose their predecessors
     broken = LiftSet(levels=[lifts.levels[0], []] + lifts.levels[2:],
-                     members=lifts.members - set(lifts.levels[1]),
-                     witness=lifts.witness)
+                     members={h: v for h, v in lifts.members.items()
+                              if h not in lifts.levels[1]})
     with pytest.raises(StarConvexityViolation):
         prune_history(build_history(ts), broken, ball)
 

@@ -309,8 +309,7 @@ def test_inversion_check_catches_a_missing_edge():
     pair = next(t.edges())[:2]
     kept = array("q", [key for key, edge in zip(t.instances, t.edges())
                        if edge[:2] != pair])
-    cut = Tiling(t.ball, t.level, t.owner, t.region, t.parent, t.ideal_count,
-                 kept)
+    cut = Tiling(t.ball, t.level, t.parent, t.ideal_count, kept)
     with pytest.raises(InvariantViolation,
                        match=r"inversion of [azb] does not map the neighbours "
                              r"of tile t2\|") as exc:

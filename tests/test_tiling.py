@@ -79,7 +79,7 @@ def test_adjacency_symmetric_and_local():
         ball = get_ball(name)
         ts = get_tilings(name)
         t = ts[1]
-        adjacency = t.adjacency(range(len(t.owner)))
+        adjacency = t.adjacency(range(len(t.parent)))
         for i in t.nonideal():
             for other, label in adjacency[i]:
                 assert (i, label) in adjacency[other]
@@ -136,7 +136,7 @@ def test_ideal_tile_parents(name):
         prev = ts[n - 1]
         prev_ideal = {name for name, _, _, _ in prev.ideal_tiles()}
         attached = {(prev.owner_of(i), f): prev.name(i) for i in prev.nonideal()
-                    for f in ball.local(prev.owner_of(i)).regions[prev.region[i]][1]}
+                    for f in ball.local(prev.owner_of(i)).region[1]}
         holding = {(prev.owner_of(i), c): prev.name(i) for i in prev.nonideal()
                    for c in prev.cells(i)}
         for tid, g, f, parent in ts[n].ideal_tiles():
