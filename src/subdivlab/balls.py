@@ -16,10 +16,13 @@ descriptor and needs no ball.  Elements covering several convex cells at
 once are counted.
 
 Each level is sorted by normal form, computed once per element.  In that
-order each element is given its name and audited: the ball counts the
-elements whose normal-form predecessor (drop the leftmost diagonal
-generator) fails to sit one level down, with up to 10 examples.  Then the
-normal forms are dropped; the ball keeps names, not normal forms.
+order each element gets its one global index, its level's start plus its
+rank in the level: `Ball.index` maps a state to it, `Ball.starts` holds the
+levels' starts, and the predecessor's index, the covering move and the name
+are arrays read by it.  Each element is audited as it is named: the ball
+counts the elements whose normal-form predecessor (drop the leftmost
+diagonal generator) fails to sit one level down, with up to 10 examples.
+Then the normal forms are dropped; the ball keeps names, not normal forms.
 
 The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
@@ -41,6 +44,8 @@ two points a+ and a-.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -92,7 +97,10 @@ class Local:
 
 
 class Ball:
-    """Levels 0..N of the group under the diagonal generating set."""
+    """Levels 0..N of the group under the diagonal generating set.
+
+    Each element has one global index, its level's start plus its rank in
+    that level, and every per-element field is read by that index."""
 
     def __init__(self, graph: DefiningGraph, n_levels: int, cap: int = DEFAULT_CAP):
         self.graph = graph
@@ -100,15 +108,17 @@ class Ball:
         self.cap = cap
         self.moves = diagonal_elements(graph)
         self.levels = []          # list of lists of states, canonical order
-        self.level_of = {}        # state -> level
-        self.pred = {}            # state -> predecessor state (level >= 1)
-        self.pred_move = {}       # state -> covering move (signed cell)
+        self.index = {}           # state -> global index
+        self.starts = [0]         # global index of each level's first
+                                  # element, then the element count
+        self.pred = array("i")    # index -> predecessor's index; -1: identity
+        self.pred_move = []       # index -> covering move; None: identity
+        self.names = []           # index -> normal-form string
         self.multi_cover = 0      # elements covering more than one convex cell
         # elements whose normal-form predecessor is not one level down: their
         # count and up to 10 of their names, in level order
         self.predecessor_mismatches = 0
         self.predecessor_mismatch_examples = []
-        self._names = {}          # state -> normal-form string, formed once
         # nonempty sub-signed-sets of each move; they are moves themselves
         self._subcells = {t: [c for r in range(1, len(t) + 1)
                               for c in combinations(t, r)] for t in self.moves}
@@ -120,41 +130,33 @@ class Ball:
 
     def _build(self):
         g0 = words.empty_state(self.graph)
-        self.level_of[g0] = 0
-        self.levels.append([g0])
-        total = 1
+        self._add_level({g0: (-1, None)}, {g0: ()})
         count = Counter({None: 1})   # covering move -> elements of the sphere
         rule = {None: self.moves}    # covering move -> the rule's convex cells
         # pile tuple -> its one shared copy: equal piles such as (0,) or
         # (1, 0) recur across elements, and a stored element holds the copy
         shared = {}.setdefault
         for n in range(1, self.N + 1):
-            nxt = []
+            new = {}   # state -> (predecessor's index, covering move)
             multi = set()
             # every element of S(n) is h * t, h its predecessor and t a
             # convex cell of h, so only convex products are formed.  The
             # frontier is in canonical order, so the first convex cell found
             # covering g has the canonically smallest owner.
-            for h in self.levels[n - 1]:
+            for i, h in enumerate(self.levels[n - 1], self.starts[n - 1]):
                 for t in self.local(h).convex:
                     g = words.apply_letters(h, self.graph, t)
-                    lvl = self.level_of.get(g)
-                    if lvl is None:
-                        g = tuple(map(shared, g, g))
-                        self.level_of[g] = n
-                        self.pred[g] = h
-                        self.pred_move[g] = t
-                        nxt.append(g)
-                        total += 1
-                        if total > self.cap:
-                            raise CapExceeded(self.cap, self.sphere_sizes())
-                    elif lvl == n:
+                    if g in new:
                         multi.add(g)
-                    else:
+                    elif g in self.index:
                         raise InvariantViolation(
                             "convex move %s lands on level %d"
-                            % (cell_str(self.graph, t), lvl),
-                            self.nf_string(h), n - 1)
+                            % (cell_str(self.graph, t), self.level(g)),
+                            self.names[i], n - 1)
+                    else:
+                        new[tuple(map(shared, g, g))] = (i, t)
+                        if len(self.index) + len(new) > self.cap:
+                            raise CapExceeded(self.cap, self.sphere_sizes())
             # the rule's count, read off the fundamental domain: the convex
             # cells of an element covered by sigma are the children of
             # sigma's inflation descriptor with every sign flipped.  A convex
@@ -168,45 +170,59 @@ class Ball:
                 step.update(dict.fromkeys(rule[sigma], k))
             count = step
             want = sum(count.values())
-            if len(nxt) != want:
+            if len(new) != want:
                 raise InvariantViolation(
                     "S(%d) has %d elements, the descriptor counts %d"
-                    % (n, len(nxt), want), "sphere", n)
+                    % (n, len(new), want), "sphere", n)
             self.multi_cover += len(multi)
-            self._sort_and_name(nxt, n)
-            self.levels.append(nxt)
+            self._add_level(new, {g: words.syllables_of_state(self.graph, g)
+                                  for g in new})
 
-    def _sort_and_name(self, level, n):
-        """Put level n in canonical order, and name and audit each element.
+    def _add_level(self, new, nfs):
+        """Append the next level n, in canonical order, and index, name and
+        audit each element.  `new` maps an element to its (predecessor's
+        index, covering move) and `nfs` to its normal form.
 
         Every downstream tie-break sees the same sequence regardless of
         discovery order.  The normal forms live only for this call."""
-        graph = self.graph
-        nfs = {g: words.syllables_of_state(graph, g) for g in level}
-        level.sort(key=lambda g: words.nf_key(nfs[g]))
-        for g in level:
+        n = len(self.levels)
+        level = sorted(new, key=lambda g: words.nf_key(nfs[g]))
+        self.levels.append(level)
+        self.starts.append(self.starts[-1] + len(level))
+        for i, g in enumerate(level, self.starts[n]):
+            self.index[g] = i
+            p, t = new[g]
+            self.pred.append(p)
+            self.pred_move.append(t)
             nf = nfs[g]
-            name = self._names[g] = words.nf_str(graph, nf)
+            name = words.nf_str(self.graph, nf)
+            self.names.append(name)
+            if n == 0:
+                continue
             # the piling state is a complete invariant: no normal form needed
-            hhat = words.state_of_word(graph, words.predecessor_word(nf))
-            if self.level_of.get(hhat) != n - 1:
+            hhat = words.state_of_word(self.graph, words.predecessor_word(nf))
+            if self.level(hhat) != n - 1:
                 self.predecessor_mismatches += 1
                 if len(self.predecessor_mismatch_examples) < 10:
                     self.predecessor_mismatch_examples.append(name)
 
+    def level(self, state):
+        """The element's level; None outside the ball."""
+        i = self.index.get(state)
+        return None if i is None else bisect_right(self.starts, i) - 1
+
     def nf_string(self, state):
-        """The element's normal-form string.  Every element of levels 1..N
-        is named as its level is sorted; the identity is named on first
-        request, and so is a state outside the ball that an error names."""
-        got = self._names.get(state)
-        if got is None:
-            got = self._names[state] = words.nf_str(
-                self.graph, words.syllables_of_state(self.graph, state))
-        return got
+        """The element's normal-form string; a state outside the ball, which
+        an error may name, is named without being stored."""
+        i = self.index.get(state)
+        if i is not None:
+            return self.names[i]
+        return words.nf_str(self.graph,
+                            words.syllables_of_state(self.graph, state))
 
     def in_ball(self, state, n) -> bool:
-        lvl = self.level_of.get(state)
-        return lvl is not None and lvl <= n
+        i = self.index.get(state)
+        return i is not None and i < self.starts[n + 1]
 
     def apply(self, state, cell):
         return words.apply_letters(state, self.graph, cell)
@@ -219,8 +235,9 @@ class Ball:
         The first two elements of each (level, covering move) recompute the
         in-ball pattern with products; a mismatch raises InvariantViolation.
         """
-        level = self.level_of[g]
-        move = self.pred_move.get(g)
+        i = self.index[g]
+        level = bisect_right(self.starts, i) - 1
+        move = self.pred_move[i]
         rec = self._local.get(move)
         checked = self._spot_checked.get((level, move), ())
         if rec is None or (len(checked) < 2 and g not in checked):
@@ -232,12 +249,12 @@ class Ball:
                     raise InvariantViolation(
                         "convex cells of covering move %s form several "
                         "components" % cell_str(self.graph, move),
-                        self.nf_string(g), level)
+                        self.names[i], level)
                 self._local[move] = rec
             elif pattern != rec.pattern:
                 raise InvariantViolation(
                     "in-ball pattern differs from that of its covering move",
-                    self.nf_string(g), level)
+                    self.names[i], level)
             self._spot_checked.setdefault((level, move), []).append(g)
         return rec
 
@@ -258,7 +275,7 @@ class Ball:
         return [len(lvl) for lvl in self.levels]
 
     def size(self):
-        return len(self.level_of)
+        return len(self.index)
 
 
 def visible_region(ball: Ball, n: int, owner):
@@ -270,9 +287,9 @@ def visible_region(ball: Ball, n: int, owner):
     ideal facet touches every compatible cell; its boundary toward covered
     facets is sealed off by the matching faces of neighbouring domains).
     """
-    if ball.level_of.get(owner) != n:
+    if ball.level(owner) != n:
         raise InvariantViolation("no visible region on S(%d)" % n,
-                                 ball.nf_string(owner), ball.level_of.get(owner))
+                                 ball.nf_string(owner), ball.level(owner))
     return ball.local(owner).region
 
 

@@ -12,9 +12,10 @@ a square corner.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from . import words
 from .balls import Ball
@@ -251,11 +252,10 @@ def _germ_str(graph, germ):
 @dataclass
 class LiftSet:
     levels: list            # per level: canonically ordered element states
-    members: dict           # state -> the first vertex of the complex it
-                            # was realized at, in discovery order
+    members: bytearray      # ball index -> 1 if the element lifts
 
     def size(self):
-        return len(self.members)
+        return self.members.count(1)
 
     def level_sizes(self):
         return [len(l) for l in self.levels]
@@ -281,25 +281,26 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
         a, b = (e.src, e.dst) if e.sign > 0 else (e.dst, e.src)
         steps[a].append(((e.label, 1), b))
         steps[b].append(((e.label, -1), a))
-    start = (spec.basepoint, words.empty_state(graph))
-    seen = {start}
-    frontier = deque([start])
-    members = {}
+    seen = {(spec.basepoint, 0)}   # (vertex, ball index) pairs reached
+    frontier = deque(seen)
+    members = bytearray(ball.size())
     while frontier:
-        v, g = frontier.popleft()
-        if g not in members:
-            members[g] = v
+        v, i = frontier.popleft()
+        members[i] = 1
+        n = bisect_right(ball.starts, i) - 1
+        g = ball.levels[n][i - ball.starts[n]]
         # one letter moves a level at most: only level n_max can leave B(n_max)
-        inside = ball.local(g).pattern if ball.level_of[g] == n_max else None
+        inside = ball.local(g).pattern if n == n_max else None
         for germ, w in steps[v]:
             if inside is not None and (germ,) not in inside:
                 continue
-            state = (w, words.apply_letters(g, graph, (germ,)))
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
+            key = (w, ball.index[words.apply_letters(g, graph, (germ,))])
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
     # ball levels are in canonical order already
-    levels = [[g for g in ball.levels[n] if g in members]
+    levels = [list(compress(ball.levels[n],
+                            members[ball.starts[n]:ball.starts[n + 1]]))
               for n in range(n_max + 1)]
     return LiftSet(levels=levels, members=members)
 
@@ -322,10 +323,10 @@ def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
 
     Aborts when the lift set is not closed under the ball's predecessor map
     (an ideal tile would subdivide into a non-ideal one)."""
-    for n in range(1, len(lifts.levels)):
-        for g in lifts.levels[n]:
-            if ball.pred[g] not in lifts.members:
-                raise StarConvexityViolation(ball.nf_string(g))
+    members = lifts.members
+    for i in range(ball.starts[1], ball.starts[len(lifts.levels)]):
+        if members[i] and not members[ball.pred[i]]:
+            raise StarConvexityViolation(ball.names[i])
     pruned = [t.restricted(lifts.members) for t in ambient.tilings]
     if all(p is t for p, t in zip(pruned, ambient.tilings)):
         history, rule = ambient, ambient_rule

@@ -138,18 +138,6 @@ def parse_graph_json(data) -> DefiningGraph:
 # cells
 
 
-def make_cell(pairs) -> Cell:
-    pairs = tuple(sorted(pairs))
-    if not pairs:
-        raise ValueError("cell needs nonempty support")
-    idx = [i for i, _ in pairs]
-    if len(set(idx)) != len(idx):
-        raise ValueError("repeated generator in cell")
-    if any(s not in (1, -1) for _, s in pairs):
-        raise ValueError("signs must be +1/-1")
-    return pairs
-
-
 def support(cell: Cell):
     return tuple(i for i, _ in cell)
 

@@ -408,7 +408,6 @@ def ends(tilings, window: int = 3) -> EndsReport:
 class MeshReport:
     certified: bool
     orbit: list          # cycle of persistence-digraph nodes, if denied
-    witness: object
 
 
 def mesh_certificate(rule) -> MeshReport:
@@ -419,17 +418,14 @@ def mesh_certificate(rule) -> MeshReport:
     if not rule.stable:
         raise ValueError("mesh certificate needs a stable rule")
     edges = defaultdict(set)
-    witness = {}
     for t in rule.types:
         if sum(t.children.values()) == 1:
             child = next(iter(t.children))
             edges[("tile", t.name)].add(("tile", child))
-            witness[("tile", t.name)] = t.example
     for key, rec in rule.interface_classes.items():
         node = ("iface",) + key
         for cont in rec["continuations"]:
             edges[node].add(("iface",) + cont)
-            witness[node] = rec["witness"]
 
     # cycle detection
     color = {}
@@ -454,9 +450,8 @@ def mesh_certificate(rule) -> MeshReport:
         if u not in color:
             cyc = dfs(u)
             if cyc:
-                return MeshReport(False, [list(x) for x in cyc],
-                                  witness.get(cyc[0]))
-    return MeshReport(True, [], None)
+                return MeshReport(False, [list(x) for x in cyc])
+    return MeshReport(True, [])
 
 
 # ---------------------------------------------------------------------------

@@ -28,36 +28,6 @@ def lattice_sphere_sizes(d: int, n_max: int):
     return out
 
 
-def lattice_sphere_sizes_bfs(d: int, n_max: int):
-    """Same by explicit breadth-first search (cross-check of the closed form)."""
-    moves = []
-
-    def gen_moves(prefix, i):
-        if i == d:
-            if any(prefix):
-                moves.append(tuple(prefix))
-            return
-        for s in (-1, 0, 1):
-            gen_moves(prefix + [s], i + 1)
-
-    gen_moves([], 0)
-    level = {(0,) * d: 0}
-    frontier = deque([(0,) * d])
-    sizes = [1]
-    for n in range(1, n_max + 1):
-        nxt = deque()
-        while frontier:
-            p = frontier.popleft()
-            for m in moves:
-                q = tuple(a + b for a, b in zip(p, m))
-                if q not in level:
-                    level[q] = n
-                    nxt.append(q)
-        sizes.append(len(nxt))
-        frontier = nxt
-    return sizes
-
-
 def free_sphere_sizes(k: int, n_max: int):
     """|S(n)| in the free group F_k with the 2k standard letters: 2k(2k-1)^(n-1)."""
     out = [1]

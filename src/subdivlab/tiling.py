@@ -15,7 +15,9 @@ and an element costs one group product per flat cell of codimension two or
 more that it owns.
 
 A tile is an int index into its level: non-ideal tile i is owned by element
-i of `ball.levels[n + 1]`.  A level stores the parent's index into level
+i of `ball.levels[n + 1]`, whose ball index is `ball.starts[n + 1] + i`, and
+its name, covered move and parent are read off the ball's arrays at that
+index.  A level stores the parent's index into level
 n - 1 and an ideal flag of each non-ideal tile (`Tiling.restricted` sets
 flags).  Its edges are index pairs with a label code, one per shared cell,
 and each tile's neighbours are compressed rows (an offset array, an index
@@ -99,8 +101,12 @@ class Tiling:
     def owner_of(self, i):
         return self.ball.levels[self.level + 1][i]
 
+    def _first(self):
+        # the ball index of tile 0's owner
+        return self.ball.starts[self.level + 1]
+
     def covered_move(self, i):
-        return self.ball.pred_move[self.owner_of(i)]
+        return self.ball.pred_move[self._first() + i]
 
     def covered_clique(self, i):
         return support(self.covered_move(i))
@@ -114,21 +120,22 @@ class Tiling:
         return (tuple(sorted(len(c) for c in cells)), len(ideals))
 
     def name(self, i):
-        return _nonideal_name(self.level, self.ball.nf_string(self.owner_of(i)))
+        return _nonideal_name(self.level, self.ball.names[self._first() + i])
 
     def names(self):
         """The name of each stored tile, by index."""
-        nf = self.ball.nf_string
-        return [_nonideal_name(self.level, nf(g))
-                for g in self.ball.levels[self.level + 1]]
+        first = self._first()
+        return [_nonideal_name(self.level, name) for name
+                in self.ball.names[first:first + len(self.parent)]]
 
     def parent_names(self):
         """The name of each stored tile's parent, by index; None at level 0,
         whose parent is the origin."""
         if self.level == 0:
             return [None] * len(self.parent)
-        return [_parent_name(self.ball, self.level, g)
-                for g in self.ball.levels[self.level + 1]]
+        first, names = self._first(), self.ball.names
+        return [_nonideal_name(self.level - 1, names[p]) for p
+                in self.ball.pred[first:first + len(self.parent)]]
 
     def ideal_tiles(self):
         """Yield (name, owner, facet, parent name) of each ideal tile, from
@@ -142,8 +149,8 @@ class Tiling:
         if not facets:
             return
         for lvl in range(n + 2):
-            for g in ball.levels[lvl]:
-                g_nf = ball.nf_string(g)
+            for i, g in enumerate(ball.levels[lvl], ball.starts[lvl]):
+                g_nf = ball.names[i]
                 visible = ball.local(g).visible if lvl >= n else ()
                 for f in facets:
                     if lvl == n + 1 and f in visible:
@@ -152,20 +159,21 @@ class Tiling:
                     if n == 0:
                         parent = None
                     elif lvl == n + 1:
-                        parent = _parent_name(ball, n, g)
+                        parent = _nonideal_name(n - 1, ball.names[ball.pred[i]])
                     elif f in visible:
                         parent = _nonideal_name(n - 1, g_nf)
                     else:
                         parent = name
                     yield name, g, f, parent
 
-    def restricted(self, owners):
-        """The same tiles, with every non-ideal tile whose owner is not in
-        `owners` flagged ideal; this tiling itself when that flags none.
-        Edges and neighbour rows are shared with this tiling: every reader
-        drops ideal neighbours."""
-        flags = bytearray(f or g not in owners for f, g
-                          in zip(self.ideal, self.ball.levels[self.level + 1]))
+    def restricted(self, members):
+        """The same tiles, with every non-ideal tile whose owner's flag in
+        `members` (a bytearray over the ball index) is unset flagged ideal;
+        this tiling itself when that flags none.  Edges and neighbour rows
+        are shared with this tiling: every reader drops ideal neighbours."""
+        first = self._first()
+        flags = bytearray(f or not m for f, m in zip(
+            self.ideal, members[first:first + len(self.parent)]))
         if flags == self.ideal:
             return self
         return Tiling(self.ball, self.level, self.parent, self.ideal_count,
@@ -188,32 +196,27 @@ def _nonideal_name(level, owner_nf):
     return "t%d|%s|0" % (level, owner_nf)
 
 
-def _parent_name(ball, n, g):
-    """The name of the level-(n-1) tile holding the cell that covers g."""
-    return _nonideal_name(n - 1, ball.nf_string(ball.pred[g]))
-
-
 def build_tiling(ball: Ball, n: int) -> Tiling:
     """Tiling at level n (the flat structure of the sphere of radius n+1).
 
     It reads the ball up to level n + 1 and no further, so `ball.N` must be
     at least n + 1.  Parent indices point into the level-(n-1) tiling, read
     off the ball alone: a tile's parent is its owner's predecessor's rank in
-    `ball.levels[n]`."""
+    `ball.levels[n]`, its ball index less that level's start."""
     if ball.N < n + 1:
         raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
-    rank = {h: i for i, h in enumerate(ball.levels[n])}
     level = ball.levels[n + 1]
-    facets = len(ideal_facets(ball.graph))
-    ideal_count = facets * sum(map(len, ball.levels[:n + 2]))
+    start = ball.starts[n]
+    ideal_count = len(ideal_facets(ball.graph)) * ball.starts[n + 2]
     parent = array("i")
-    for g in level:
+    for i, g in enumerate(level, ball.starts[n + 1]):
         ideal_count -= len(visible_region(ball, n + 1, g)[1])
-        pred = ball.pred[g]
-        if n > 0 and ball.pred_move[g] not in ball.local(pred).visible:
+        p = ball.pred[i] - start
+        if n > 0 and (ball.pred_move[i]
+                      not in ball.local(ball.levels[n][p]).visible):
             raise InvariantViolation("covered cell missing from the parent "
-                                     "tiling", ball.nf_string(g), n + 1)
-        parent.append(rank[pred] if n > 0 else -1)
+                                     "tiling", ball.names[i], n + 1)
+        parent.append(p if n > 0 else -1)
     tiles = len(level)
     instances = array("q", [(a * tiles + b) * 4 + label for a, b, label, _
                             in _compute_adjacency(ball, n)])
@@ -233,26 +236,26 @@ def _compute_adjacency(ball: Ball, n: int):
     (that owner, signs).  Whether the cell joins the regions of g and h, and
     the label, depend only on the covering moves of g and h, so they are
     worked out once per (move of g, cell, move of h)."""
-    level = ball.levels[n + 1]
-    rank = {g: i for i, g in enumerate(level)}   # levels are in nf_key order
+    level = ball.levels[n + 1]   # in nf_key order
+    first = ball.starts[n + 1]
     local = [ball.local(g) for g in level]
-    move = ball.pred_move
+    move = ball.pred_move[first:first + len(level)]
     joins = {}   # (move of g, cell, move of h) -> label code, None: no edge
     for i, g in enumerate(level):
         for cell, s0 in local[i].flat:
             if len(cell) < 2:
                 continue
             h = ball.apply(g, s0)
-            j = rank.get(h)
-            if j is None:
+            j = ball.index.get(h, -1) - first
+            if not 0 <= j < len(level):
                 raise InvariantViolation("flat cell %s leaves the sphere"
                                          % cell_str(ball.graph, cell),
-                                         ball.nf_string(g), n + 1)
+                                         ball.names[first + i], n + 1)
             if j < i:
                 continue  # processed from the other side
-            key = (move[g], cell, move[h])
+            key = (move[i], cell, move[j])
             if key not in joins:
-                joins[key] = (_edge_label(move[g], move[h])
+                joins[key] = (_edge_label(move[i], move[j])
                               if _join(cell, s0, local[i], local[j]) else None)
             if joins[key] is not None:
                 yield i, j, joins[key], (g, cell)
@@ -303,15 +306,15 @@ class HistoryGraph:
     def __init__(self, tilings):
         self.tilings = list(tilings)
         self.offsets = [0]
-        self.level_of = bytearray()   # vertex -> its level
-        vertices, parents = [], []    # a vertex's parent is ROOT at level 0
+        self.vertex_level = bytearray()   # vertex -> its level
+        vertices, parents = [], []   # a vertex's parent is ROOT at level 0
         for n, t in enumerate(self.tilings):
             off = self.offsets[-1]
             vertices += [off + i for i in t.nonideal()]
             parents += [self.offsets[-2] + t.parent[i] if n else ROOT
                         for i in t.nonideal()]
             self.offsets.append(off + len(t.parent))
-            self.level_of += bytes([n]) * len(t.parent)
+            self.vertex_level += bytes([n]) * len(t.parent)
         total = self.offsets[-1]
         self.vertices = range(total) if len(vertices) == total else vertices
         order = sorted(range(len(vertices)), key=parents.__getitem__)   # stable
@@ -322,7 +325,7 @@ class HistoryGraph:
 
     def locate(self, v):
         """(level, index in that level) of vertex v."""
-        n = self.level_of[v]
+        n = self.vertex_level[v]
         return n, v - self.offsets[n]
 
     def children(self, v):
@@ -404,7 +407,7 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
         raise ValueError("need at least 3 consecutive levels")
     graph = tilings[0].graph
     deepest = len(tilings) - 1
-    level = history.level_of
+    level = history.vertex_level
     offsets = history.offsets
     vertices = history.vertices
     kids = history.children
@@ -613,8 +616,7 @@ def _interface_classes(history, type_of):
             key = iclass(off + a, off + b, label)
             rec = classes.get(key)
             if rec is None:
-                rec = classes[key] = {"count": 0, "continuations": Counter(),
-                                      "witness": (off + a, off + b)}
+                rec = classes[key] = {"count": 0, "continuations": Counter()}
             rec["count"] += 1
             rec["continuations"].update(nxt_by_parents.get((a, b), ()))
     return classes

@@ -1,4 +1,4 @@
-"""Words, canonical normal forms and the predecessor map.
+"""Words, piling states and canonical normal forms.
 
 Elements are represented internally by a stack state ("piling"): one stack
 per generator, holding that generator's own letters as +1/-1 entries and a 0
@@ -11,16 +11,18 @@ The human-facing normal form decomposes an element into *syllables*:
 maximal blocks lying in a spherical subgroup, extracted greedily in
 generator order.  Each syllable with exponent vector e expands into a chain
 of diagonal generators t_{S_m} ... t_{S_1} with S_r = {g : |e_g| >= r}
-(smallest set first), so S_m <= ... <= S_1 are nested.  The total chain
-length is `tlen`; dropping the leftmost chain entry of the first syllable
-gives the predecessor.
+(smallest set first), so S_m <= ... <= S_1 are nested.  Dropping the
+leftmost chain entry of the first syllable gives the normal-form predecessor
+word (`predecessor_word`), which the ball audits against its levels.  The
+ball forms each normal form once, to sort, name and audit an element, and
+keeps only the name (`nf_str`).
 """
 
 from __future__ import annotations
 
 import re
 
-from .graphs import DefiningGraph, cell_is_ideal, make_cell
+from .graphs import DefiningGraph
 
 # Letter: (generator index, sign).  Word: tuple of letters.
 # State: tuple over generators of tuples of {+1,-1,0}.
@@ -141,46 +143,12 @@ def syllables_of_state(graph: DefiningGraph, state):
     return tuple(out)
 
 
-def normalize(graph: DefiningGraph, word):
-    """Canonical normal form; equal exactly on words of the same element."""
-    return syllables_of_state(graph, state_of_word(graph, word))
-
-
 def nf_to_word(nf):
     letters = []
     for syll in nf:
         for i, e in syll:
             letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
     return tuple(letters)
-
-
-def state_of_nf(graph: DefiningGraph, nf):
-    return state_of_word(graph, nf_to_word(nf))
-
-
-def equals(graph: DefiningGraph, u, v) -> bool:
-    return state_of_word(graph, u) == state_of_word(graph, v)
-
-
-def syllable_chain(syll):
-    """Diagonal-generator chain of one syllable, smallest set first."""
-    m = max(abs(e) for _, e in syll)
-    chain = []
-    for r in range(m, 0, -1):
-        chain.append(tuple((i, 1 if e > 0 else -1) for i, e in syll if abs(e) >= r))
-    return chain
-
-
-def t_chain(nf):
-    """Full diagonal-generator chain of a normal form."""
-    out = []
-    for syll in nf:
-        out.extend(syllable_chain(syll))
-    return out
-
-
-def tlen(nf) -> int:
-    return sum(max(abs(e) for _, e in syll) for syll in nf)
 
 
 def word_length(nf) -> int:
@@ -190,12 +158,6 @@ def word_length(nf) -> int:
 def nf_key(nf):
     """Total canonical order on elements used for every tie-break."""
     return (word_length(nf), len(nf), nf)
-
-
-def predecessor(graph: DefiningGraph, nf):
-    """Normal form of `predecessor_word`: dropping a chain entry may let
-    syllables merge."""
-    return normalize(graph, predecessor_word(nf))
 
 
 def predecessor_word(nf):
@@ -211,14 +173,6 @@ def predecessor_word(nf):
     new_first = tuple((i, e) for i, e in new_first if e != 0)
     rest = ((new_first,) if new_first else ()) + nf[1:]
     return nf_to_word(rest)
-
-
-def translate(graph: DefiningGraph, nf, cell):
-    """Normal form of (element * t_cell) for a spherical signed set."""
-    cell = make_cell(cell)
-    if cell_is_ideal(graph, cell):
-        raise WordError("not a spherical set: %r" % (cell,))
-    return normalize(graph, nf_to_word(nf) + tuple(cell))
 
 
 def nf_str(graph: DefiningGraph, nf) -> str:

@@ -19,7 +19,7 @@ from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
                                lattice_sphere_sizes)
 from subdivlab.tiling import (build_history, build_tilings,
                               descriptor_crosscheck, extract_rule)
-from subdivlab.words import normalize, parse_word, predecessor, state_of_nf
+from subdivlab.words import parse_word, state_of_word
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, free3,
                       get_ball, get_rule, get_tilings, graph_from_edges,
                       path3, single, triangle)
@@ -128,7 +128,7 @@ def test_criterion_4_oracle_equivalence():
           " (path oracle: 1, 14, 70, 286, 1078)")
 
 
-def test_criterion_5_growth_dichotomy():
+def test_criterion_5_growth_dichotomy(class_tilings):
     g = growth(get_tilings("triangle"), get_rule("triangle"))
     assert g.classification() == ("polynomial", 2)
     g = growth(get_tilings("free3"), get_rule("free3"))
@@ -156,10 +156,28 @@ def test_criterion_5_growth_dichotomy():
         assert kind in ("polynomial", "exponential"), (edges, kind)
         ran += 1
     assert ran >= 8
+
+    # the growth theorem on every class with d <= 4, from a stable rule:
+    # polynomial exactly for the complete graphs, of degree d - 1; three
+    # levels do not yet fix the degree of K3 and K4
+    classes = 0
+    for d in (1, 2, 3, 4):
+        for edges in all_graphs_up_to_iso(d):
+            tilings = class_tilings(d, edges, 3)
+            rule = extract_rule(build_history(tilings))
+            assert rule.stable, (d, edges)
+            g = growth(tilings, rule)
+            complete = graph_from_edges(d, edges).is_complete()
+            assert (g.kind == "polynomial") == complete, (d, edges, g.kind)
+            if complete:
+                assert g.degree == (None if d >= 3 else d - 1), (d, g.degree)
+            classes += 1
+    assert classes == 18
     ok(5, "dichotomy: triangle polynomial(2), free3 exponential(5),"
           " edge+vertex exponential; %d randomized graphs (d <= 4, N = 6)"
-          " classified with no third class (%d over cap, skipped)"
-          % (ran, skipped))
+          " classified with no third class (%d over cap, skipped);"
+          " polynomial exactly for the complete graphs on %d classes"
+          " (d <= 4, 3 levels, stable rules)" % (ran, skipped, classes))
 
 
 def test_criterion_6_ends(class_tilings):
@@ -335,10 +353,11 @@ def test_criterion_10_discrepancies_reported():
     assert mismatches > 0
     assert len(examples) > 0
     g = path3()
-    nf = normalize(g, parse_word(g, "a z^2 b"))
-    state = state_of_nf(g, nf)
-    lvl = ball.level_of[state]
-    pred_lvl = ball.level_of[state_of_nf(g, predecessor(g, nf))]
+    state = state_of_word(g, parse_word(g, "a z^2 b"))
+    nf = words.syllables_of_state(g, state)
+    lvl = ball.level(state)
+    assert lvl is not None
+    pred_lvl = ball.level(state_of_word(g, words.predecessor_word(nf)))
     assert pred_lvl == lvl  # not one lower: the recorded discrepancy class
 
     # the counters and the octagon split table are surfaced in the report

@@ -1,6 +1,6 @@
 import gc
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -11,8 +11,7 @@ from subdivlab.balls import Ball, CapExceeded, build_ball, visible_region
 from subdivlab.graphs import (Cell, DefiningGraph, cell_is_ideal,
                               diagonal_elements, inflation_descriptor)
 from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
-                               lattice_sphere_sizes, lattice_sphere_sizes_bfs,
-                               oracle_sphere_sizes)
+                               lattice_sphere_sizes, oracle_sphere_sizes)
 from subdivlab.tiling import _compute_adjacency, build_tilings
 from subdivlab.words import parse_word, state_of_word
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, get_ball,
@@ -64,6 +63,37 @@ def convex_cells(ball, n):
     return out
 
 
+def lattice_sphere_sizes_bfs(d: int, n_max: int):
+    """|S(n)| in Z^d with moves = all nonzero sign vectors, by explicit
+    breadth-first search: the reference for the closed form."""
+    moves = []
+
+    def gen_moves(prefix, i):
+        if i == d:
+            if any(prefix):
+                moves.append(tuple(prefix))
+            return
+        for s in (-1, 0, 1):
+            gen_moves(prefix + [s], i + 1)
+
+    gen_moves([], 0)
+    level = {(0,) * d: 0}
+    frontier = deque([(0,) * d])
+    sizes = [1]
+    for n in range(1, n_max + 1):
+        nxt = deque()
+        while frontier:
+            p = frontier.popleft()
+            for m in moves:
+                q = tuple(a + b for a, b in zip(p, m))
+                if q not in level:
+                    level[q] = n
+                    nxt.append(q)
+        sizes.append(len(nxt))
+        frontier = nxt
+    return sizes
+
+
 def test_lattice_oracle_closed_form_matches_bfs():
     for d in (1, 2, 3):
         assert lattice_sphere_sizes(d, 3) == lattice_sphere_sizes_bfs(d, 3)
@@ -92,11 +122,23 @@ def test_path3_frozen_values():
 
 def test_predecessor_levels_and_cover():
     ball = get_ball("path3")
+    states = [g for level in ball.levels for g in level]   # by global index
+    assert len(ball.starts) == ball.N + 2 and ball.starts[-1] == ball.size()
+    assert (ball.pred[0], ball.pred_move[0]) == (-1, None)
     for n in range(1, 5):
         for g in ball.levels[n][:50]:
-            assert ball.level_of[ball.pred[g]] == n - 1
-            t = ball.pred_move[g]
-            assert ball.apply(ball.pred[g], t) == g
+            i = ball.index[g]
+            assert ball.level(states[ball.pred[i]]) == n - 1
+            t = ball.pred_move[i]
+            assert ball.apply(states[ball.pred[i]], t) == g
+    for n, level in enumerate(ball.levels):
+        for k, g in enumerate(level):
+            i = ball.index[g]
+            assert i == ball.starts[n] + k and ball.level(g) == n
+            if n:
+                # the element is its predecessor's state times its move
+                assert ball.apply(states[ball.pred[i]], ball.pred_move[i]) == g
+                assert ball.pred_move[i] in ball.moves
     assert ball.multi_cover == 0
 
 
@@ -110,7 +152,7 @@ def word_predecessor_audit(ball):
         for g in ball.levels[n]:
             form = words.syllables_of_state(ball.graph, g)
             hhat = words.state_of_word(ball.graph, words.predecessor_word(form))
-            if ball.level_of.get(hhat) != n - 1:
+            if ball.level(hhat) != n - 1:
                 count += 1
                 if len(examples) < 10:
                     examples.append(words.nf_str(ball.graph, form))
@@ -129,8 +171,9 @@ def test_recorded_audit_matches_the_reference(name):
 
 
 def test_ball_keeps_names_not_normal_forms():
-    # P4, the path a-b-c-d, at depth 4: 19,025 elements, ~282 B each, with
-    # equal piles stored once and no normal form kept
+    # P4, the path a-b-c-d, at depth 4: 19,025 elements, ~237 B each, with
+    # equal piles stored once, no normal form kept and every per-element
+    # field an array read by the element's index
     graph = DefiningGraph(["a", "b", "c", "d"],
                           [["a", "b"], ["b", "c"], ["c", "d"]])
     tracemalloc.start()
@@ -142,7 +185,7 @@ def test_ball_keeps_names_not_normal_forms():
     finally:
         tracemalloc.stop()
     assert ball.size() == 19025
-    assert used <= 350 * ball.size(), used / ball.size()
+    assert used <= 260 * ball.size(), used / ball.size()
     assert all(ball.nf_string(g)
                == words.nf_str(graph, words.syllables_of_state(graph, g))
                for g in ball.levels[4][:200])
@@ -153,11 +196,10 @@ def test_word_predecessor_mismatches_detected():
     # elements like a z^2 b have a normal-form predecessor at the same level
     assert ball.predecessor_mismatches > 0
     g = path3()
-    nf = words.normalize(g, parse_word(g, "a z^2 b"))
-    state = words.state_of_nf(g, nf)
-    assert ball.level_of[state] == 2
-    hhat = words.predecessor(g, nf)
-    assert ball.level_of[words.state_of_nf(g, hhat)] == 2  # not one lower
+    state = state_of_word(g, parse_word(g, "a z^2 b"))
+    assert ball.level(state) == 2
+    hhat = words.predecessor_word(words.syllables_of_state(g, state))
+    assert ball.level(state_of_word(g, hhat)) == 2  # not one lower
     assert get_ball("triangle").predecessor_mismatches == 0
     assert get_ball("free3").predecessor_mismatches == 0
 
@@ -254,7 +296,7 @@ def canonical_rep(ball, owner, cell):
     best = None
     for combo in BoundaryCell(owner, cell).domain_moves():
         dom = ball.apply(owner, combo)
-        lvl = ball.level_of.get(dom)
+        lvl = ball.level(dom)
         if lvl is None:
             continue
         flipped = frozenset(combo)
@@ -280,7 +322,7 @@ def test_shared_cell_is_canonical_rep(name):
         assert [edge[:3] for edge in edges] == list(tiling.edges())
         for tile1, tile2, _, shared in edges:
             owner, signs = shared
-            assert ball.level_of[owner] == tiling.level + 1
+            assert ball.level(owner) == tiling.level + 1
             rep_owner, rep_signs = canonical_rep(ball, owner, signs)
             assert (rep_owner, rep_signs) == shared
             # the same geometric cell, lying in both tiles' domains
@@ -291,7 +333,7 @@ def test_shared_cell_is_canonical_rep(name):
 
 
 def pattern_by_products(ball, g):
-    level = ball.level_of[g]
+    level = ball.level(g)
     return frozenset(t for t in ball.moves
                      if ball.in_ball(ball.apply(g, t), level))
 
@@ -304,10 +346,15 @@ def test_in_ball_pattern_depends_only_on_covering_move(d, depth, edge_sets):
     for edges in edge_sets or all_graphs_up_to_iso(d):
         graph = graph_from_edges(d, edges)
         ball = build_ball(graph, depth)
-        for g in ball.level_of:
+        for g in ball.index:
             assert ball.local(g).pattern == pattern_by_products(ball, g), \
                 (edges, ball.nf_string(g))
-        assert (ball.levels, ball.pred, ball.pred_move, ball.multi_cover) \
+        # the ball's index arrays, read as maps from state to state
+        states = [g for level in ball.levels for g in level]
+        pred = {g: states[p] for g, p in zip(states, ball.pred) if p >= 0}
+        pred_move = {g: t for g, t in zip(states, ball.pred_move)
+                     if t is not None}
+        assert (ball.levels, pred, pred_move, ball.multi_cover) \
             == all_moves_bfs(graph, depth), edges
         assert transfer_sphere_sizes(graph, depth) == ball.sphere_sizes(), edges
 
@@ -373,13 +420,14 @@ def test_predecessors_match_per_element_search(graph):
             candidates = []
             for t in ball.moves:
                 h = ball.apply(g, tuple((i, -s) for i, s in t))
-                if ball.level_of.get(h) == n - 1 and not any(
+                if ball.level(h) == n - 1 and not any(
                         ball.in_ball(ball.apply(h, c), n - 1)
                         for r in range(1, len(t) + 1) for c in combinations(t, r)):
                     form = words.syllables_of_state(ball.graph, h)
                     candidates.append((words.nf_key(form), t, h))
             key, t, h = min(candidates)
-            assert (ball.pred[g], ball.pred_move[g]) == (h, t)
+            i = ball.index[g]
+            assert (ball.pred[i], ball.pred_move[i]) == (ball.index[h], t)
             multi += len(candidates) > 1
     assert ball.multi_cover == multi
 
@@ -387,7 +435,7 @@ def test_predecessors_match_per_element_search(graph):
 def test_pattern_mismatch_raises_invariant_violation():
     ball = build_ball(triangle(), 3)
     g = ball.levels[3][0]
-    move = ball.pred_move[g]
+    move = ball.pred_move[ball.index[g]]
     ball._local[move] = replace(ball._local[move], pattern=frozenset())
     with pytest.raises(InvariantViolation) as err:
         build_tilings(ball, ball.N)   # its last level reads S(3)

@@ -6,7 +6,9 @@ tiling JSON, DOT and SVG files print each ideal tile with its parent id and
 facet.  `path3-az-special-5` pins a partial lift, whose pruned tilings are
 restricted ones (tiles over unlifted elements re-flagged ideal).  Both were
 recorded before tiles became indices into their level and ideal tiles came
-to be formed on demand.
+to be formed on demand.  `p4-raag-4` pins P4 at depth 4, whose diameters
+grow quadratically; it was recorded before the ball's elements came to be
+numbered by one global index.
 
 The `report.json` digests were re-recorded when the divergence verdict came
 to be read exactly off the diameters: `divergence.fit` (two float
@@ -39,6 +41,10 @@ PATH3_SPECIAL = {
               {"id": "e_b", "from": "v", "to": "v", "label": "b"}],
     "squares": [[["e_a", 1], ["e_z", 1], ["e_a", -1], ["e_z", -1]],
                 [["e_b", 1], ["e_z", 1], ["e_b", -1], ["e_z", -1]]]}
+# P4, the path a-b-c-d: the one connected class on 4 generators that is not
+# a join
+P4 = {"generators": ["a", "b", "c", "d"],
+      "edges": [["a", "b"], ["b", "c"], ["c", "d"]]}
 TRIANGLE = {"generators": ["a", "b", "c"],
             "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
 # path3 with only the a and z loops and their square (tests/test_cli.py)
@@ -90,6 +96,12 @@ RUNS = {
             "3195a0515b2a1f54b5b782da73f2db9c08de74947aa73cef548829f00a1dcb9c",
         "report.json":
             "8ec886249812d92684477fd39d2b2c07f016786c248e8f2491da671b98da6402",
+    }),
+    "p4-raag-4": (P4, ["--mode", "raag", "--levels", "4"], {
+        "counts.csv":
+            "d6f37f26a0f66b7c5a36a09a132c8b576973c6a86db3cee12af3958f41ed8369",
+        "report.json":
+            "3a971b7a9314bed183a75546134b2b50850d3a580b36081e2f439ba4637f2da3",
     }),
     "path3-special-5": (PATH3_SPECIAL, ["--mode", "special", "--levels", "5"], {
         "counts.csv":

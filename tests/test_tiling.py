@@ -145,7 +145,9 @@ def test_ideal_tile_parents(name):
             elif (g, f) in attached:
                 expected = attached[g, f]
             else:   # born with its owner: inside the owner's parent tile
-                expected = holding[ball.pred[g], ball.pred_move[g]]
+                i = ball.index[g]
+                pred = ball.levels[n][ball.pred[i] - ball.starts[n]]
+                expected = holding[pred, ball.pred_move[i]]
             assert parent == expected, tid
 
 
@@ -215,8 +217,14 @@ def test_extract_rule_triangle():
 
 def test_restricted_reflags_tiles_and_shares_adjacency():
     ts = get_tilings("path3", 3)
+    ball = ts[1].ball
     owners = {ts[1].owner_of(i) for i in ts[1].nonideal()[::2]}
-    r = ts[1].restricted(owners)
+
+    def flags(owners):
+        # one byte per ball element, set for the given owners
+        return bytearray(g in owners for level in ball.levels for g in level)
+
+    r = ts[1].restricted(flags(owners))
     assert r.rows is ts[1].rows and r.instances is ts[1].instances
     assert r.names() == ts[1].names() and len(r.tiles) == len(ts[1].tiles)
     assert set(r.nonideal()) == \
@@ -224,8 +232,8 @@ def test_restricted_reflags_tiles_and_shares_adjacency():
     # the base tiling keeps its own flags
     assert not any(ts[1].ideal)
     # a restriction that flags no tile is the tiling itself
-    assert ts[1].restricted({ts[1].owner_of(i)
-                             for i in ts[1].nonideal()}) is ts[1]
+    assert ts[1].restricted(flags({ts[1].owner_of(i)
+                                   for i in ts[1].nonideal()})) is ts[1]
 
 
 def test_tilings_stay_compact():

@@ -1,11 +1,54 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdivlab import words
-from subdivlab.words import (WordError, equals, nf_key, nf_str, nf_to_word,
-                             normalize, parse_word, predecessor, t_chain,
-                             tlen, translate)
+from subdivlab.graphs import cell_is_ideal
+from subdivlab.words import (WordError, nf_key, nf_str, nf_to_word,
+                             parse_word, predecessor_word, state_of_word,
+                             syllables_of_state)
 from conftest import free3, path3, triangle
+
+
+# -- normal-form arithmetic, the reference these tests exercise ------------
+
+
+def normalize(graph, word):
+    """Canonical normal form; equal exactly on words of the same element."""
+    return syllables_of_state(graph, state_of_word(graph, word))
+
+
+def equals(graph, u, v):
+    return state_of_word(graph, u) == state_of_word(graph, v)
+
+
+def t_chain(nf):
+    """Full diagonal-generator chain of a normal form: each syllable's
+    chain, smallest set first."""
+    out = []
+    for syll in nf:
+        for r in range(max(abs(e) for _, e in syll), 0, -1):
+            out.append(tuple((i, 1 if e > 0 else -1)
+                             for i, e in syll if abs(e) >= r))
+    return out
+
+
+def tlen(nf):
+    """The total chain length: the number of predecessor steps to the
+    identity."""
+    return sum(max(abs(e) for _, e in syll) for syll in nf)
+
+
+def predecessor(graph, nf):
+    """Normal form of `predecessor_word`: dropping a chain entry may let
+    syllables merge."""
+    return normalize(graph, predecessor_word(nf))
+
+
+def translate(graph, nf, cell):
+    """Normal form of (element * t_cell) for a spherical signed set."""
+    cell = tuple(sorted(cell))
+    if cell_is_ideal(graph, cell):
+        raise WordError("not a spherical set: %r" % (cell,))
+    return normalize(graph, nf_to_word(nf) + cell)
 
 
 def test_single_syllable_with_chain():
