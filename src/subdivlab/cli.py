@@ -20,8 +20,8 @@ from . import __version__
 from .balls import DEFAULT_CAP, CapExceeded, build_ball
 from .cubes import (CubeSpecError, StarConvexityViolation, check_local_isometry,
                     cone_types, lift_basepoints, parse_cube_spec, prune_history)
-from .exports import (counts_csv, history_to_dot, report_json, tiling_to_dot,
-                      tiling_to_json, tiling_to_svg)
+from .exports import (LevelLabels, counts_csv, history_to_dot, report_json,
+                      tiling_to_dot, tiling_to_json, tiling_to_svg)
 from .graphs import GraphError, parse_graph_json
 from .invariants import divergence_diameter, ends, growth, mesh_certificate
 from .oracles import oracle_family, oracle_sphere_sizes
@@ -68,10 +68,15 @@ class RunConfig:
 @contextmanager
 def _atomic_open(path):
     """A file to write `path` through: a temporary file that replaces `path`
-    when the block ends."""
+    when the block ends, and is removed if the block raises."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        yield f
+    f = open(tmp, "w")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -214,27 +219,32 @@ def run(config: RunConfig) -> int:
 
     _atomic_write(os.path.join(config.out_dir, "report.json"), report_json(report))
 
+    # each level's names, formed once for all of its exports
+    labels = [LevelLabels(t) for t in tilings]
     if "tilings" in config.exports:
         tdir = os.path.join(config.out_dir, "tilings")
         os.makedirs(tdir, exist_ok=True)
         for t in tilings:
             with _atomic_open(os.path.join(tdir, "level_%02d.json" % t.level)) as f:
                 # streamed: the encoder writes its chunks as they come
-                json.dump(tiling_to_json(t, rule), f, sort_keys=True, indent=2)
+                json.dump(tiling_to_json(t, rule, labels=labels[t.level]), f,
+                          sort_keys=True, indent=2)
                 f.write("\n")
     if "dot" in config.exports:
         ddir = os.path.join(config.out_dir, "dot")
         os.makedirs(ddir, exist_ok=True)
         for t in tilings:
             _atomic_write(os.path.join(ddir, "level_%02d.dot" % t.level),
-                          tiling_to_dot(t, rule))
-        _atomic_write(os.path.join(ddir, "history.dot"), history_to_dot(history))
+                          tiling_to_dot(t, rule, labels=labels[t.level]))
+        _atomic_write(os.path.join(ddir, "history.dot"),
+                      history_to_dot(history, labels=labels))
     if "svg" in config.exports:
         sdir = os.path.join(config.out_dir, "svg")
         os.makedirs(sdir, exist_ok=True)
         for t in tilings:
             _atomic_write(os.path.join(sdir, "level_%02d.svg" % t.level),
-                          tiling_to_svg(t, rule, seed=config.layout_seed))
+                          tiling_to_svg(t, rule, seed=config.layout_seed,
+                                        labels=labels[t.level]))
     if "reports" in config.exports:
         _atomic_write(os.path.join(config.out_dir, "counts.csv"),
                       counts_csv(tilings, rule))

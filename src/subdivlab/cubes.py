@@ -281,8 +281,10 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
         a, b = (e.src, e.dst) if e.sign > 0 else (e.dst, e.src)
         steps[a].append(((e.label, 1), b))
         steps[b].append(((e.label, -1), a))
-    seen = {(spec.basepoint, 0)}   # (vertex, ball index) pairs reached
-    frontier = deque(seen)
+    # vertex -> flags over the ball index: the (vertex, element) pairs reached
+    seen = {v: bytearray(ball.size()) for v in spec.vertices}
+    seen[spec.basepoint][0] = 1
+    frontier = deque([(spec.basepoint, 0)])
     members = bytearray(ball.size())
     while frontier:
         v, i = frontier.popleft()
@@ -294,10 +296,10 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
         for germ, w in steps[v]:
             if inside is not None and (germ,) not in inside:
                 continue
-            key = (w, ball.index[words.apply_letters(g, graph, (germ,))])
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
+            j = ball.index[words.apply_letters(g, graph, (germ,))]
+            if not seen[w][j]:
+                seen[w][j] = 1
+                frontier.append((w, j))
     # ball levels are in canonical order already
     levels = [list(compress(ball.levels[n],
                             members[ball.starts[n]:ball.starts[n + 1]]))

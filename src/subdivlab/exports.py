@@ -1,6 +1,7 @@
 """Deterministic artifact exports: tiling JSON, DOT, an SVG of each level's
 tiles on a circle ordered by parent, report JSON and CSV count tables.  Tile
-names are formed here, from the ball, once per exported level."""
+names are formed here, from the ball, once per exported level: a
+`LevelLabels` holds them for every export of that level."""
 
 from __future__ import annotations
 
@@ -9,11 +10,32 @@ import io
 import json
 import math
 from collections import Counter
+from functools import cached_property
 
 from .graphs import cell_str
 from .tiling import ROOT
 
 SVG_SIZE = 640   # width and height of the drawing, in px
+
+
+class LevelLabels:
+    """One tiling's tile names, parent names and sorted neighbour rows, each
+    formed on first use and then shared by the exports that take it."""
+
+    def __init__(self, tiling):
+        self.tiling = tiling
+
+    @cached_property
+    def names(self):
+        return self.tiling.names()
+
+    @cached_property
+    def parents(self):
+        return self.tiling.parent_names()
+
+    @cached_property
+    def adjacency(self):
+        return self.tiling.adjacency(self.names)
 
 
 def _types(tiling, rule):
@@ -24,12 +46,12 @@ def _types(tiling, rule):
             for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
 
 
-def tiling_to_json(tiling, rule=None):
+def tiling_to_json(tiling, rule=None, labels=None):
     ball, gens = tiling.ball, tiling.graph.generators
-    names = tiling.names()
+    labels = labels or LevelLabels(tiling)
     tiles = []
     for i, (name, parent, adjacent, type_name) in enumerate(zip(
-            names, tiling.parent_names(), tiling.adjacency(names),
+            labels.names, labels.parents, labels.adjacency,
             _types(tiling, rule))):
         rec = {"id": name, "level": tiling.level,
                "owner": ball.nf_string(tiling.owner_of(i)),
@@ -50,9 +72,10 @@ def tiling_to_json(tiling, rule=None):
     return {"level": tiling.level, "tiles": tiles}
 
 
-def tiling_to_dot(tiling, rule=None, name="tiling"):
+def tiling_to_dot(tiling, rule=None, name="tiling", labels=None):
     lines = ["graph %s {" % name]
-    names = tiling.names()
+    labels = labels or LevelLabels(tiling)
+    names = labels.names
     nodes = list(zip(names, tiling.ideal, _types(tiling, rule)))
     nodes += [(tid, True, None) for tid, _, _, _ in tiling.ideal_tiles()]
     for tid, ideal, type_name in nodes:
@@ -62,7 +85,7 @@ def tiling_to_dot(tiling, rule=None, name="tiling"):
         lines.append('  "%s" [style=%s, label="%s"];'
                      % (tid, "dashed" if ideal else "solid", label))
     seen = set()
-    for tid, adjacent in zip(names, tiling.adjacency(names)):
+    for tid, adjacent in zip(names, labels.adjacency):
         for o, lab in adjacent:
             key = tuple(sorted((tid, o)))
             if key in seen:
@@ -74,9 +97,11 @@ def tiling_to_dot(tiling, rule=None, name="tiling"):
     return "\n".join(lines) + "\n"
 
 
-def history_to_dot(history, name="history"):
+def history_to_dot(history, name="history", labels=None):
+    """`labels`, if given, holds a `LevelLabels` per tiling of `history`."""
     lines = ["digraph %s {" % name, '  "%s";' % history.name(ROOT)]
-    names = [t.names() for t in history.tilings]
+    labels = labels or [LevelLabels(t) for t in history.tilings]
+    names = [level.names for level in labels]
     flat = [tid for level in names for tid in level]   # by vertex
     lines += ['  "%s";' % flat[v] for v in history.vertices]
     # subdivision edges, parents and children in name order
@@ -87,7 +112,7 @@ def history_to_dot(history, name="history"):
             lines.append('  "%s" -> "%s";' % (parent, k))
     for n, t in enumerate(history.tilings):
         seen = set()
-        adjacency = t.adjacency(names[n])
+        adjacency = labels[n].adjacency
         for i in t.nonideal():
             for o, _ in adjacency[i]:
                 key = tuple(sorted((names[n][i], o)))
@@ -98,13 +123,14 @@ def history_to_dot(history, name="history"):
     return "\n".join(lines) + "\n"
 
 
-def tiling_to_svg(tiling, rule=None, seed=0):
+def tiling_to_svg(tiling, rule=None, seed=0, labels=None):
     """Tiles evenly spaced on a circle, sorted by (parent name, name) so
     that the children of one tile sit side by side; `seed` rotates the start
     by whole steps.  Distances carry no metric meaning."""
-    names = tiling.names()
+    labels = labels or LevelLabels(tiling)
+    names = labels.names
     # (name, parent name, refined type, ideal) of every tile, stored first
-    tiles = list(zip(names, tiling.parent_names(), _types(tiling, rule),
+    tiles = list(zip(names, labels.parents, _types(tiling, rule),
                      tiling.ideal))
     tiles += [(tid, parent, None, True)
               for tid, _, _, parent in tiling.ideal_tiles()]
@@ -116,10 +142,9 @@ def tiling_to_svg(tiling, rule=None, seed=0):
         angle = 2 * math.pi * (k + seed) / n
         pos[t[0]] = (round(centre + radius * math.cos(angle), 3),
                      round(centre + radius * math.sin(angle), 3))
-    edges = set()
-    for i, tid in enumerate(names):
-        for j in tiling.neighbors(i):
-            edges.add(tuple(sorted((tid, names[j]))))
+    edges = {tuple(sorted((tid, o)))
+             for tid, adjacent in zip(names, labels.adjacency)
+             for o, _ in adjacent}
 
     legend = []
     if rule is not None:

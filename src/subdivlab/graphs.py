@@ -14,11 +14,20 @@ moves across it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+
+# hashlib maps in OpenSSL's libcrypto, a few MB for one digest per run; take
+# the lean built-in module first, as the standard library's random.py does
+try:
+    from _sha2 import sha256          # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256    # Python 3.10 and 3.11
+    except ImportError:               # a build without the built-in hashes
+        from hashlib import sha256
 
 # A cell (equivalently a signed set / diagonal move) is a tuple of
 # (generator index, sign) pairs sorted by index, sign in {+1, -1}.
@@ -103,7 +112,8 @@ class DefiningGraph:
             sort_keys=True, separators=(",", ":"))
 
     def hash_hex(self):
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        """The first 16 hex digits of SHA-256 of `canonical_json`."""
+        return sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def __eq__(self, other):
         return (isinstance(other, DefiningGraph)

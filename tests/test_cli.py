@@ -193,6 +193,24 @@ def test_exit_code_star_convexity(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 4
 
 
+def test_failed_export_leaves_no_temporary_file(tmp_path, monkeypatch):
+    from subdivlab import cli
+
+    def boom(*a, **k):
+        raise RuntimeError("export failed")
+
+    # called inside the block that writes level_00.json through its .tmp
+    monkeypatch.setattr(cli, "tiling_to_json", boom)
+    inp = write(tmp_path, "triangle.json", TRIANGLE)
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="export failed"):
+        main(["run", inp, "--levels", "3", "--out", str(out),
+              "--export", "tilings"])
+    assert (out / "report.json").exists()
+    assert (out / "tilings").is_dir()
+    assert sorted(out.rglob("*.tmp")) == []
+
+
 def test_determinism_byte_identical(tmp_path):
     inp = write(tmp_path, "triangle.json", TRIANGLE)
     for sub in ("o1", "o2"):

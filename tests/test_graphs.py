@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,8 @@ from subdivlab.graphs import (DefiningGraph, GraphError, cell_is_ideal,
                               cells_intersect, diagonal_elements,
                               enumerate_cliques, ideal_facets, join_cells,
                               parse_graph_json)
-from conftest import free3, path3, triangle
+from conftest import (all_graphs_up_to_iso, free3, graph_from_edges, path3,
+                      triangle)
 
 
 def test_clique_enumeration():
@@ -114,3 +116,16 @@ def test_graph_hash_stable():
     g2 = path3()
     assert g1.hash_hex() == g2.hash_hex()
     assert g1.hash_hex() != triangle().hash_hex()
+    # the digests printed before the hash came from the built-in module
+    assert g1.hash_hex() == "1961fc67cc731702"
+    assert triangle().hash_hex() == "0ac1528b83e36774"
+    # hashlib is the reference: the digest is plain SHA-256 whichever
+    # module computes it
+    classes = 0
+    for d in (1, 2, 3, 4):
+        for edges in all_graphs_up_to_iso(d):
+            g = graph_from_edges(d, edges)
+            assert g.hash_hex() == hashlib.sha256(
+                g.canonical_json().encode()).hexdigest()[:16], (d, edges)
+            classes += 1
+    assert classes == 18
