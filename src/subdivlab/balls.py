@@ -90,7 +90,10 @@ class Local:
     pattern: frozenset   # moves t with g * t in B(n)
     convex: tuple        # moves whose cell (g, t) touches no other domain,
                          # in move order
-    flat: tuple          # (cell, s0): cells in exactly two domains, g and g * s0
+    flat: tuple          # (cell, s0, mirror): cells of codimension two or
+                         # more in exactly two domains, g and g * s0;
+                         # mirror is the same cell seen from g * s0, the
+                         # signs of s0's letters flipped
     region: tuple        # (convex cells, attached ideal facets); None when
                          # they form several components
     visible: frozenset   # the convex cells and attached ideal facets
@@ -241,8 +244,11 @@ class Ball:
         rec = self._local.get(move)
         checked = self._spot_checked.get((level, move), ())
         if rec is None or (len(checked) < 2 and g not in checked):
+            # what `in_ball` tests, with the lookups made once
+            apply, graph, index = words.apply_letters, self.graph, self.index
+            end = self.starts[level + 1]
             pattern = frozenset(t for t in self.moves
-                                if self.in_ball(self.apply(g, t), level))
+                                if index.get(apply(g, graph, t), end) < end)
             if rec is None:
                 rec = self._local_of(pattern)
                 if rec.region is None and move is not None:
@@ -264,8 +270,10 @@ class Ball:
             inside = [c for c in self._subcells[cell] if c in pattern]
             if not inside:
                 convex.append(cell)
-            elif len(inside) == 1:
-                flat.append((cell, inside[0]))
+            elif len(inside) == 1 and len(cell) > 1:
+                flipped = set(inside[0])
+                flat.append((cell, inside[0], tuple(
+                    (k, -e) if (k, e) in flipped else (k, e) for k, e in cell)))
         comps = _components(self.graph, convex)
         visible = frozenset(x for cells, ideals in comps for x in cells + ideals)
         return Local(pattern, tuple(convex), tuple(flat),

@@ -88,6 +88,9 @@ class DefiningGraph:
             [j for j in range(self.d) if j != i and not (self.adj[i] >> j) & 1]
             for i in range(self.d)
         ]
+        # the moves and ideal facets, formed on first use: see
+        # `diagonal_elements` and `ideal_facets`
+        self._moves = self._facets = None
 
     def commute(self, i, j):
         return i == j or bool((self.adj[i] >> j) & 1)
@@ -195,21 +198,23 @@ def signed_cells(graph: DefiningGraph, indices):
 
 def diagonal_elements(graph: DefiningGraph):
     """All spherical signed sets (equivalently: non-ideal cells, or the moves
-    of the diagonal generating set), canonically ordered."""
-    out = []
-    for clique in enumerate_cliques(graph):
-        out.extend(signed_cells(graph, clique))
-    return out
+    of the diagonal generating set), canonically ordered.  One tuple per
+    graph, formed on first use."""
+    if graph._moves is None:
+        graph._moves = tuple(cell for clique in enumerate_cliques(graph)
+                             for cell in signed_cells(graph, clique))
+    return graph._moves
 
 
 def ideal_facets(graph: DefiningGraph):
     """Maximal ideal cells: non-adjacent generator pairs with signs.  These
-    are the truncation faces of the fundamental domain."""
-    out = []
-    for i, j in combinations(range(graph.d), 2):
-        if not (graph.adj[i] >> j) & 1:
-            out.extend(signed_cells(graph, (i, j)))
-    return out
+    are the truncation faces of the fundamental domain.  One tuple per
+    graph, formed on first use."""
+    if graph._facets is None:
+        graph._facets = tuple(cell for i, j in combinations(range(graph.d), 2)
+                              if not (graph.adj[i] >> j) & 1
+                              for cell in signed_cells(graph, (i, j)))
+    return graph._facets
 
 
 @dataclass

@@ -11,8 +11,8 @@ domains of the ball; the edge is labelled by how the tiles' covered cells
 relate (same codimension, or nested with codimension difference one).
 The region, flat cells and the parent tile all come from the ball's
 per-covering-move record (`Ball.local`), so a tiling needs no earlier level,
-and an element costs one group product per flat cell of codimension two or
-more that it owns.
+and each flat cell of codimension two or more costs one group product,
+formed from the side met first.
 
 A tile is an int index into its level: non-ideal tile i is owned by element
 i of `ball.levels[n + 1]`, whose ball index is `ball.starts[n + 1] + i`, and
@@ -40,6 +40,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+from . import words
 from .balls import Ball, InvariantViolation, visible_region
 from .graphs import (DefiningGraph, cell_str, ideal_facets,
                      inflation_descriptor, support)
@@ -229,46 +230,65 @@ def _compute_adjacency(ball: Ball, n: int):
     owner of rank i in `ball.levels[n + 1]`, and each cell gives at most one
     edge.
 
-    Such a cell of g is flat: besides g it lies in h = g * s0 only.  It is
-    taken from the side whose owner comes first by nf_key, and that owner is
-    its canonical (lowest level, then nf_key) domain, as every further
-    domain of the cell lies outside B(n+1); the shared cell is yielded as
-    (that owner, signs).  Whether the cell joins the regions of g and h, and
-    the label, depend only on the covering moves of g and h, so they are
-    worked out once per (move of g, cell, move of h)."""
+    Such a cell of g is flat: besides g it lies in h = g * s0 only, where it
+    is g's cell with s0's signs flipped, its mirror.  It is met first from
+    the side whose owner comes first by nf_key, and that owner is its
+    canonical (lowest level, then nf_key) domain, as every further domain
+    of the cell lies outside B(n+1); the shared cell is yielded as (that
+    owner, signs).  The product h is formed from that side only: the other
+    side finds the mirror pending at its rank and drops it, so the cells
+    still pending are those not yet met from their second side.  Whether
+    the cell joins the regions of g and h, and the label, depend only on
+    the covering moves of g and h, so they are worked out once per (move of
+    g, cell, move of h)."""
     level = ball.levels[n + 1]   # in nf_key order
     first = ball.starts[n + 1]
     local = [ball.local(g) for g in level]
     move = ball.pred_move[first:first + len(level)]
+    apply, graph, index = words.apply_letters, ball.graph, ball.index
+    bit = {t: 1 << k for k, t in enumerate(ball.moves)}
+    # per rank, a bit for each of its flat cells met from the other side
+    # only: one int per element, where a set of (rank, cell) pairs would
+    # hold a large share of the level, the two sides of a cell lying far
+    # apart in nf_key order
+    pending = [0] * len(level)
     joins = {}   # (move of g, cell, move of h) -> label code, None: no edge
     for i, g in enumerate(level):
-        for cell, s0 in local[i].flat:
-            if len(cell) < 2:
+        for cell, s0, mirror in local[i].flat:
+            b = bit[cell]
+            if pending[i] & b:
+                pending[i] ^= b
                 continue
-            h = ball.apply(g, s0)
-            j = ball.index.get(h, -1) - first
+            j = index.get(apply(g, graph, s0), -1) - first
             if not 0 <= j < len(level):
                 raise InvariantViolation("flat cell %s leaves the sphere"
-                                         % cell_str(ball.graph, cell),
+                                         % cell_str(graph, cell),
                                          ball.names[first + i], n + 1)
+            pending[j] |= bit[mirror]
             if j < i:
-                continue  # processed from the other side
+                continue  # h never meets it: reported below
             key = (move[i], cell, move[j])
             if key not in joins:
                 joins[key] = (_edge_label(move[i], move[j])
-                              if _join(cell, s0, local[i], local[j]) else None)
+                              if _join(cell, mirror, s0, local[i], local[j])
+                              else None)
             if joins[key] is not None:
                 yield i, j, joins[key], (g, cell)
+    for j, bits in enumerate(pending):
+        if bits:
+            mirror = ball.moves[(bits & -bits).bit_length() - 1]
+            raise InvariantViolation("flat cell %s met from one side only"
+                                     % cell_str(graph, mirror),
+                                     ball.names[first + j], n + 1)
 
 
-def _join(cell, s0, local_g, local_h):
+def _join(cell, mirror, s0, local_g, local_h):
     """Whether the regions of g and of h = g * s0 both hold a
-    codimension-one subcell of the flat cell (g, cell)."""
-    flipped = frozenset(s0)
-    cell_h = tuple((k, -e if (k, e) in flipped else e) for k, e in cell)
+    codimension-one subcell of the flat cell (g, cell), which h sees as
+    (h, mirror)."""
     return all(any(tuple(p for p in c if p[0] != drop) in rec.visible
                    for drop, _ in s0)
-               for c, rec in ((cell, local_g), (cell_h, local_h)))
+               for c, rec in ((cell, local_g), (mirror, local_h)))
 
 
 def _edge_label(move_g, move_h) -> int:

@@ -59,32 +59,36 @@ def empty_state(graph: DefiningGraph):
     return tuple(() for _ in range(graph.d))
 
 
-def push_letter(piles, graph: DefiningGraph, i, s):
-    """Push one letter onto mutable piles (lists), cancelling eagerly."""
-    p = piles[i]
-    if p and p[-1] == -s:
-        p.pop()
-        for j in graph.noncommuters[i]:
-            piles[j].pop()
-    else:
-        p.append(s)
-        for j in graph.noncommuters[i]:
-            piles[j].append(0)
+def apply_letters(state, graph: DefiningGraph, letters):
+    """Right-multiply a state by a letter sequence; returns a new state.
+
+    A letter cancels against its inverse on top of its own pile, popping a
+    0 marker off each non-commuting pile, or is pushed, with a 0 marker on
+    each of them.  Only the piles a letter touches are rebuilt: every other
+    pile tuple of the result is the one in `state`."""
+    piles = list(state)
+    noncommuters = graph.noncommuters
+    for i, s in letters:
+        p = piles[i]
+        if p and p[-1] == -s:
+            piles[i] = p[:-1]
+            for j in noncommuters[i]:
+                piles[j] = piles[j][:-1]
+        else:
+            piles[i] = p + (s,)
+            for j in noncommuters[i]:
+                piles[j] = piles[j] + (0,)
+    return tuple(piles)
+
+
+# bound at import: `apply_letters`, the module attribute, may be replaced by
+# a wrapper counting products of ball elements by moves, and a word's state
+# is not such a product
+_apply_letters = apply_letters
 
 
 def state_of_word(graph: DefiningGraph, word):
-    piles = [[] for _ in range(graph.d)]
-    for i, s in word:
-        push_letter(piles, graph, i, s)
-    return tuple(map(tuple, piles))
-
-
-def apply_letters(state, graph: DefiningGraph, letters):
-    """Right-multiply a state by a letter sequence; returns a new state."""
-    piles = [list(p) for p in state]
-    for i, s in letters:
-        push_letter(piles, graph, i, s)
-    return tuple(map(tuple, piles))
+    return _apply_letters(empty_state(graph), graph, word)
 
 
 def state_length(state) -> int:
@@ -104,19 +108,9 @@ def syllables_of_state(graph: DefiningGraph, state):
     current syllable iff its generator commutes with every generator already
     admitted (or is one of them), repeating until the syllable stops growing.
     """
-    piles = [list(p) for p in state]
-    head = [0] * graph.d
+    head = [0] * graph.d   # per pile, the index of its front entry
     remaining = state_length(state)
-    adj = graph.adj
-
-    def pop_front(i):
-        head[i] += 1
-        for j in graph.noncommuters[i]:
-            # the front of a blocked pile is necessarily a 0 marker
-            if piles[j][head[j]] != 0:
-                _violation("blocked pile without a marker", state)
-            head[j] += 1
-
+    adj, noncommuters = graph.adj, graph.noncommuters
     out = []
     while remaining:
         exps = {}
@@ -124,9 +118,10 @@ def syllables_of_state(graph: DefiningGraph, state):
         changed = True
         while changed:
             changed = False
-            for i in range(graph.d):
-                while head[i] < len(piles[i]) and piles[i][head[i]] != 0:
-                    s = piles[i][head[i]]
+            for i, p in enumerate(state):
+                k = head[i]
+                while k < len(p) and p[k] != 0:
+                    s = p[k]
                     if i in exps:
                         # same-sign absorption; an opposite sign cannot be
                         # front-available inside one syllable
@@ -136,9 +131,15 @@ def syllables_of_state(graph: DefiningGraph, state):
                         break  # fails to commute with an admitted generator
                     exps[i] = exps.get(i, 0) + s
                     mask |= 1 << i
-                    pop_front(i)
+                    k += 1
+                    for j in noncommuters[i]:
+                        # the front of a blocked pile is necessarily a 0 marker
+                        if state[j][head[j]] != 0:
+                            _violation("blocked pile without a marker", state)
+                        head[j] += 1
                     remaining -= 1
                     changed = True
+                head[i] = k
         out.append(tuple(sorted(exps.items())))
     return tuple(out)
 

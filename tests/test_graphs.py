@@ -96,7 +96,21 @@ def test_join_cells():
 def test_ideal_facets():
     assert len(ideal_facets(path3())) == 4      # the one non-edge, signed
     assert len(ideal_facets(free3())) == 12
-    assert ideal_facets(triangle()) == []
+    assert ideal_facets(triangle()) == ()
+
+
+def test_moves_and_facets_formed_once_per_graph():
+    g = path3()   # a, z, b
+    moves, facets = diagonal_elements(g), ideal_facets(g)
+    # one tuple each, handed to every caller, in canonical order: cliques
+    # by (size, generator order), + before -
+    assert diagonal_elements(g) is moves and ideal_facets(g) is facets
+    assert type(moves) is tuple and type(facets) is tuple
+    assert moves[:6] == (((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),),
+                         ((2, 1),), ((2, -1),))
+    assert moves[6:8] == (((0, 1), (1, 1)), ((0, 1), (1, -1)))
+    assert facets == (((0, 1), (2, 1)), ((0, 1), (2, -1)),
+                      ((0, -1), (2, 1)), ((0, -1), (2, -1)))
 
 
 def test_parse_rejects_bad_input():

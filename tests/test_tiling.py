@@ -1,18 +1,22 @@
 import gc
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from subdivlab.balls import build_ball
+from subdivlab import words
+from subdivlab.balls import InvariantViolation, build_ball
 from subdivlab.exports import tiling_to_json
-from subdivlab.graphs import DefiningGraph, support
-from subdivlab.tiling import (LABELS, ROOT, build_history, build_tiling,
-                              build_tilings, descriptor_crosscheck,
-                              extract_rule, inflation_descriptor)
+from subdivlab.graphs import DefiningGraph, cell_str, support
+from subdivlab.tiling import (LABELS, ROOT, _compute_adjacency, build_history,
+                              build_tiling, build_tilings,
+                              descriptor_crosscheck, extract_rule,
+                              inflation_descriptor)
 from subdivlab.words import nf_key
-from conftest import (free3, get_ball, get_rule, get_tilings, path3,
-                      triangle)
+from conftest import (all_graphs_up_to_iso, free3, get_ball, get_rule,
+                      get_tilings, path3, triangle)
 
 
 def test_tile_counts_triangle():
@@ -89,6 +93,88 @@ def test_adjacency_symmetric_and_local():
                 if t.ideal[other]:
                     continue
                 assert any(ball.apply(g, m) == h for m in ball.moves)
+
+
+def adjacency_both_sides(ball, n):
+    """(tile1, tile2, label code) of each cell of codimension two or more
+    lying in exactly two domains of B(n+1), read off each owner's in-ball
+    pattern and visible cells, with the product formed from both sides of
+    the cell: the reference for `_compute_adjacency`."""
+    level, first = ball.levels[n + 1], ball.starts[n + 1]
+    move = ball.pred_move[first:first + len(level)]
+    seen, edges = set(), []
+    for i, g in enumerate(level):
+        pattern = ball.local(g).pattern
+        for cell in ball.moves:
+            inside = [c for r in range(1, len(cell) + 1)
+                      for c in combinations(cell, r) if c in pattern]
+            if len(cell) < 2 or len(inside) != 1:
+                continue
+            s0 = inside[0]
+            j = ball.index[ball.apply(g, s0)] - first
+            assert 0 <= j < len(level)
+            mirror = tuple((k, -e) if (k, e) in s0 else (k, e)
+                           for k, e in cell)
+            if j < i:
+                # the same cell, met first from the other side
+                assert (j, mirror, i) in seen
+                continue
+            seen.add((i, cell, j))
+            if all(any(tuple(p for p in c if p[0] != drop)
+                       in ball.local(x).visible for drop, _ in s0)
+                   for c, x in ((cell, g), (mirror, level[j]))):
+                gap = abs(len(move[i]) - len(move[j]))
+                edges.append((i, j, LABELS.index(
+                    ("flat", "containment")[gap] if gap < 2 else "other")))
+    return edges
+
+
+def test_adjacency_matches_both_sides_reference(class_tilings):
+    for d in (1, 2, 3, 4):
+        for edges in all_graphs_up_to_iso(d):
+            for t in class_tilings(d, edges, 3):
+                assert list(t.edges()) == \
+                    adjacency_both_sides(t.ball, t.level), (d, edges, t.level)
+
+
+def test_one_product_per_shared_cell(class_tilings, monkeypatch):
+    kernel = words.apply_letters
+    for d in (1, 2, 3, 4):
+        for edges in all_graphs_up_to_iso(d):
+            ball = class_tilings(d, edges, 3)[0].ball
+            for n in range(3):
+                level = ball.levels[n + 1]
+                # the in-ball patterns are formed and spot-checked already
+                flats = sum(len(ball.local(g).flat) for g in level)
+                calls = []
+                monkeypatch.setattr(words, "apply_letters", lambda *args:
+                                    calls.append(args) or kernel(*args))
+                tiling = build_tiling(ball, n)
+                monkeypatch.setattr(words, "apply_letters", kernel)
+                # each shared cell is listed by both of its owners
+                assert 2 * len(calls) == flats, (d, edges, n)
+                assert len(tiling.instances) <= len(calls)
+
+
+def test_adjacency_flat_record_faults_raise():
+    ball = build_ball(triangle(), 3)
+    n = 1
+    level, first = ball.levels[n + 1], ball.starts[n + 1]
+    # the first element with a flat cell meets all of its flat cells first
+    i = next(i for i, g in enumerate(level) if ball.local(g).flat)
+    name, move = ball.names[first + i], ball.pred_move[first + i]
+    rec = ball._local[move]
+    cell, _, mirror = rec.flat[0]
+    back = tuple((k, -e) for k, e in move)   # the product is g's predecessor
+    for flat, what in (
+            (rec.flat[1:], "flat cell %s met from one side only"),
+            (((cell, back, mirror),) + rec.flat[1:],
+             "flat cell %s leaves the sphere")):
+        ball._local[move] = replace(rec, flat=flat)
+        with pytest.raises(InvariantViolation) as err:
+            build_tiling(ball, n)
+        assert err.value.element == name and err.value.level == n + 1
+        assert what % cell_str(ball.graph, cell) in str(err.value)
 
 
 def test_adjacency_labels():

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subdivlab import words
+from subdivlab.balls import InvariantViolation, build_ball
 from subdivlab.graphs import cell_is_ideal
-from subdivlab.words import (WordError, nf_key, nf_str, nf_to_word,
-                             parse_word, predecessor_word, state_of_word,
-                             syllables_of_state)
-from conftest import free3, path3, triangle
+from subdivlab.words import (WordError, apply_letters, empty_state, nf_key,
+                             nf_str, nf_to_word, parse_word, predecessor_word,
+                             state_of_word, syllables_of_state)
+from conftest import all_graphs_up_to_iso, free3, graph_from_edges, path3, triangle
 
 
 # -- normal-form arithmetic, the reference these tests exercise ------------
@@ -49,6 +51,129 @@ def translate(graph, nf, cell):
     if cell_is_ideal(graph, cell):
         raise WordError("not a spherical set: %r" % (cell,))
     return normalize(graph, nf_to_word(nf) + cell)
+
+
+# -- the list-based group product and normal form, references for the
+# tuple-sharing kernel in `words` ------------------------------------------
+
+
+def push_letter(piles, graph, i, s):
+    """Push one letter onto mutable piles (lists), cancelling eagerly."""
+    p = piles[i]
+    if p and p[-1] == -s:
+        p.pop()
+        for j in graph.noncommuters[i]:
+            piles[j].pop()
+    else:
+        p.append(s)
+        for j in graph.noncommuters[i]:
+            piles[j].append(0)
+
+
+def apply_letters_reference(state, graph, letters):
+    piles = [list(p) for p in state]
+    for i, s in letters:
+        push_letter(piles, graph, i, s)
+    return tuple(map(tuple, piles))
+
+
+def syllables_reference(graph, state):
+    """Greedy maximal spherical decomposition over list copies of the
+    piles, popping fronts through a closure."""
+    piles = [list(p) for p in state]
+    head = [0] * graph.d
+    remaining = words.state_length(state)
+    adj = graph.adj
+
+    def pop_front(i):
+        head[i] += 1
+        for j in graph.noncommuters[i]:
+            if piles[j][head[j]] != 0:
+                raise InvariantViolation("blocked pile without a marker",
+                                         repr(state))
+            head[j] += 1
+
+    out = []
+    while remaining:
+        exps = {}
+        mask = 0
+        changed = True
+        while changed:
+            changed = False
+            for i in range(graph.d):
+                while head[i] < len(piles[i]) and piles[i][head[i]] != 0:
+                    s = piles[i][head[i]]
+                    if i in exps:
+                        if s * exps[i] <= 0:
+                            raise InvariantViolation(
+                                "opposite signs in one syllable", repr(state))
+                    elif mask & ~adj[i] & ~(1 << i):
+                        break
+                    exps[i] = exps.get(i, 0) + s
+                    mask |= 1 << i
+                    pop_front(i)
+                    remaining -= 1
+                    changed = True
+        out.append(tuple(sorted(exps.items())))
+    return tuple(out)
+
+
+def inverse(letters):
+    return tuple((i, -s) for i, s in reversed(letters))
+
+
+@pytest.fixture(scope="module")
+def class_balls():
+    """A depth-4 ball of each of the 18 defining graphs with d <= 4, up to
+    isomorphism."""
+    return [build_ball(graph_from_edges(d, edges), 4, cap=300000)
+            for d in (1, 2, 3, 4) for edges in all_graphs_up_to_iso(d)]
+
+
+def test_kernel_matches_list_reference(class_balls):
+    # every element of the depth-3 ball times every move, on 18 graphs
+    products = 0
+    for ball in class_balls:
+        graph = ball.graph
+        for level in ball.levels[:4]:
+            for g in level:
+                for t in ball.moves:
+                    gt = apply_letters(g, graph, t)
+                    assert gt == apply_letters_reference(g, graph, t)
+                    assert apply_letters(gt, graph, inverse(t)) == g
+                    products += 1
+    assert products > 200000
+
+
+def test_kernel_shares_untouched_piles():
+    g = path3()
+    a, z, b = (g.index[x] for x in "azb")
+    state = state_of_word(g, parse_word(g, "a z b"))
+    out = apply_letters(state, g, ((z, 1),))
+    # z commutes with a and b: their piles are the input's own tuples
+    assert out[a] is state[a] and out[b] is state[b]
+    assert out[z] == state[z] + (1,)
+    assert type(out) is tuple and all(type(p) is tuple for p in out)
+
+
+def test_syllables_match_reference(class_balls):
+    # every element of the depth-4 ball, on 18 graphs
+    for ball in class_balls:
+        for level in ball.levels:
+            for g in level:
+                assert syllables_of_state(ball.graph, g) == \
+                    syllables_reference(ball.graph, g)
+
+
+def test_syllables_violations_match_reference():
+    g = path3()   # a, z, b: a and b do not commute
+    # a's letter with no marker on b's pile, and opposite signs on a's pile
+    for state in (((1,), (), (1,)), ((1, -1), (), (0, 0))):
+        with pytest.raises(InvariantViolation) as err:
+            syllables_of_state(g, state)
+        with pytest.raises(InvariantViolation) as ref:
+            syllables_reference(g, state)
+        assert str(err.value) == str(ref.value)
 
 
 def test_single_syllable_with_chain():
@@ -226,3 +351,15 @@ def test_parse_word_errors():
         parse_word(g, "q")
     with pytest.raises(WordError):
         parse_word(g, "a^0")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), letters_st, letters_st)
+def test_kernel_matches_reference_on_words(gi, u, v):
+    g = GRAPHS[gi]
+    u, v = tuple(u), tuple(v)
+    state = state_of_word(g, u)
+    out = apply_letters(state, g, v)
+    assert out == apply_letters_reference(state, g, v)
+    assert out == apply_letters_reference(empty_state(g), g, u + v)
+    assert apply_letters(out, g, inverse(v)) == state
