@@ -15,21 +15,28 @@ own count, which advances a count of covering moves through the inflation
 descriptor and needs no ball.  Elements covering several convex cells at
 once are counted.
 
-Each level is sorted by normal form, computed once per element.  In that
-order each element gets its one global index, its level's start plus its
-rank in the level: `Ball.index` maps a state to it, `Ball.starts` holds the
-levels' starts, and the predecessor's index, the covering move and the name
-are arrays read by it.  Each element is audited as it is named: the ball
-counts the elements whose normal-form predecessor (drop the leftmost
-diagonal generator) fails to sit one level down, with up to 10 examples.
-Then the normal forms are dropped; the ball keeps names, not normal forms.
+Each level is sorted by normal form, scanned once per element
+(`words.syllables_of_state`): the scan gives the sort key (word length,
+syllable count, normal form).  In that order each element gets its one
+global index, its level's start plus its rank in the level: `Ball.index`
+maps a state to it, `Ball.starts` holds the levels' starts, and the
+predecessor's index, the covering move and the name are arrays read by it.
+Each element is audited as it is named: the ball counts the elements whose
+normal-form predecessor (drop the leftmost diagonal generator), peeled off
+the element's own state (`words.predecessor_state`), fails to sit one level
+down, with up to 10 examples.  Then the normal forms are dropped; the ball
+keeps names, not normal forms.
 
 The local picture of an element g at level n -- its in-ball pattern, the
 moves t with g * t in B(n) -- depends only on the move covering g, as the
-subdivision rule has finitely many tile types.  `Ball.local` holds one
+subdivision rule has finitely many tile types.  The ball holds one `Local`
 record per covering move: the pattern and everything read off it (convex
-cells, flat cells, the visible region).  The pattern is spot-checked with
-products on the first two elements of each level and covering move.
+cells, flat cells, the visible region).  `Ball.record(i)` reads the record
+of the element of index i through its covering move, with no state
+hashed; `Ball.local(g)` looks the index up first.  A level's records are
+formed when the level is first read, and the pattern is spot-checked with
+products on the first two elements, in canonical order, of each level and
+covering move.
 
 An element's visible region is one connected piece, so it owns exactly one
 tile.  For a covering move sigma the convex cells are the children of
@@ -126,14 +133,15 @@ class Ball:
         self._subcells = {t: [c for r in range(1, len(t) + 1)
                               for c in combinations(t, r)] for t in self.moves}
         self._local = {}          # covering move (None: identity) -> Local
-        self._spot_checked = {}   # (level, covering move) -> elements recomputed
+        self._unchecked = 0       # the first index of the levels whose
+                                  # records are not spot-checked yet
         self._build()
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
         g0 = words.empty_state(self.graph)
-        self._add_level({g0: (-1, None)}, {g0: ()})
+        self._add_level([(b"", b"1", False, g0, (-1, None))])   # no scan
         count = Counter({None: 1})   # covering move -> elements of the sphere
         rule = {None: self.moves}    # covering move -> the rule's convex cells
         # pile tuple -> its one shared copy: equal piles such as (0,) or
@@ -146,8 +154,10 @@ class Ball:
             # convex cell of h, so only convex products are formed.  The
             # frontier is in canonical order, so the first convex cell found
             # covering g has the canonically smallest owner.
+            self._spot_check(n - 1)
+            local, pred_move = self._local, self.pred_move
             for i, h in enumerate(self.levels[n - 1], self.starts[n - 1]):
-                for t in self.local(h).convex:
+                for t in local[pred_move[i]].convex:
                     g = words.apply_letters(h, self.graph, t)
                     if g in new:
                         multi.add(g)
@@ -178,33 +188,46 @@ class Ball:
                     "S(%d) has %d elements, the descriptor counts %d"
                     % (n, len(new), want), "sphere", n)
             self.multi_cover += len(multi)
-            self._add_level(new, {g: words.syllables_of_state(self.graph, g)
-                                  for g in new})
+            # one pass scans each new element's normal form once and takes
+            # its sort key, its name and its audit from it; no normal form
+            # outlives its element's turn.  The name waits as bytes: the
+            # kept strings are made after the sort, together, so the memory
+            # the keys free is not left in pieces between them
+            graph, index = self.graph, self.index
+            low, high = self.starts[n - 1], self.starts[n]
+            entries = []
+            for g, found in new.items():
+                nf = words.syllables_of_state(graph, g)
+                # the normal-form predecessor should be one level down
+                bad = not low <= index.get(
+                    words.predecessor_state(graph, g, nf[0]), -1) < high
+                entries.append((words.sort_key(nf, n * graph.d),
+                                words.nf_str(graph, nf).encode(), bad, g,
+                                found))
+            del new
+            self._add_level(entries)
 
-    def _add_level(self, new, nfs):
-        """Append the next level n, in canonical order, and index, name and
-        audit each element.  `new` maps an element to its (predecessor's
-        index, covering move) and `nfs` to its normal form.
+    def _add_level(self, entries):
+        """Append the next level, in canonical order, and index each
+        element.  `entries` holds (sort key, UTF-8 name, audit failed,
+        state, (predecessor's index, covering move)) of each element, in any
+        order.
 
         Every downstream tie-break sees the same sequence regardless of
-        discovery order.  The normal forms live only for this call."""
-        n = len(self.levels)
-        level = sorted(new, key=lambda g: words.nf_key(nfs[g]))
+        discovery order, and the audit's examples are the first in it."""
+        entries.sort()   # by key, one per element
+        level = [None] * len(entries)
         self.levels.append(level)
         self.starts.append(self.starts[-1] + len(level))
-        for i, g in enumerate(level, self.starts[n]):
-            self.index[g] = i
-            p, t = new[g]
+        index, names, start = self.index, self.names, self.starts[-2]
+        for i, (_, name, bad, g, (p, t)) in enumerate(entries, start):
+            level[i - start] = g
+            index[g] = i
             self.pred.append(p)
             self.pred_move.append(t)
-            nf = nfs[g]
-            name = words.nf_str(self.graph, nf)
-            self.names.append(name)
-            if n == 0:
-                continue
-            # the piling state is a complete invariant: no normal form needed
-            hhat = words.state_of_word(self.graph, words.predecessor_word(nf))
-            if self.level(hhat) != n - 1:
+            name = name.decode()
+            names.append(name)
+            if bad:
                 self.predecessor_mismatches += 1
                 if len(self.predecessor_mismatch_examples) < 10:
                     self.predecessor_mismatch_examples.append(name)
@@ -232,37 +255,52 @@ class Ball:
 
     # -- cell queries --------------------------------------------------------
 
-    def local(self, g) -> Local:
-        """The local record of g, computed once per covering move.
+    def record(self, i) -> Local:
+        """The local record of the element of global index i: its covering
+        move's, read with no state hashed.  A level's records are formed
+        and spot-checked when the level is first read."""
+        if i >= self._unchecked:
+            self._spot_check(bisect_right(self.starts, i) - 1)
+        return self._local[self.pred_move[i]]
 
-        The first two elements of each (level, covering move) recompute the
-        in-ball pattern with products; a mismatch raises InvariantViolation.
-        """
-        i = self.index[g]
-        level = bisect_right(self.starts, i) - 1
-        move = self.pred_move[i]
-        rec = self._local.get(move)
-        checked = self._spot_checked.get((level, move), ())
-        if rec is None or (len(checked) < 2 and g not in checked):
-            # what `in_ball` tests, with the lookups made once
-            apply, graph, index = words.apply_letters, self.graph, self.index
-            end = self.starts[level + 1]
-            pattern = frozenset(t for t in self.moves
-                                if index.get(apply(g, graph, t), end) < end)
-            if rec is None:
-                rec = self._local_of(pattern)
-                if rec.region is None and move is not None:
+    def local(self, g) -> Local:
+        """The local record of the element g, by its index (`record`)."""
+        return self.record(self.index[g])
+
+    def _spot_check(self, level):
+        """Form the records of the covering moves of every level up to
+        `level` not checked yet, in level order.
+
+        The first two elements of each (level, covering move), in canonical
+        order, recompute the in-ball pattern with products against every
+        move; a mismatch raises InvariantViolation."""
+        apply, graph, index = words.apply_letters, self.graph, self.index
+        while self._unchecked < self.starts[level + 1]:
+            n = bisect_right(self.starts, self._unchecked) - 1
+            end = self.starts[n + 1]
+            checked = Counter()
+            for i, g in enumerate(self.levels[n], self.starts[n]):
+                move = self.pred_move[i]
+                if checked[move] == 2:
+                    continue
+                checked[move] += 1
+                # what `in_ball` tests, with the lookups made once
+                pattern = frozenset(t for t in self.moves
+                                    if index.get(apply(g, graph, t), end) < end)
+                rec = self._local.get(move)
+                if rec is None:
+                    rec = self._local_of(pattern)
+                    if rec.region is None and move is not None:
+                        raise InvariantViolation(
+                            "convex cells of covering move %s form several "
+                            "components" % cell_str(self.graph, move),
+                            self.names[i], n)
+                    self._local[move] = rec
+                elif pattern != rec.pattern:
                     raise InvariantViolation(
-                        "convex cells of covering move %s form several "
-                        "components" % cell_str(self.graph, move),
-                        self.names[i], level)
-                self._local[move] = rec
-            elif pattern != rec.pattern:
-                raise InvariantViolation(
-                    "in-ball pattern differs from that of its covering move",
-                    self.names[i], level)
-            self._spot_checked.setdefault((level, move), []).append(g)
-        return rec
+                        "in-ball pattern differs from that of its covering "
+                        "move", self.names[i], n)
+            self._unchecked = end
 
     def _local_of(self, pattern):
         convex, flat = [], []
@@ -288,17 +326,18 @@ class Ball:
 
 def visible_region(ball: Ball, n: int, owner):
     """(convex cells, attached ideal facets) of the owner's exposed part of
-    S(n), read from its per-covering-move record, `Ball.local`.
+    S(n), read from its per-covering-move record, `Ball.record`.
 
     The cells are joined through shared non-ideal subcells that are
     themselves exposed, and through the owner's own truncation faces (an
     ideal facet touches every compatible cell; its boundary toward covered
     facets is sealed off by the matching faces of neighbouring domains).
     """
-    if ball.level(owner) != n:
+    i = ball.index.get(owner)
+    if i is None or bisect_right(ball.starts, i) - 1 != n:
         raise InvariantViolation("no visible region on S(%d)" % n,
                                  ball.nf_string(owner), ball.level(owner))
-    return ball.local(owner).region
+    return ball.record(i).region
 
 
 def _components(graph: DefiningGraph, convex):

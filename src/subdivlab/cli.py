@@ -219,32 +219,33 @@ def run(config: RunConfig) -> int:
 
     _atomic_write(os.path.join(config.out_dir, "report.json"), report_json(report))
 
-    # each level's names, formed once for all of its exports
-    labels = [LevelLabels(t) for t in tilings]
-    if "tilings" in config.exports:
-        tdir = os.path.join(config.out_dir, "tilings")
-        os.makedirs(tdir, exist_ok=True)
-        for t in tilings:
-            with _atomic_open(os.path.join(tdir, "level_%02d.json" % t.level)) as f:
-                # streamed: the encoder writes its chunks as they come
-                json.dump(tiling_to_json(t, rule, labels=labels[t.level]), f,
-                          sort_keys=True, indent=2)
+    # level by level: a level's names and ideal tiles are formed once for
+    # all of its exports, and history.dot reads every level's names
+    for x in ("tilings", "dot", "svg"):
+        if x in config.exports:
+            os.makedirs(os.path.join(config.out_dir, x), exist_ok=True)
+    labels = []
+    for t in tilings:
+        level = LevelLabels(t)
+        name = "level_%02d." % t.level
+        if "tilings" in config.exports:
+            with _atomic_open(os.path.join(config.out_dir, "tilings",
+                                           name + "json")) as f:
+                tiling_to_json(t, f, rule, labels=level)
                 f.write("\n")
-    if "dot" in config.exports:
-        ddir = os.path.join(config.out_dir, "dot")
-        os.makedirs(ddir, exist_ok=True)
-        for t in tilings:
-            _atomic_write(os.path.join(ddir, "level_%02d.dot" % t.level),
-                          tiling_to_dot(t, rule, labels=labels[t.level]))
-        _atomic_write(os.path.join(ddir, "history.dot"),
-                      history_to_dot(history, labels=labels))
-    if "svg" in config.exports:
-        sdir = os.path.join(config.out_dir, "svg")
-        os.makedirs(sdir, exist_ok=True)
-        for t in tilings:
-            _atomic_write(os.path.join(sdir, "level_%02d.svg" % t.level),
+        if "svg" in config.exports:
+            _atomic_write(os.path.join(config.out_dir, "svg", name + "svg"),
                           tiling_to_svg(t, rule, seed=config.layout_seed,
-                                        labels=labels[t.level]))
+                                        labels=level))
+        if "dot" in config.exports:
+            _atomic_write(os.path.join(config.out_dir, "dot", name + "dot"),
+                          tiling_to_dot(t, rule, labels=level))
+            # kept for history.dot, without the level's ideal tiles
+            del level.ideal
+            labels.append(level)
+    if "dot" in config.exports:
+        _atomic_write(os.path.join(config.out_dir, "dot", "history.dot"),
+                      history_to_dot(history, labels=labels))
     if "reports" in config.exports:
         _atomic_write(os.path.join(config.out_dir, "counts.csv"),
                       counts_csv(tilings, rule))

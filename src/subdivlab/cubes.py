@@ -292,7 +292,7 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
         n = bisect_right(ball.starts, i) - 1
         g = ball.levels[n][i - ball.starts[n]]
         # one letter moves a level at most: only level n_max can leave B(n_max)
-        inside = ball.local(g).pattern if n == n_max else None
+        inside = ball.record(i).pattern if n == n_max else None
         for germ, w in steps[v]:
             if inside is not None and (germ,) not in inside:
                 continue

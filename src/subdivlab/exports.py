@@ -1,7 +1,8 @@
 """Deterministic artifact exports: tiling JSON, DOT, an SVG of each level's
 tiles on a circle ordered by parent, report JSON and CSV count tables.  Tile
-names are formed here, from the ball, once per exported level: a
-`LevelLabels` holds them for every export of that level."""
+names and ideal tiles are formed here, from the ball, once per exported
+level: a `LevelLabels` holds them for every export of that level.  The
+tiling JSON is written one tile record at a time."""
 
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ SVG_SIZE = 640   # width and height of the drawing, in px
 
 
 class LevelLabels:
-    """One tiling's tile names, parent names and sorted neighbour rows, each
-    formed on first use and then shared by the exports that take it."""
+    """One tiling's tile names, parent names, sorted neighbour rows and
+    ideal tiles, each formed on first use and then shared by the exports
+    that take it."""
 
     def __init__(self, tiling):
         self.tiling = tiling
@@ -37,6 +39,10 @@ class LevelLabels:
     def adjacency(self):
         return self.tiling.adjacency(self.names)
 
+    @cached_property
+    def ideal(self):
+        return list(self.tiling.ideal_tiles())
+
 
 def _types(tiling, rule):
     """Each stored tile's refined type; None for an ideal one or no rule."""
@@ -46,15 +52,15 @@ def _types(tiling, rule):
             for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
 
 
-def tiling_to_json(tiling, rule=None, labels=None):
+def _tile_records(tiling, rule, labels):
+    """The JSON record of each tile: the stored ones, then the ideal ones."""
     ball, gens = tiling.ball, tiling.graph.generators
-    labels = labels or LevelLabels(tiling)
-    tiles = []
-    for i, (name, parent, adjacent, type_name) in enumerate(zip(
-            labels.names, labels.parents, labels.adjacency,
+    first = ball.starts[tiling.level + 1]   # tile 0's ball index
+    owners = ball.names[first:first + len(tiling.parent)]
+    for i, (name, owner, parent, adjacent, type_name) in enumerate(zip(
+            labels.names, owners, labels.parents, labels.adjacency,
             _types(tiling, rule))):
-        rec = {"id": name, "level": tiling.level,
-               "owner": ball.nf_string(tiling.owner_of(i)),
+        rec = {"id": name, "level": tiling.level, "owner": owner,
                "ideal": bool(tiling.ideal[i]), "parent": parent,
                "adjacent": [list(p) for p in adjacent]}
         if not tiling.ideal[i]:
@@ -63,13 +69,28 @@ def tiling_to_json(tiling, rule=None, labels=None):
             if rule is not None:
                 rec["type"] = type_name
                 rec["type_coalesced"] = rule.coalesced_of.get(type_name)
-        tiles.append(rec)
-    for name, owner, facet, parent in tiling.ideal_tiles():
-        tiles.append({"id": name, "level": tiling.level,
-                      "owner": ball.nf_string(owner), "ideal": True,
-                      "parent": parent, "adjacent": [],
-                      "facet": cell_str(tiling.graph, facet)})
-    return {"level": tiling.level, "tiles": tiles}
+        yield rec
+    for name, owner, facet, parent in labels.ideal:
+        yield {"id": name, "level": tiling.level,
+               "owner": ball.nf_string(owner), "ideal": True,
+               "parent": parent, "adjacent": [],
+               "facet": cell_str(tiling.graph, facet)}
+
+
+def tiling_to_json(tiling, out, rule=None, labels=None):
+    """Write the level's tiles to the text file `out` as the JSON object
+    {"level", "tiles"}, one tile record at a time: byte for byte what
+    `json.dump(..., sort_keys=True, indent=2)` writes for the whole
+    object."""
+    records = _tile_records(tiling, rule, labels or LevelLabels(tiling))
+    # a record sits two levels deep, and no JSON string holds a raw newline
+    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    out.write('{\n  "level": %d,\n  "tiles": [' % tiling.level)
+    sep = "\n    "
+    for rec in records:
+        out.write(sep + encode(rec).replace("\n", "\n    "))
+        sep = ",\n    "
+    out.write("]\n}" if sep == "\n    " else "\n  ]\n}")
 
 
 def tiling_to_dot(tiling, rule=None, name="tiling", labels=None):
@@ -77,7 +98,7 @@ def tiling_to_dot(tiling, rule=None, name="tiling", labels=None):
     labels = labels or LevelLabels(tiling)
     names = labels.names
     nodes = list(zip(names, tiling.ideal, _types(tiling, rule)))
-    nodes += [(tid, True, None) for tid, _, _, _ in tiling.ideal_tiles()]
+    nodes += [(tid, True, None) for tid, _, _, _ in labels.ideal]
     for tid, ideal, type_name in nodes:
         label = tid
         if rule is not None and not ideal:
@@ -133,7 +154,7 @@ def tiling_to_svg(tiling, rule=None, seed=0, labels=None):
     tiles = list(zip(names, labels.parents, _types(tiling, rule),
                      tiling.ideal))
     tiles += [(tid, parent, None, True)
-              for tid, _, _, parent in tiling.ideal_tiles()]
+              for tid, _, _, parent in labels.ideal]
     order = sorted(tiles, key=lambda t: (t[1] or "", t[0]))
     n = max(len(order), 1)
     centre, radius = SVG_SIZE / 2, 0.45 * SVG_SIZE

@@ -545,10 +545,13 @@ def _inversion_orbits(tiling, tiles, nbrs):
     first cell with sign i flipped.  Each of the d maps must be one-to-one
     and carry every neighbour list onto its image's; else
     InvariantViolation."""
-    graph = tiling.graph
+    graph, index = tiling.graph, tiling.ball.index
     n = len(tiles)
     owner = list(map(tiling.owner_of, tiles))
-    pos = {g: k for k, g in enumerate(owner)}   # owner -> position of its tile
+    first = tiling.ball.starts[tiling.level + 1]   # tile 0's ball index
+    pos = [-1] * len(tiling.ideal)   # tile -> its position in `tiles`
+    for k, t in enumerate(tiles):
+        pos[t] = k
     cells = [tiling.cells(i) for i in tiles]
     root = list(range(n))   # union-find; a root is its set's first tile
 
@@ -567,12 +570,14 @@ def _inversion_orbits(tiling, tiles, nbrs):
         perm = []
         hit = bytearray(n)
         for v, g in enumerate(owner):
-            k = pos.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:])
+            t = index.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:],
+                          -1) - first   # the image's tile
+            k = pos[t] if 0 <= t < len(pos) else -1
             cell = flipped.get(cells[v][0])
             if cell is None:
                 cell = flipped[cells[v][0]] = tuple(
                     (j, -e if j == i else e) for j, e in cells[v][0])
-            if k is None or cell not in cells[k]:
+            if k < 0 or cell not in cells[k]:
                 raise InvariantViolation("%s finds no image of tile %s"
                                          % (what, name(v)), name(v), tiling.level)
             if hit[k]:

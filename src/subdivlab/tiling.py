@@ -10,9 +10,9 @@ are adjacent when their regions share an exposed cell lying in exactly two
 domains of the ball; the edge is labelled by how the tiles' covered cells
 relate (same codimension, or nested with codimension difference one).
 The region, flat cells and the parent tile all come from the ball's
-per-covering-move record (`Ball.local`), so a tiling needs no earlier level,
-and each flat cell of codimension two or more costs one group product,
-formed from the side met first.
+per-covering-move record, read by the owner's index (`Ball.record`), so a
+tiling needs no earlier level, and each flat cell of codimension two or
+more costs one group product, formed from the side met first.
 
 A tile is an int index into its level: non-ideal tile i is owned by element
 i of `ball.levels[n + 1]`, whose ball index is `ball.starts[n + 1] + i`, and
@@ -113,11 +113,11 @@ class Tiling:
         return support(self.covered_move(i))
 
     def cells(self, i):
-        cells, _ = self.ball.local(self.owner_of(i)).region
+        cells, _ = self.ball.record(self._first() + i).region
         return cells
 
     def shape(self, i):
-        cells, ideals = self.ball.local(self.owner_of(i)).region
+        cells, ideals = self.ball.record(self._first() + i).region
         return (tuple(sorted(len(c) for c in cells)), len(ideals))
 
     def name(self, i):
@@ -152,7 +152,7 @@ class Tiling:
         for lvl in range(n + 2):
             for i, g in enumerate(ball.levels[lvl], ball.starts[lvl]):
                 g_nf = ball.names[i]
-                visible = ball.local(g).visible if lvl >= n else ()
+                visible = ball.record(i).visible if lvl >= n else ()
                 for f in facets:
                     if lvl == n + 1 and f in visible:
                         continue
@@ -212,12 +212,11 @@ def build_tiling(ball: Ball, n: int) -> Tiling:
     parent = array("i")
     for i, g in enumerate(level, ball.starts[n + 1]):
         ideal_count -= len(visible_region(ball, n + 1, g)[1])
-        p = ball.pred[i] - start
-        if n > 0 and (ball.pred_move[i]
-                      not in ball.local(ball.levels[n][p]).visible):
+        p = ball.pred[i]
+        if n > 0 and ball.pred_move[i] not in ball.record(p).visible:
             raise InvariantViolation("covered cell missing from the parent "
                                      "tiling", ball.names[i], n + 1)
-        parent.append(p if n > 0 else -1)
+        parent.append(p - start if n > 0 else -1)
     tiles = len(level)
     instances = array("q", [(a * tiles + b) * 4 + label for a, b, label, _
                             in _compute_adjacency(ball, n)])
@@ -232,25 +231,25 @@ def _compute_adjacency(ball: Ball, n: int):
 
     Such a cell of g is flat: besides g it lies in h = g * s0 only, where it
     is g's cell with s0's signs flipped, its mirror.  It is met first from
-    the side whose owner comes first by nf_key, and that owner is its
-    canonical (lowest level, then nf_key) domain, as every further domain
-    of the cell lies outside B(n+1); the shared cell is yielded as (that
-    owner, signs).  The product h is formed from that side only: the other
-    side finds the mirror pending at its rank and drops it, so the cells
-    still pending are those not yet met from their second side.  Whether
-    the cell joins the regions of g and h, and the label, depend only on
-    the covering moves of g and h, so they are worked out once per (move of
-    g, cell, move of h)."""
-    level = ball.levels[n + 1]   # in nf_key order
+    the side whose owner comes first in canonical order, and that owner is
+    its canonical (lowest level, then canonical order) domain, as every
+    further domain of the cell lies outside B(n+1); the shared cell is
+    yielded as (that owner, signs).  The product h is formed from that side
+    only: the other side finds the mirror pending at its rank and drops it,
+    so the cells still pending are those not yet met from their second
+    side.  Whether the cell joins the regions of g and h, and the label,
+    depend only on the covering moves of g and h, so they are worked out
+    once per (move of g, cell, move of h)."""
+    level = ball.levels[n + 1]   # in canonical order
     first = ball.starts[n + 1]
-    local = [ball.local(g) for g in level]
+    local = list(map(ball.record, range(first, first + len(level))))
     move = ball.pred_move[first:first + len(level)]
     apply, graph, index = words.apply_letters, ball.graph, ball.index
     bit = {t: 1 << k for k, t in enumerate(ball.moves)}
     # per rank, a bit for each of its flat cells met from the other side
     # only: one int per element, where a set of (rank, cell) pairs would
     # hold a large share of the level, the two sides of a cell lying far
-    # apart in nf_key order
+    # apart in canonical order
     pending = [0] * len(level)
     joins = {}   # (move of g, cell, move of h) -> label code, None: no edge
     for i, g in enumerate(level):

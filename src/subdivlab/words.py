@@ -8,14 +8,18 @@ them, so the state is a complete invariant: two words give the same state
 iff they define the same group element.
 
 The human-facing normal form decomposes an element into *syllables*:
-maximal blocks lying in a spherical subgroup, extracted greedily in
-generator order.  Each syllable with exponent vector e expands into a chain
-of diagonal generators t_{S_m} ... t_{S_1} with S_r = {g : |e_g| >= r}
-(smallest set first), so S_m <= ... <= S_1 are nested.  Dropping the
-leftmost chain entry of the first syllable gives the normal-form predecessor
-word (`predecessor_word`), which the ball audits against its levels.  The
-ball forms each normal form once, to sort, name and audit an element, and
-keeps only the name (`nf_str`).
+maximal blocks lying in a spherical subgroup.  The letters at the fronts
+of the piles pairwise commute, and a syllable is exactly the set of them,
+each with the run of letters behind it on its pile: `syllables_of_state`
+takes each syllable in one sweep over the piles.  Each syllable with
+exponent vector e expands into a chain of diagonal generators
+t_{S_m} ... t_{S_1} with S_r = {g : |e_g| >= r} (smallest set first), so
+S_m <= ... <= S_1 are nested.  Dropping the leftmost chain entry of the
+first syllable gives the normal-form predecessor, whose state
+`predecessor_state` peels off the element's own state; the ball audits it
+against its levels.  The ball scans each normal form once, to sort
+(`sort_key`), name and audit an element, and keeps only the name
+(`nf_str`).
 """
 
 from __future__ import annotations
@@ -91,89 +95,99 @@ def state_of_word(graph: DefiningGraph, word):
     return _apply_letters(empty_state(graph), graph, word)
 
 
-def state_length(state) -> int:
-    """Number of genuine letters (word length of the reduced word)."""
-    return sum(1 for p in state for x in p if x)
-
-
 def _violation(what, state):
     from .balls import InvariantViolation   # balls imports this module
     raise InvariantViolation(what, repr(state))
 
 
 def syllables_of_state(graph: DefiningGraph, state):
-    """Greedy maximal spherical decomposition of a piling state.
+    """The normal form of a piling state, in one sweep per syllable.
 
-    Scans front-available letters in generator order; a letter joins the
-    current syllable iff its generator commutes with every generator already
-    admitted (or is one of them), repeating until the syllable stops growing.
+    A letter at the front of its pile has no letter of a non-commuting
+    generator before it, so two such letters commute: the syllable is
+    exactly the set of piles whose front entry is a letter, each giving the
+    run of letters at its front (the Cartier-Foata normal form, Cartier and
+    Foata, LNM 85, 1969; Viennot's heaps of pieces, 1986).  The sweep takes
+    them in generator order, and each letter taken drops the front 0 marker
+    of every pile not commuting with it; a letter that this uncovers on a
+    later pile waits for the next syllable.
     """
     head = [0] * graph.d   # per pile, the index of its front entry
-    remaining = state_length(state)
     adj, noncommuters = graph.adj, graph.noncommuters
     out = []
-    while remaining:
-        exps = {}
-        mask = 0
-        changed = True
-        while changed:
-            changed = False
-            for i, p in enumerate(state):
-                k = head[i]
-                while k < len(p) and p[k] != 0:
-                    s = p[k]
-                    if i in exps:
-                        # same-sign absorption; an opposite sign cannot be
-                        # front-available inside one syllable
-                        if s * exps[i] <= 0:
-                            _violation("opposite signs in one syllable", state)
-                    elif mask & ~adj[i] & ~(1 << i):
-                        break  # fails to commute with an admitted generator
-                    exps[i] = exps.get(i, 0) + s
-                    mask |= 1 << i
-                    k += 1
-                    for j in noncommuters[i]:
-                        # the front of a blocked pile is necessarily a 0 marker
-                        if state[j][head[j]] != 0:
-                            _violation("blocked pile without a marker", state)
-                        head[j] += 1
-                    remaining -= 1
-                    changed = True
-                head[i] = k
-        out.append(tuple(sorted(exps.items())))
-    return tuple(out)
+    while True:
+        syllable = []
+        taken = 0   # bit i: pile i gave letters to this syllable
+        for i, p in enumerate(state):
+            k = h = head[i]
+            n = len(p)
+            if k == n or not p[k] or taken & ~adj[i]:
+                continue
+            s = p[k]
+            k += 1
+            while k < n and p[k] == s:
+                k += 1
+            e = k - h
+            for j in noncommuters[i]:
+                # the front of a blocked pile is necessarily a 0 marker
+                q, f = state[j], head[j]
+                if len(q) < f + e or any(q[f:f + e]):
+                    _violation("blocked pile without a marker", state)
+                head[j] = f + e
+            if k < n and p[k]:
+                # an opposite sign cannot be at the front inside one syllable
+                _violation("opposite signs in one syllable", state)
+            head[i] = k
+            taken |= 1 << i
+            syllable.append((i, s * e))
+        if not syllable:
+            return tuple(out)
+        out.append(tuple(syllable))
 
 
-def nf_to_word(nf):
-    letters = []
-    for syll in nf:
-        for i, e in syll:
-            letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
-    return tuple(letters)
+def predecessor_state(graph: DefiningGraph, state, first):
+    """The state of the normal-form predecessor of `state`, whose normal
+    form starts with the syllable `first`: the leftmost diagonal generator
+    of that syllable's chain dropped, i.e. every exponent of largest
+    absolute value moved one step toward 0.
 
-
-def word_length(nf) -> int:
-    return sum(abs(e) for syll in nf for _, e in syll)
-
-
-def nf_key(nf):
-    """Total canonical order on elements used for every tie-break."""
-    return (word_length(nf), len(nf), nf)
-
-
-def predecessor_word(nf):
-    """Drop the leftmost diagonal generator of the first syllable's chain,
-    i.e. decrement every exponent of maximal absolute value by one; returns
-    a word, not yet normalized."""
-    if not nf:
-        raise WordError("identity has no predecessor")
-    first = nf[0]
+    Those letters are at the front of their piles, so the predecessor's
+    piles are the state's with the front letter of each such generator
+    removed, and one leading 0 marker, its own, of each pile that does not
+    commute with it.  The other piles are the state's own tuples."""
     m = max(abs(e) for _, e in first)
-    new_first = tuple(
-        (i, e - (1 if e > 0 else -1)) if abs(e) == m else (i, e) for i, e in first)
-    new_first = tuple((i, e) for i, e in new_first if e != 0)
-    rest = ((new_first,) if new_first else ()) + nf[1:]
-    return nf_to_word(rest)
+    piles = list(state)
+    noncommuters = graph.noncommuters
+    for i, e in first:
+        if e == m or e == -m:
+            piles[i] = piles[i][1:]
+            for j in noncommuters[i]:
+                piles[j] = piles[j][1:]
+    return tuple(piles)
+
+
+def sort_key(nf, bound):
+    """Bytes that order the normal forms of a level's elements as (word
+    length, syllable count, normal form) does: the canonical order.
+
+    They hold the length, the count, then each syllable's (generator + 1,
+    exponent + bound) pairs and a 0 that ends it, so a syllable sorts before
+    its extensions.  `bound` is at least the word length, so every value
+    lies in 0 .. 2 bound, and all keys made with one bound have one width
+    per value; the ball passes n d on level n, as each of n diagonal moves
+    has at most d letters."""
+    length = 0
+    values = []
+    for syllable in nf:
+        for i, e in syllable:
+            values += (i + 1, e + bound)
+            length += abs(e)
+        values.append(0)
+    values[:0] = (length, len(nf))
+    if bound < 128:
+        return bytes(values)
+    width = ((2 * bound).bit_length() + 7) // 8
+    return b"".join(v.to_bytes(width, "big") for v in values)
 
 
 def nf_str(graph: DefiningGraph, nf) -> str:

@@ -1,9 +1,12 @@
+import io
 from itertools import combinations, permutations
 
 import pytest
 
 from subdivlab import DefiningGraph, build_ball
+from subdivlab.exports import tiling_to_json
 from subdivlab.tiling import build_history, build_tiling, build_tilings, extract_rule
+from subdivlab.words import WordError
 
 
 def triangle():
@@ -77,6 +80,13 @@ def get_tilings(name, count=None):
     return _TILINGS[key]
 
 
+def json_text(tiling, rule=None):
+    """The tiling's JSON export, as the text the run writes."""
+    out = io.StringIO()
+    tiling_to_json(tiling, out, rule)
+    return out.getvalue()
+
+
 def get_rule(name, count=None):
     tilings = get_tilings(name, count)
     key = (name, len(tilings))
@@ -140,3 +150,40 @@ def class_tilings():
 def graph_from_edges(d, edges):
     names = [chr(ord("a") + i) for i in range(d)]
     return DefiningGraph(names, [[names[i], names[j]] for i, j in edges])
+
+
+# -- normal-form word helpers: the ball takes an element's sort key and
+# audit predecessor from its state (`words.sort_key`,
+# `words.predecessor_state`); these are the references it is tested against
+
+
+def nf_to_word(nf):
+    letters = []
+    for syll in nf:
+        for i, e in syll:
+            letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
+    return tuple(letters)
+
+
+def word_length(nf) -> int:
+    return sum(abs(e) for syll in nf for _, e in syll)
+
+
+def nf_key(nf):
+    """Total canonical order on elements used for every tie-break."""
+    return (word_length(nf), len(nf), nf)
+
+
+def predecessor_word(nf):
+    """Drop the leftmost diagonal generator of the first syllable's chain,
+    i.e. decrement every exponent of maximal absolute value by one; returns
+    a word, not yet normalized."""
+    if not nf:
+        raise WordError("identity has no predecessor")
+    first = nf[0]
+    m = max(abs(e) for _, e in first)
+    new_first = tuple(
+        (i, e - (1 if e > 0 else -1)) if abs(e) == m else (i, e) for i, e in first)
+    new_first = tuple((i, e) for i, e in new_first if e != 0)
+    rest = ((new_first,) if new_first else ()) + nf[1:]
+    return nf_to_word(rest)

@@ -22,7 +22,7 @@ from subdivlab.tiling import (build_history, build_tilings,
 from subdivlab.words import parse_word, state_of_word
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, free3,
                       get_ball, get_rule, get_tilings, graph_from_edges,
-                      path3, single, triangle)
+                      path3, predecessor_word, single, triangle)
 
 from subdivlab.cubes import CubeComplexSpec, Edge
 
@@ -357,7 +357,7 @@ def test_criterion_10_discrepancies_reported():
     nf = words.syllables_of_state(g, state)
     lvl = ball.level(state)
     assert lvl is not None
-    pred_lvl = ball.level(state_of_word(g, words.predecessor_word(nf)))
+    pred_lvl = ball.level(state_of_word(g, predecessor_word(nf)))
     assert pred_lvl == lvl  # not one lower: the recorded discrepancy class
 
     # the counters and the octagon split table are surfaced in the report

@@ -15,7 +15,8 @@ from subdivlab.oracles import (f2xz_sphere_sizes, free_sphere_sizes,
 from subdivlab.tiling import _compute_adjacency, build_tilings
 from subdivlab.words import parse_word, state_of_word
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, get_ball,
-                      get_tilings, graph_from_edges, path3, single, triangle)
+                      get_tilings, graph_from_edges, nf_key, path3,
+                      predecessor_word, single, square, triangle)
 
 
 def el(graph, ball, text):
@@ -151,7 +152,7 @@ def word_predecessor_audit(ball):
     for n in range(1, ball.N + 1):
         for g in ball.levels[n]:
             form = words.syllables_of_state(ball.graph, g)
-            hhat = words.state_of_word(ball.graph, words.predecessor_word(form))
+            hhat = words.state_of_word(ball.graph, predecessor_word(form))
             if ball.level(hhat) != n - 1:
                 count += 1
                 if len(examples) < 10:
@@ -191,6 +192,38 @@ def test_ball_keeps_names_not_normal_forms():
                for g in ball.levels[4][:200])
 
 
+def test_level_sort_holds_no_normal_forms():
+    # the sort keeps one bytes key and name per element of the level, not
+    # its normal form: P4 at depth 4 peaks at ~470 B per element (~860 B
+    # when the sort held every normal form of the level)
+    graph = DefiningGraph(["a", "b", "c", "d"],
+                          [["a", "b"], ["b", "c"], ["c", "d"]])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ball = build_ball(graph, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * ball.size(), peak / ball.size()
+
+
+def test_level_order_past_one_byte_keys():
+    # Z^2 at depth 66: from level 64 on, the word length bound 2 n reaches
+    # 128 and the sort key takes two bytes per value
+    ball = build_ball(square(), 66)
+    for level in ball.levels[60:]:
+        keys = [nf_key(words.syllables_of_state(ball.graph, g)) for g in level]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    forms = [(((0, -66), (1, 66)),), (((0, 66), (1, -66)),),
+             (((0, 66),), ((1, 1),)), (((0, 1),), ((1, 66),)),
+             (((0, 66), (1, 1)),)]
+    for u, v in combinations(forms, 2):
+        assert (words.sort_key(u, 132) < words.sort_key(v, 132)) == \
+            (nf_key(u) < nf_key(v)), (u, v)
+
+
 def test_word_predecessor_mismatches_detected():
     ball = get_ball("path3")
     # elements like a z^2 b have a normal-form predecessor at the same level
@@ -198,7 +231,7 @@ def test_word_predecessor_mismatches_detected():
     g = path3()
     state = state_of_word(g, parse_word(g, "a z^2 b"))
     assert ball.level(state) == 2
-    hhat = words.predecessor_word(words.syllables_of_state(g, state))
+    hhat = predecessor_word(words.syllables_of_state(g, state))
     assert ball.level(state_of_word(g, hhat)) == 2  # not one lower
     assert get_ball("triangle").predecessor_mismatches == 0
     assert get_ball("free3").predecessor_mismatches == 0
@@ -301,7 +334,7 @@ def canonical_rep(ball, owner, cell):
             continue
         flipped = frozenset(combo)
         signs = tuple((i, -s if (i, s) in flipped else s) for i, s in cell)
-        key = (lvl, words.nf_key(words.syllables_of_state(ball.graph, dom)))
+        key = (lvl, nf_key(words.syllables_of_state(ball.graph, dom)))
         if best is None or key < best[0]:
             best = (key, dom, signs)
     return best[1], best[2]
@@ -387,7 +420,7 @@ def all_moves_bfs(graph, depth):
                         pred_move[g] = t
         assert all(g in pred for g in nxt)
         multi_cover += len(multi)
-        nxt.sort(key=lambda g: words.nf_key(words.syllables_of_state(graph, g)))
+        nxt.sort(key=lambda g: nf_key(words.syllables_of_state(graph, g)))
         levels.append(nxt)
     return levels, pred, pred_move, multi_cover
 
@@ -424,7 +457,7 @@ def test_predecessors_match_per_element_search(graph):
                         ball.in_ball(ball.apply(h, c), n - 1)
                         for r in range(1, len(t) + 1) for c in combinations(t, r)):
                     form = words.syllables_of_state(ball.graph, h)
-                    candidates.append((words.nf_key(form), t, h))
+                    candidates.append((nf_key(form), t, h))
             key, t, h = min(candidates)
             i = ball.index[g]
             assert (ball.pred[i], ball.pred_move[i]) == (ball.index[h], t)

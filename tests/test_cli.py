@@ -3,14 +3,16 @@ import math
 import os
 import re
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdivlab import oracles
+from subdivlab import exports, oracles
 from subdivlab.cli import RunConfig, main, make_parser
-from subdivlab.exports import SVG_SIZE, tiling_to_json, tiling_to_svg
-from conftest import get_rule, get_tilings
+from subdivlab.exports import SVG_SIZE, LevelLabels, tiling_to_svg
+from subdivlab.tiling import Tiling
+from conftest import get_rule, get_tilings, json_text
 
 
 TRIANGLE = {"generators": ["a", "b", "c"],
@@ -475,9 +477,37 @@ def tiling_isomorphic(tiling, imported) -> bool:
 def test_tiling_roundtrip():
     ts = get_tilings("path3", 3)
     rule = get_rule("path3", 3)
-    data = json.loads(json.dumps(tiling_to_json(ts[1], rule)))
+    data = json.loads(json_text(ts[1], rule))
     imported = tiling_from_json(data)
     assert tiling_isomorphic(ts[1], imported)
+
+
+def test_streamed_json_matches_json_dump():
+    # written one tile record at a time, byte for byte what json.dump
+    # writes for the whole object; with ideal tiles (path3), a rule, none,
+    # and no tile at all
+    tilings = get_tilings("path3", 3)
+    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, array("i"), 0,
+                   array("q"))
+    for tiling, rule in ((tilings[1], get_rule("path3", 3)),
+                         (tilings[2], None), (empty, None)):
+        records = exports._tile_records(tiling, rule, LevelLabels(tiling))
+        whole = {"level": tiling.level, "tiles": list(records)}
+        assert json_text(tiling, rule) == json.dumps(whole, sort_keys=True,
+                                                     indent=2)
+    assert json_text(empty) == '{\n  "level": 0,\n  "tiles": []\n}'
+
+
+def test_ideal_tiles_formed_once_per_level(tmp_path, monkeypatch):
+    # the JSON, DOT and SVG exports of a level share one list of its ideal
+    # tiles, formed as the run reaches the level
+    ideal_tiles, calls = Tiling.ideal_tiles, []
+    monkeypatch.setattr(Tiling, "ideal_tiles", lambda self: calls.append(
+        self.level) or ideal_tiles(self))
+    inp = write(tmp_path, "free3.json", FREE3)
+    assert main(["run", inp, "--levels", "3", "--out", str(tmp_path / "o"),
+                 "--export", "tilings,dot,svg"]) == 0
+    assert calls == [0, 1, 2]
 
 
 def test_svg_content():

@@ -12,7 +12,7 @@ from subdivlab.invariants import ends, growth
 from subdivlab.tiling import build_history, build_tilings, extract_rule
 from subdivlab import words
 from subdivlab.words import empty_state
-from conftest import get_ball, get_rule, get_tilings, path3, square
+from conftest import get_ball, get_rule, get_tilings, nf_key, path3, square
 
 
 def loop_a_spec(graph):
@@ -113,7 +113,7 @@ mapping each lifted element to the first vertex it was realized at."""
     for g in members:
         levels[ball.level(g)].append(g)
     for lvl in levels:
-        lvl.sort(key=lambda s: words.nf_key(
+        lvl.sort(key=lambda s: nf_key(
             words.syllables_of_state(ball.graph, s)))
     return levels, members
 

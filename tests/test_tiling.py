@@ -8,15 +8,13 @@ import pytest
 
 from subdivlab import words
 from subdivlab.balls import InvariantViolation, build_ball
-from subdivlab.exports import tiling_to_json
 from subdivlab.graphs import DefiningGraph, cell_str, support
 from subdivlab.tiling import (LABELS, ROOT, _compute_adjacency, build_history,
                               build_tiling, build_tilings,
                               descriptor_crosscheck, extract_rule,
                               inflation_descriptor)
-from subdivlab.words import nf_key
 from conftest import (all_graphs_up_to_iso, free3, get_ball, get_rule,
-                      get_tilings, path3, triangle)
+                      get_tilings, json_text, path3, triangle)
 
 
 def test_tile_counts_triangle():
@@ -199,8 +197,7 @@ def test_tilings_need_no_deeper_ball(name):
     deep = get_tilings(name)
     shallow = build_tilings(build_ball(get_ball(name).graph, len(deep)),
                             len(deep))
-    assert [tiling_to_json(t) for t in shallow] == \
-        [tiling_to_json(t) for t in deep]
+    assert [json_text(t) for t in shallow] == [json_text(t) for t in deep]
 
 
 @pytest.mark.parametrize("name", ["triangle", "path3", "free3",
@@ -209,7 +206,7 @@ def test_build_tiling_alone_matches_chained(name):
     # parent ids come from the ball, not from the tiling one level up
     ball = get_ball(name)
     for n, chained in enumerate(get_tilings(name)):
-        assert tiling_to_json(build_tiling(ball, n)) == tiling_to_json(chained)
+        assert json_text(build_tiling(ball, n)) == json_text(chained)
 
 
 @pytest.mark.parametrize("name", ["path3", "free3", "edge_plus_vertex"])

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdivlab import words
 from subdivlab.balls import InvariantViolation, build_ball
 from subdivlab.graphs import cell_is_ideal
-from subdivlab.words import (WordError, apply_letters, empty_state, nf_key,
-                             nf_str, nf_to_word, parse_word, predecessor_word,
-                             state_of_word, syllables_of_state)
-from conftest import all_graphs_up_to_iso, free3, graph_from_edges, path3, triangle
+from subdivlab.words import (WordError, apply_letters, empty_state, nf_str,
+                             parse_word, predecessor_state, state_of_word,
+                             syllables_of_state)
+from conftest import (all_graphs_up_to_iso, free3, graph_from_edges, nf_key,
+                      nf_to_word, path3, predecessor_word, triangle)
 
 
 # -- normal-form arithmetic, the reference these tests exercise ------------
@@ -78,21 +78,13 @@ def apply_letters_reference(state, graph, letters):
 
 
 def syllables_reference(graph, state):
-    """Greedy maximal spherical decomposition over list copies of the
-    piles, popping fronts through a closure."""
-    piles = [list(p) for p in state]
-    head = [0] * graph.d
-    remaining = words.state_length(state)
-    adj = graph.adj
-
-    def pop_front(i):
-        head[i] += 1
-        for j in graph.noncommuters[i]:
-            if piles[j][head[j]] != 0:
-                raise InvariantViolation("blocked pile without a marker",
-                                         repr(state))
-            head[j] += 1
-
+    """The greedy maximal spherical decomposition: scans front-available
+    letters in generator order; a letter joins the current syllable iff its
+    generator commutes with every generator already admitted (or is one of
+    them), sweeping again until the syllable stops growing."""
+    head = [0] * graph.d   # per pile, the index of its front entry
+    remaining = sum(1 for p in state for x in p if x)
+    adj, noncommuters = graph.adj, graph.noncommuters
     out = []
     while remaining:
         exps = {}
@@ -100,20 +92,27 @@ def syllables_reference(graph, state):
         changed = True
         while changed:
             changed = False
-            for i in range(graph.d):
-                while head[i] < len(piles[i]) and piles[i][head[i]] != 0:
-                    s = piles[i][head[i]]
+            for i, p in enumerate(state):
+                k = head[i]
+                while k < len(p) and p[k] != 0:
+                    s = p[k]
                     if i in exps:
                         if s * exps[i] <= 0:
                             raise InvariantViolation(
                                 "opposite signs in one syllable", repr(state))
                     elif mask & ~adj[i] & ~(1 << i):
-                        break
+                        break  # fails to commute with an admitted generator
                     exps[i] = exps.get(i, 0) + s
                     mask |= 1 << i
-                    pop_front(i)
+                    k += 1
+                    for j in noncommuters[i]:
+                        if state[j][head[j]] != 0:
+                            raise InvariantViolation(
+                                "blocked pile without a marker", repr(state))
+                        head[j] += 1
                     remaining -= 1
                     changed = True
+                head[i] = k
         out.append(tuple(sorted(exps.items())))
     return tuple(out)
 
@@ -163,6 +162,35 @@ def test_syllables_match_reference(class_balls):
             for g in level:
                 assert syllables_of_state(ball.graph, g) == \
                     syllables_reference(ball.graph, g)
+
+
+def test_predecessor_state_matches_word_reference(class_balls):
+    # the peeled state is the state of the predecessor word, on every
+    # element but the identity of the depth-4 balls of the 18 graphs
+    elements = 0
+    for ball in class_balls:
+        graph = ball.graph
+        for level in ball.levels[1:]:
+            for g in level:
+                nf = syllables_of_state(graph, g)
+                assert predecessor_state(graph, g, nf[0]) == \
+                    state_of_word(graph, predecessor_word(nf))
+                elements += 1
+    assert elements == 154248
+
+
+def test_records_by_index_match_records_by_state(class_balls):
+    # every element of the depth-4 balls of the 18 graphs: the record read
+    # by index is the one read by state, its covering move's, and the sort
+    # key is the reference's
+    for ball in class_balls:
+        graph = ball.graph
+        for n, level in enumerate(ball.levels):
+            keys = [nf_key(syllables_of_state(graph, g)) for g in level]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for i, g in enumerate(level, ball.starts[n]):
+                assert ball.record(i) is ball.local(g)
+                assert ball.record(i) is ball._local[ball.pred_move[i]]
 
 
 def test_syllables_violations_match_reference():
