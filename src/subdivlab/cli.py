@@ -219,8 +219,8 @@ def run(config: RunConfig) -> int:
 
     _atomic_write(os.path.join(config.out_dir, "report.json"), report_json(report))
 
-    # level by level: a level's names and ideal tiles are formed once for
-    # all of its exports, and history.dot reads every level's names
+    # level by level: a level's names, name order and ideal tiles are formed
+    # once for all of its exports, and history.dot reads every level's names
     for x in ("tilings", "dot", "svg"):
         if x in config.exports:
             os.makedirs(os.path.join(config.out_dir, x), exist_ok=True)
@@ -234,18 +234,19 @@ def run(config: RunConfig) -> int:
                 tiling_to_json(t, f, rule, labels=level)
                 f.write("\n")
         if "svg" in config.exports:
-            _atomic_write(os.path.join(config.out_dir, "svg", name + "svg"),
-                          tiling_to_svg(t, rule, seed=config.layout_seed,
-                                        labels=level))
+            with _atomic_open(os.path.join(config.out_dir, "svg",
+                                           name + "svg")) as f:
+                tiling_to_svg(t, f, rule, seed=config.layout_seed, labels=level)
         if "dot" in config.exports:
-            _atomic_write(os.path.join(config.out_dir, "dot", name + "dot"),
-                          tiling_to_dot(t, rule, labels=level))
-            # kept for history.dot, without the level's ideal tiles
-            del level.ideal
+            with _atomic_open(os.path.join(config.out_dir, "dot",
+                                           name + "dot")) as f:
+                tiling_to_dot(t, f, rule, labels=level)
+            level.keep_for_history()
             labels.append(level)
     if "dot" in config.exports:
-        _atomic_write(os.path.join(config.out_dir, "dot", "history.dot"),
-                      history_to_dot(history, labels=labels))
+        with _atomic_open(os.path.join(config.out_dir, "dot",
+                                       "history.dot")) as f:
+            history_to_dot(history, f, labels=labels)
     if "reports" in config.exports:
         _atomic_write(os.path.join(config.out_dir, "counts.csv"),
                       counts_csv(tilings, rule))

@@ -90,15 +90,6 @@ class Tiling:
         start, nbr, _ = self.rows
         return nbr[start[i]:start[i + 1]]
 
-    def adjacency(self, names):
-        """Each stored tile's (neighbour name, label) pairs, sorted; `names`
-        maps a tile index to its name (a range gives the indices)."""
-        start, nbr, label = self.rows
-        entries = list(zip(map(names.__getitem__, nbr),
-                           map(LABELS.__getitem__, label)))
-        start = start.tolist()
-        return [sorted(entries[s:e]) for s, e in zip(start, start[1:])]
-
     def owner_of(self, i):
         return self.ball.levels[self.level + 1][i]
 

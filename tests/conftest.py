@@ -1,11 +1,15 @@
 import io
+import json
+import math
 from itertools import combinations, permutations
 
 import pytest
 
 from subdivlab import DefiningGraph, build_ball
-from subdivlab.exports import tiling_to_json
-from subdivlab.tiling import build_history, build_tiling, build_tilings, extract_rule
+from subdivlab.exports import SVG_SIZE, tiling_to_json
+from subdivlab.graphs import cell_str
+from subdivlab.tiling import (LABELS, ROOT, build_history, build_tiling,
+                              build_tilings, extract_rule)
 from subdivlab.words import WordError
 
 
@@ -82,8 +86,13 @@ def get_tilings(name, count=None):
 
 def json_text(tiling, rule=None):
     """The tiling's JSON export, as the text the run writes."""
+    return export_text(tiling_to_json, tiling, rule)
+
+
+def export_text(export, *args, **kwargs):
+    """The text that `export` writes to its file (its second argument)."""
     out = io.StringIO()
-    tiling_to_json(tiling, out, rule)
+    export(args[0], out, *args[1:], **kwargs)
     return out.getvalue()
 
 
@@ -187,3 +196,158 @@ def predecessor_word(nf):
     new_first = tuple((i, e) for i, e in new_first if e != 0)
     rest = ((new_first,) if new_first else ()) + nf[1:]
     return nf_to_word(rest)
+
+
+# -- export references: the exports as they were written before they came to
+# be formed from per-level text pieces, each building its whole text (or
+# record dicts) from sorted (name, label) adjacency lists and sets of name
+# pairs; the exports are tested byte for byte against them
+
+
+def adjacency(tiling, names):
+    """Each stored tile's (neighbour name, label) pairs, sorted; `names`
+    maps a tile index to its name (a range gives the indices)."""
+    start, nbr, label = tiling.rows
+    entries = list(zip(map(names.__getitem__, nbr),
+                       map(LABELS.__getitem__, label)))
+    start = start.tolist()
+    return [sorted(entries[s:e]) for s, e in zip(start, start[1:])]
+
+
+def _types_reference(tiling, rule):
+    if rule is None:
+        return [None] * len(tiling.parent)
+    return [None if flag else name
+            for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
+
+
+def tile_records_reference(tiling, rule):
+    """The JSON record dict of each tile: the stored ones, then the ideal
+    ones."""
+    ball, gens = tiling.ball, tiling.graph.generators
+    first = ball.starts[tiling.level + 1]
+    owners = ball.names[first:first + len(tiling.parent)]
+    names = tiling.names()
+    for i, (name, owner, parent, adjacent, type_name) in enumerate(zip(
+            names, owners, tiling.parent_names(), adjacency(tiling, names),
+            _types_reference(tiling, rule))):
+        rec = {"id": name, "level": tiling.level, "owner": owner,
+               "ideal": bool(tiling.ideal[i]), "parent": parent,
+               "adjacent": [list(p) for p in adjacent]}
+        if not tiling.ideal[i]:
+            rec["cells"] = [[[gens[k], s] for k, s in c] for c in tiling.cells(i)]
+            rec["covered_clique"] = [gens[k] for k in tiling.covered_clique(i)]
+            if rule is not None:
+                rec["type"] = type_name
+                rec["type_coalesced"] = rule.coalesced_of.get(type_name)
+        yield rec
+    for name, owner, facet, parent in tiling.ideal_tiles():
+        yield {"id": name, "level": tiling.level,
+               "owner": ball.nf_string(owner), "ideal": True,
+               "parent": parent, "adjacent": [],
+               "facet": cell_str(tiling.graph, facet)}
+
+
+def tiling_json_reference(tiling, rule=None):
+    """The tiling JSON as `json.dumps` writes the whole level."""
+    return json.dumps({"level": tiling.level,
+                       "tiles": list(tile_records_reference(tiling, rule))},
+                      sort_keys=True, indent=2)
+
+
+def tiling_dot_reference(tiling, rule=None, name="tiling"):
+    lines = ["graph %s {" % name]
+    names = tiling.names()
+    nodes = list(zip(names, tiling.ideal, _types_reference(tiling, rule)))
+    nodes += [(tid, True, None) for tid, _, _, _ in tiling.ideal_tiles()]
+    for tid, ideal, type_name in nodes:
+        label = tid
+        if rule is not None and not ideal:
+            label += "\\n%s" % rule.coalesced_of.get(type_name, "")
+        lines.append('  "%s" [style=%s, label="%s"];'
+                     % (tid, "dashed" if ideal else "solid", label))
+    seen = set()
+    for tid, adjacent in zip(names, adjacency(tiling, names)):
+        for o, lab in adjacent:
+            key = tuple(sorted((tid, o)))
+            if key in seen:
+                continue
+            seen.add(key)
+            style = "solid" if lab == "flat" else "dotted"
+            lines.append('  "%s" -- "%s" [style=%s];' % (key[0], key[1], style))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def history_dot_reference(history, name="history"):
+    lines = ["digraph %s {" % name, '  "%s";' % history.name(ROOT)]
+    names = [t.names() for t in history.tilings]
+    flat = [tid for level in names for tid in level]   # by vertex
+    lines += ['  "%s";' % flat[v] for v in history.vertices]
+    parents = [(history.name(ROOT), ROOT)]
+    parents += [(flat[v], v) for v in range(history.offsets[-2])]
+    for parent, v in sorted(parents):
+        for k in sorted(flat[c] for c in history.children(v)):
+            lines.append('  "%s" -> "%s";' % (parent, k))
+    for n, t in enumerate(history.tilings):
+        seen = set()
+        rows = adjacency(t, names[n])
+        for i in t.nonideal():
+            for o, _ in rows[i]:
+                key = tuple(sorted((names[n][i], o)))
+                if key not in seen:
+                    seen.add(key)
+                    lines.append('  "%s" -> "%s" [dir=none, style=dashed];' % key)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def tiling_svg_reference(tiling, rule=None, seed=0):
+    names = tiling.names()
+    tiles = list(zip(names, tiling.parent_names(),
+                     _types_reference(tiling, rule), tiling.ideal))
+    tiles += [(tid, parent, None, True)
+              for tid, _, _, parent in tiling.ideal_tiles()]
+    order = sorted(tiles, key=lambda t: (t[1] or "", t[0]))
+    n = max(len(order), 1)
+    centre, radius = SVG_SIZE / 2, 0.45 * SVG_SIZE
+    pos = {}
+    for k, t in enumerate(order):
+        angle = 2 * math.pi * (k + seed) / n
+        pos[t[0]] = (round(centre + radius * math.cos(angle), 3),
+                     round(centre + radius * math.sin(angle), 3))
+    edges = {tuple(sorted((tid, o)))
+             for tid, adjacent in zip(names, adjacency(tiling, names))
+             for o, _ in adjacent}
+    legend = []
+    if rule is not None:
+        legend = rule.coalesced_names()
+    out = io.StringIO()
+    out.write('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">\n'
+              % (SVG_SIZE, SVG_SIZE + 20 * (len(legend) + 1)))
+    out.write('<!-- circular layout ordered by parent, seed=%d; '
+              'distances carry no meaning -->\n' % seed)
+    for a, b in sorted(edges):
+        xa, ya = pos[a]
+        xb, yb = pos[b]
+        out.write('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#888"/>\n'
+                  % (xa, ya, xb, yb))
+    palette = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
+               "#aa3377", "#bbbbbb"]
+    for tid, _, type_name, ideal in tiles:
+        x, y = pos[tid]
+        color = "#dddddd"
+        if type_name is not None:
+            co = rule.coalesced_of.get(type_name)
+            if co is not None and co in legend:
+                color = palette[legend.index(co) % len(palette)]
+        dash = ' stroke-dasharray="3,3"' if ideal else ""
+        out.write('<circle cx="%s" cy="%s" r="5" fill="%s" stroke="#333"%s/>\n'
+                  % (x, y, color, dash))
+    for i, name in enumerate(legend):
+        y = SVG_SIZE + 15 + 20 * i
+        out.write('<circle cx="12" cy="%d" r="5" fill="%s"/>'
+                  '<text x="24" y="%d" font-size="12">type %s</text>\n'
+                  % (y, palette[i % len(palette)], y + 4, name))
+    out.write("</svg>\n")
+    return out.getvalue()

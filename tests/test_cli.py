@@ -8,11 +8,12 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subdivlab import exports, oracles
+from subdivlab import oracles
 from subdivlab.cli import RunConfig, main, make_parser
-from subdivlab.exports import SVG_SIZE, LevelLabels, tiling_to_svg
+from subdivlab.exports import SVG_SIZE, tiling_to_svg
 from subdivlab.tiling import Tiling
-from conftest import get_rule, get_tilings, json_text
+from conftest import (adjacency, export_text, get_rule, get_tilings,
+                      json_text, tiling_json_reference)
 
 
 TRIANGLE = {"generators": ["a", "b", "c"],
@@ -459,7 +460,7 @@ def tiling_isomorphic(tiling, imported) -> bool:
     names = tiling.names()
     tiles = [(name, [tuple(p) for p in adjacent], bool(flag), parent)
              for name, adjacent, flag, parent in zip(
-                 names, tiling.adjacency(names), tiling.ideal,
+                 names, adjacency(tiling, names), tiling.ideal,
                  tiling.parent_names())]
     tiles += [(name, [], True, parent)
               for name, _, _, parent in tiling.ideal_tiles()]
@@ -491,10 +492,7 @@ def test_streamed_json_matches_json_dump():
                    array("q"))
     for tiling, rule in ((tilings[1], get_rule("path3", 3)),
                          (tilings[2], None), (empty, None)):
-        records = exports._tile_records(tiling, rule, LevelLabels(tiling))
-        whole = {"level": tiling.level, "tiles": list(records)}
-        assert json_text(tiling, rule) == json.dumps(whole, sort_keys=True,
-                                                     indent=2)
+        assert json_text(tiling, rule) == tiling_json_reference(tiling, rule)
     assert json_text(empty) == '{\n  "level": 0,\n  "tiles": []\n}'
 
 
@@ -513,10 +511,10 @@ def test_ideal_tiles_formed_once_per_level(tmp_path, monkeypatch):
 def test_svg_content():
     ts = get_tilings("triangle", 3)
     rule = get_rule("triangle", 3)
-    svg = tiling_to_svg(ts[0], rule, seed=0)
+    svg = export_text(tiling_to_svg, ts[0], rule, seed=0)
     assert svg.count("<circle") == 26 + 3   # tiles + legend entries
     assert svg.count("type ") == 3
-    empty = tiling_to_svg(get_tilings("free3", 3)[0], None, seed=1)
+    empty = export_text(tiling_to_svg, get_tilings("free3", 3)[0], None, seed=1)
     assert empty.startswith("<svg")
 
 
@@ -539,7 +537,7 @@ def test_svg_layout_orders_by_parent():
     level = get_tilings("triangle", 3)[2]
     rule = get_rule("triangle", 3)
     n = len(level.tiles)
-    slots = _tile_slots(tiling_to_svg(level, rule, seed=0), n)
+    slots = _tile_slots(export_text(tiling_to_svg, level, rule, seed=0), n)
     assert sorted(slots) == list(range(n))
     by_parent = {}
     # the triangle has no ideal tiles: the circles are the stored tiles'
@@ -548,5 +546,6 @@ def test_svg_layout_orders_by_parent():
     assert len(by_parent) > 1
     for group in by_parent.values():
         assert sorted(group) == list(range(min(group), min(group) + len(group)))
-    shifted = _tile_slots(tiling_to_svg(level, rule, seed=1), n)
+    shifted = _tile_slots(export_text(tiling_to_svg, level, rule, seed=1),
+                          n)
     assert shifted == [(slot + 1) % n for slot in slots]

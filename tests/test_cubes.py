@@ -12,7 +12,8 @@ from subdivlab.invariants import ends, growth
 from subdivlab.tiling import build_history, build_tilings, extract_rule
 from subdivlab import words
 from subdivlab.words import empty_state
-from conftest import get_ball, get_rule, get_tilings, nf_key, path3, square
+from conftest import (all_graphs_up_to_iso, get_ball, get_rule, get_tilings,
+                      nf_key, path3, square)
 
 
 def loop_a_spec(graph):
@@ -247,6 +248,20 @@ def test_cone_types_pinned(graph, levels, k, expected):
     assert cone_types(h, k) == {"classes_per_level": per_level,
                                 "total_classes": total,
                                 "stabilized": stabilized, "depth": k}
+
+
+def test_cone_types_count_the_coalesced_types(class_tilings):
+    # cone types are an independent check of the rule's coalescing: on every
+    # class with d <= 4, each classified level (levels 0..2 - k of 3) has as
+    # many cone types as the rule has coalesced types
+    for d in range(1, 5):
+        for edges in all_graphs_up_to_iso(d):
+            history = build_history(class_tilings(d, edges, 3))
+            coalesced = len(extract_rule(history).coalesced_names())
+            for k in (1, 2):
+                per_level = cone_types(history, k)["classes_per_level"]
+                assert ({lvl: n for lvl, n in per_level.items() if lvl >= 0}
+                        == dict.fromkeys(range(3 - k), coalesced)), (d, edges, k)
 
 
 def test_cone_types_pruned_loop_a():

@@ -13,8 +13,8 @@ from subdivlab.tiling import (LABELS, ROOT, _compute_adjacency, build_history,
                               build_tiling, build_tilings,
                               descriptor_crosscheck, extract_rule,
                               inflation_descriptor)
-from conftest import (all_graphs_up_to_iso, free3, get_ball, get_rule,
-                      get_tilings, json_text, path3, triangle)
+from conftest import (adjacency, all_graphs_up_to_iso, free3, get_ball,
+                      get_rule, get_tilings, json_text, path3, triangle)
 
 
 def test_tile_counts_triangle():
@@ -81,10 +81,10 @@ def test_adjacency_symmetric_and_local():
         ball = get_ball(name)
         ts = get_tilings(name)
         t = ts[1]
-        adjacency = t.adjacency(range(len(t.parent)))
+        rows = adjacency(t, range(len(t.parent)))
         for i in t.nonideal():
-            for other, label in adjacency[i]:
-                assert (i, label) in adjacency[other]
+            for other, label in rows[i]:
+                assert (i, label) in rows[other]
                 # owners differ by one diagonal move
                 g = t.owner_of(i)
                 h = t.owner_of(other)
