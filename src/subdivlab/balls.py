@@ -246,13 +246,6 @@ class Ball:
         return words.nf_str(self.graph,
                             words.syllables_of_state(self.graph, state))
 
-    def in_ball(self, state, n) -> bool:
-        i = self.index.get(state)
-        return i is not None and i < self.starts[n + 1]
-
-    def apply(self, state, cell):
-        return words.apply_letters(state, self.graph, cell)
-
     # -- cell queries --------------------------------------------------------
 
     def record(self, i) -> Local:
@@ -284,7 +277,7 @@ class Ball:
                 if checked[move] == 2:
                     continue
                 checked[move] += 1
-                # what `in_ball` tests, with the lookups made once
+                # the moves t with g * t in B(n): an index below `end`
                 pattern = frozenset(t for t in self.moves
                                     if index.get(apply(g, graph, t), end) < end)
                 rec = self._local.get(move)

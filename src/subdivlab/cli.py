@@ -201,7 +201,7 @@ def run(config: RunConfig) -> int:
         same = pruned.history is history
         section = {
             "star_convex": True,
-            "lift_level_sizes": lifts.level_sizes(),
+            "lift_level_sizes": lifts.level_sizes,
             "tile_counts": pruned.tile_counts,
             "containment": pruned.containment,
             "cone_types": (report["cone_types"] if same else

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import chain, combinations, product
 
 from . import words
 from .balls import Ball
@@ -251,14 +251,11 @@ def _germ_str(graph, germ):
 
 @dataclass
 class LiftSet:
-    levels: list            # per level: canonically ordered element states
     members: bytearray      # ball index -> 1 if the element lifts
+    level_sizes: list       # per level 0..n_max: how many of its elements lift
 
     def size(self):
-        return self.members.count(1)
-
-    def level_sizes(self):
-        return [len(l) for l in self.levels]
+        return sum(self.level_sizes)
 
 
 def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
@@ -300,11 +297,8 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
             if not seen[w][j]:
                 seen[w][j] = 1
                 frontier.append((w, j))
-    # ball levels are in canonical order already
-    levels = [list(compress(ball.levels[n],
-                            members[ball.starts[n]:ball.starts[n + 1]]))
-              for n in range(n_max + 1)]
-    return LiftSet(levels=levels, members=members)
+    return LiftSet(members, [members.count(1, ball.starts[n], ball.starts[n + 1])
+                             for n in range(n_max + 1)])
 
 
 @dataclass
@@ -326,7 +320,7 @@ def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
     Aborts when the lift set is not closed under the ball's predecessor map
     (an ideal tile would subdivide into a non-ideal one)."""
     members = lifts.members
-    for i in range(ball.starts[1], ball.starts[len(lifts.levels)]):
+    for i in range(ball.starts[1], ball.starts[len(lifts.level_sizes)]):
         if members[i] and not members[ball.pred[i]]:
             raise StarConvexityViolation(ball.names[i])
     pruned = [t.restricted(lifts.members) for t in ambient.tilings]
@@ -340,10 +334,8 @@ def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
     if ambient_rule is not None:
         mapping = {}
         consistent = True
-        for v in history.vertices:
-            n, i = history.locate(v)
-            p = rule.type_of[n][i]
-            a = ambient_rule.type_of[n][i]
+        for p, a in zip(chain.from_iterable(rule.type_of),
+                        chain.from_iterable(ambient_rule.type_of)):
             if p is None or a is None:
                 continue
             if p in mapping and mapping[p] != a:

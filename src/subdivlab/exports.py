@@ -100,7 +100,7 @@ class LevelLabels:
 def _types(tiling, rule):
     """Each stored tile's refined type; None for an ideal one or no rule."""
     if rule is None:
-        return [None] * len(tiling.parent)
+        return [None] * len(tiling.ideal)
     return [None if flag else name
             for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
 
@@ -128,8 +128,8 @@ def _records(tiling, rule, labels):
     """The JSON text of each tile record: the stored tiles', then the ideal
     ones'."""
     ball, gens, level = tiling.ball, tiling.graph.generators, tiling.level
-    first = ball.starts[level + 1]   # tile 0's ball index
-    owners = ball.names[first:first + len(tiling.parent)]
+    first = tiling.first
+    owners = ball.names[first:first + len(tiling.ideal)]
     heads = [_HEAD % q for q in labels.quoted]
     start, (nbr, codes) = tiling.rows[0], labels.rows
     cells = {}   # covered move -> its "cells" and "covered_clique" members
@@ -217,7 +217,6 @@ def history_to_dot(history, out, name="history", labels=None):
     name order, then each level's horizontal edges.  `labels`, if given,
     holds a `LevelLabels` per tiling of `history`."""
     labels = labels or [LevelLabels(t) for t in history.tilings]
-    offsets = history.offsets
     out.write("digraph %s {\n" % name)
     out.write('  "%s";\n' % history.name(ROOT))
     for t, level in zip(history.tilings, labels):
@@ -226,17 +225,18 @@ def history_to_dot(history, out, name="history", labels=None):
 
     def children(v, n):
         # the children of vertex v, which lie on level n, in name order
-        names, rank, off = labels[n].names, labels[n].rank, offsets[n]
-        return [names[c - off] for c
-                in sorted(history.children(v), key=lambda c: rank[c - off])]
+        names, rank = labels[n].names, labels[n].rank
+        first = labels[n].tiling.first
+        return [names[c - first] for c
+                in sorted(history.children(v), key=lambda c: rank[c - first])]
 
     for k in children(ROOT, 0):
         out.write('  "%s" -> "%s";\n' % (history.name(ROOT), k))
     # a level's names all begin "t<n>|", and that prefix orders the levels
     for n in sorted(range(len(labels) - 1), key="t%d|".__mod__):
-        names = labels[n].names
+        names, first = labels[n].names, labels[n].tiling.first
         for i in labels[n].order:
-            for k in children(offsets[n] + i, n + 1):
+            for k in children(first + i, n + 1):
                 out.write('  "%s" -> "%s";\n' % (names[i], k))
     for t, level in zip(history.tilings, labels):
         names, rank, ideal = level.names, level.rank, t.ideal
@@ -299,7 +299,7 @@ def tiling_to_svg(tiling, out, rule=None, seed=0, labels=None):
         dash = ' stroke-dasharray="3,3"' if tiling.ideal[t] else ""
         out.write('<circle cx="%s" cy="%s" r="5" fill="%s" stroke="#333"%s/>\n'
                   % (xs[t], ys[t], color, dash))
-    for t in range(len(tiling.parent), count):
+    for t in range(len(tiling.ideal), count):
         out.write('<circle cx="%s" cy="%s" r="5" fill="#dddddd" stroke="#333"'
                   ' stroke-dasharray="3,3"/>\n' % (xs[t], ys[t]))
     for i, name in enumerate(legend):

@@ -378,10 +378,12 @@ def ends(tilings, window: int = 3) -> EndsReport:
         _, comp_of = data[lvl]
         _, comp_parent = data[lvl - 1]
         mapping = defaultdict(set)
-        parent = tilings[lvl].parent
-        for i in tilings[lvl].nonideal():
-            if comp_parent[parent[i]] >= 0:
-                mapping[comp_of[i]].add(comp_parent[parent[i]])
+        t, pfirst = tilings[lvl], tilings[lvl - 1].first
+        pred = t.ball.pred
+        for i in t.nonideal():
+            p = comp_parent[pred[t.first + i] - pfirst]   # parent's component
+            if p >= 0:
+                mapping[comp_of[i]].add(p)
         images = [v for v in mapping.values()]
         flat = set()
         for v in images:
@@ -525,17 +527,18 @@ def _eccentricities(nbrs, sources):
 
 
 def _dual_graph(tiling):
-    """The non-ideal tiles of a level (indices into it), and each one's
-    neighbours as ascending positions in that list."""
+    """The non-ideal tiles of a level (indices into it), each one's
+    neighbours as ascending positions in that list, and each tile's
+    position in it (-1 for an ideal tile)."""
     tiles = tiling.nonideal()
     pos = [-1] * len(tiling.ideal)
     for k, i in enumerate(tiles):
         pos[i] = k
     nbrs = [[pos[j] for j in tiling.neighbors(i) if pos[j] >= 0] for i in tiles]
-    return tiles, nbrs
+    return tiles, nbrs, pos
 
 
-def _inversion_orbits(tiling, tiles, nbrs):
+def _inversion_orbits(tiling, tiles, nbrs, pos):
     """For each tile, the first tile (a position in `tiles`) of its orbit
     under the d generator inversions.
 
@@ -544,14 +547,10 @@ def _inversion_orbits(tiling, tiles, nbrs):
     is the tile of the owner with pile i negated, and must hold the tile's
     first cell with sign i flipped.  Each of the d maps must be one-to-one
     and carry every neighbour list onto its image's; else
-    InvariantViolation."""
-    graph, index = tiling.graph, tiling.ball.index
+    InvariantViolation.  `tiles`, `nbrs` and `pos` are `_dual_graph`'s."""
+    graph, index, first = tiling.graph, tiling.ball.index, tiling.first
     n = len(tiles)
     owner = list(map(tiling.owner_of, tiles))
-    first = tiling.ball.starts[tiling.level + 1]   # tile 0's ball index
-    pos = [-1] * len(tiling.ideal)   # tile -> its position in `tiles`
-    for k, t in enumerate(tiles):
-        pos[t] = k
     cells = [tiling.cells(i) for i in tiles]
     root = list(range(n))   # union-find; a root is its set's first tile
 
@@ -599,10 +598,10 @@ def _inversion_orbits(tiling, tiles, nbrs):
 
 
 def _level_diameter(tiling):
-    tiles, nbrs = _dual_graph(tiling)
+    tiles, nbrs, pos = _dual_graph(tiling)
     if not tiles:
         return 0, None
-    first = _inversion_orbits(tiling, tiles, nbrs)
+    first = _inversion_orbits(tiling, tiles, nbrs, pos)
     if len(_bfs(nbrs, 0)[0]) != len(tiles):
         return "inf", None
     # a tile's eccentricity is its orbit's, so one source per orbit is swept.

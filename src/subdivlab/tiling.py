@@ -15,16 +15,20 @@ tiling needs no earlier level, and each flat cell of codimension two or
 more costs one group product, formed from the side met first.
 
 A tile is an int index into its level: non-ideal tile i is owned by element
-i of `ball.levels[n + 1]`, whose ball index is `ball.starts[n + 1] + i`, and
-its name, covered move and parent are read off the ball's arrays at that
-index.  A level stores the parent's index into level
-n - 1 and an ideal flag of each non-ideal tile (`Tiling.restricted` sets
-flags).  Its edges are index pairs with a label code, one per shared cell,
-and each tile's neighbours are compressed rows (an offset array, an index
-array and a label array) built once from the edges.  A name such as `t3|a^-4 b^-1|0`, the cells, shape and covered
+i of `ball.levels[n + 1]`, whose ball index is `Tiling.first + i` (that is,
+`ball.starts[n + 1] + i`), and its name, covered move and parent are read
+off the ball's arrays at that index: the parent is the owner's predecessor,
+`ball.pred`.  A level stores an ideal flag of each stored tile
+(`Tiling.restricted` sets flags).  Its edges are index pairs with a label
+code, one per shared cell, and each tile's neighbours are compressed rows
+(an offset array, an index array and a label array) built once from the
+edges.  A name such as `t3|a^-4 b^-1|0`, the cells, shape and covered
 clique are read off the ball when asked for.  Ideal tiles are not stored:
 the level keeps their count, and `Tiling.ideal_tiles` forms them from the
 ball, with their parents' names, in a fixed order.
+
+The history graph is a view of the ball: a vertex is its tile's owner's
+ball index, and the origin is the identity's, 0.
 
 Rule extraction refines the initial partition (covered clique, region shape)
 by child-type multisets and by the adjacency structure *among* the children,
@@ -36,7 +40,7 @@ a tile in the sphere, while the subdivision behaviour does not.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -51,14 +55,16 @@ LABELS = ("containment", "flat", "other")
 
 
 class Tiling:
-    """The non-ideal tiles of one level as parallel arrays, its edges and
-    each tile's neighbour row; a tile is an index into the arrays."""
+    """The non-ideal tiles of one level, its edges and each tile's
+    neighbour row; tile i is owned by the element of ball index first + i."""
 
-    def __init__(self, ball, level, parent, ideal_count, instances, ideal=None,
+    def __init__(self, ball, level, ideal_count, instances, ideal=None,
                  rows=None):
         self.ball, self.graph, self.level = ball, ball.graph, level
-        self.parent = parent   # the parent's index into level - 1; -1 at level 0
-        self.ideal = bytearray(len(parent)) if ideal is None else ideal
+        self.first = ball.starts[level + 1]   # tile 0's ball index
+        # one flag per stored tile, set when the tile is ideal
+        self.ideal = (bytearray(len(ball.levels[level + 1])) if ideal is None
+                      else ideal)
         self.ideal_count = ideal_count   # truncation faces, formed on demand
         # one entry per shared cell, (tile1 * tiles + tile2) * 4 + label code
         # with tile1 < tile2: read through `edges`
@@ -71,16 +77,16 @@ class Tiling:
     def tiles(self):
         """Every tile: the stored ones, then the ideal ones in `ideal_tiles`
         order."""
-        return range(len(self.parent) + self.ideal_count)
+        return range(len(self.ideal) + self.ideal_count)
 
     def nonideal(self):
         if 1 in self.ideal:
             return [i for i, flag in enumerate(self.ideal) if not flag]
-        return range(len(self.parent))
+        return range(len(self.ideal))
 
     def edges(self):
         """(tile1, tile2, label code) of each adjacency instance."""
-        n = len(self.parent)
+        n = len(self.ideal)
         return (((key >> 2) // n, (key >> 2) % n, key & 3)
                 for key in self.instances)
 
@@ -93,41 +99,36 @@ class Tiling:
     def owner_of(self, i):
         return self.ball.levels[self.level + 1][i]
 
-    def _first(self):
-        # the ball index of tile 0's owner
-        return self.ball.starts[self.level + 1]
-
     def covered_move(self, i):
-        return self.ball.pred_move[self._first() + i]
+        return self.ball.pred_move[self.first + i]
 
     def covered_clique(self, i):
         return support(self.covered_move(i))
 
     def cells(self, i):
-        cells, _ = self.ball.record(self._first() + i).region
+        cells, _ = self.ball.record(self.first + i).region
         return cells
 
     def shape(self, i):
-        cells, ideals = self.ball.record(self._first() + i).region
-        return (tuple(sorted(len(c) for c in cells)), len(ideals))
+        return _shape(self.ball, self.first + i)
 
     def name(self, i):
-        return _nonideal_name(self.level, self.ball.names[self._first() + i])
+        return _nonideal_name(self.level, self.ball.names[self.first + i])
 
     def names(self):
         """The name of each stored tile, by index."""
-        first = self._first()
+        first = self.first
         return [_nonideal_name(self.level, name) for name
-                in self.ball.names[first:first + len(self.parent)]]
+                in self.ball.names[first:first + len(self.ideal)]]
 
     def parent_names(self):
         """The name of each stored tile's parent, by index; None at level 0,
         whose parent is the origin."""
         if self.level == 0:
-            return [None] * len(self.parent)
-        first, names = self._first(), self.ball.names
+            return [None] * len(self.ideal)
+        first, names = self.first, self.ball.names
         return [_nonideal_name(self.level - 1, names[p]) for p
-                in self.ball.pred[first:first + len(self.parent)]]
+                in self.ball.pred[first:first + len(self.ideal)]]
 
     def ideal_tiles(self):
         """Yield (name, owner, facet, parent name) of each ideal tile, from
@@ -163,18 +164,18 @@ class Tiling:
         `members` (a bytearray over the ball index) is unset flagged ideal;
         this tiling itself when that flags none.  Edges and neighbour rows
         are shared with this tiling: every reader drops ideal neighbours."""
-        first = self._first()
+        first = self.first
         flags = bytearray(f or not m for f, m in zip(
-            self.ideal, members[first:first + len(self.parent)]))
+            self.ideal, members[first:first + len(self.ideal)]))
         if flags == self.ideal:
             return self
-        return Tiling(self.ball, self.level, self.parent, self.ideal_count,
-                      self.instances, flags, self.rows)
+        return Tiling(self.ball, self.level, self.ideal_count, self.instances,
+                      flags, self.rows)
 
 
 def _neighbor_rows(tiling):
     # each (tile, neighbour, label) once, as one int that sorts in that order
-    n = len(tiling.parent)
+    n = len(tiling.ideal)
     keys = set(tiling.instances)
     keys.update((b * n + a) * 4 + label for a, b, label in tiling.edges())
     keys = sorted(keys)
@@ -188,30 +189,32 @@ def _nonideal_name(level, owner_nf):
     return "t%d|%s|0" % (level, owner_nf)
 
 
+def _shape(ball, v):
+    # (sorted cell sizes, ideal facet count) of the region of ball index v
+    cells, ideals = ball.record(v).region
+    return (tuple(sorted(len(c) for c in cells)), len(ideals))
+
+
 def build_tiling(ball: Ball, n: int) -> Tiling:
     """Tiling at level n (the flat structure of the sphere of radius n+1).
 
     It reads the ball up to level n + 1 and no further, so `ball.N` must be
-    at least n + 1.  Parent indices point into the level-(n-1) tiling, read
-    off the ball alone: a tile's parent is its owner's predecessor's rank in
-    `ball.levels[n]`, its ball index less that level's start."""
+    at least n + 1.  A tile's parent is its owner's predecessor, read off
+    the ball (`ball.pred`), whose region must hold the tile's covered
+    cell."""
     if ball.N < n + 1:
         raise ValueError("ball too shallow: need level %d, have %d" % (n + 1, ball.N))
     level = ball.levels[n + 1]
-    start = ball.starts[n]
     ideal_count = len(ideal_facets(ball.graph)) * ball.starts[n + 2]
-    parent = array("i")
     for i, g in enumerate(level, ball.starts[n + 1]):
         ideal_count -= len(visible_region(ball, n + 1, g)[1])
-        p = ball.pred[i]
-        if n > 0 and ball.pred_move[i] not in ball.record(p).visible:
+        if n > 0 and ball.pred_move[i] not in ball.record(ball.pred[i]).visible:
             raise InvariantViolation("covered cell missing from the parent "
                                      "tiling", ball.names[i], n + 1)
-        parent.append(p - start if n > 0 else -1)
     tiles = len(level)
     instances = array("q", [(a * tiles + b) * 4 + label for a, b, label, _
                             in _compute_adjacency(ball, n)])
-    return Tiling(ball, n, parent, ideal_count, instances)
+    return Tiling(ball, n, ideal_count, instances)
 
 
 def _compute_adjacency(ball: Ball, n: int):
@@ -299,56 +302,52 @@ def build_tilings(ball: Ball, count: int):
 # history graph
 
 
-ROOT = -1   # the origin vertex
+ROOT = 0   # the origin vertex: the identity's ball index
 
 
 class HistoryGraph:
-    """Dual graphs of all levels plus vertical subdivision edges.
+    """Dual graphs of all levels plus vertical subdivision edges, as a view
+    of the ball.
 
-    A vertex is a tile's index in its level plus that level's offset, the
-    number of tiles stored on the levels before it.  The vertices are the
-    non-ideal tiles; an origin vertex, ROOT, stands for the base complex (it
-    is the parent of every level-0 tile and carries the identity element)
-    and is excluded from tile-count identities.  Children lists are
-    compressed rows built from the levels' parent arrays, in vertex order.
+    A vertex is its tile's owner's ball index: tile i of level n is vertex
+    `tilings[n].first + i`, and its parent is the owner's predecessor,
+    `ball.pred[v]`.  The vertices are the non-ideal tiles, in ball order; the
+    origin vertex, ROOT, the identity, stands for the base complex (it is
+    the parent of every level-0 tile) and is excluded from tile-count
+    identities.  Children lists are compressed rows built from `ball.pred`,
+    in vertex order, and a vertex's level is found in `ball.starts`.
     """
 
     def __init__(self, tilings):
         self.tilings = list(tilings)
-        self.offsets = [0]
-        self.vertex_level = bytearray()   # vertex -> its level
-        vertices, parents = [], []   # a vertex's parent is ROOT at level 0
-        for n, t in enumerate(self.tilings):
-            off = self.offsets[-1]
-            vertices += [off + i for i in t.nonideal()]
-            parents += [self.offsets[-2] + t.parent[i] if n else ROOT
-                        for i in t.nonideal()]
-            self.offsets.append(off + len(t.parent))
-            self.vertex_level += bytes([n]) * len(t.parent)
-        total = self.offsets[-1]
-        self.vertices = range(total) if len(vertices) == total else vertices
-        order = sorted(range(len(vertices)), key=parents.__getitem__)   # stable
-        self._kids = array("i", [vertices[k] for k in order])
-        parents = [parents[k] for k in order]
+        self.ball = ball = self.tilings[0].ball
+        first, end = ball.starts[1], ball.starts[len(self.tilings) + 1]
+        flags = b"".join(t.ideal for t in self.tilings)
+        self.vertices = (range(first, end) if 1 not in flags else
+                         [v for v, f in enumerate(flags, first) if not f])
+        pred = ball.pred
+        self._kids = array("i", sorted(self.vertices, key=pred.__getitem__))
+        parents = [pred[v] for v in self._kids]
         self._kid_start = array("i", [bisect_left(parents, v)
-                                      for v in range(ROOT, total + 1)])
+                                      for v in range(end + 1)])
 
     def locate(self, v):
         """(level, index in that level) of vertex v."""
-        n = self.vertex_level[v]
-        return n, v - self.offsets[n]
+        n = bisect_right(self.ball.starts, v) - 2
+        return n, v - self.ball.starts[n + 1]
 
     def children(self, v):
         """The non-ideal children of vertex v (or of ROOT), in vertex order."""
-        return self._kids[self._kid_start[v + 1]:self._kid_start[v + 2]]
+        return self._kids[self._kid_start[v]:self._kid_start[v + 1]]
 
     def level_tiles(self, n):
-        return [self.offsets[n] + i for i in self.tilings[n].nonideal()]
+        t = self.tilings[n]
+        return [t.first + i for i in t.nonideal()]
 
     def horizontal_neighbors(self, v):
         n, i = self.locate(v)
-        t, off = self.tilings[n], self.offsets[n]
-        return [off + j for j in t.neighbors(i) if not t.ideal[j]]
+        t = self.tilings[n]
+        return [t.first + j for j in t.neighbors(i) if not t.ideal[j]]
 
     def name(self, v):
         if v == ROOT:
@@ -411,45 +410,45 @@ class SubdivisionRule:
 def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     """Partition-refinement extraction of the subdivision rule from the
     history's non-ideal tiles and their children.  Signatures are lists
-    indexed by vertex; where a tie is broken, it is broken by tile name."""
+    indexed by vertex; where a tie is broken, it is broken by tile name.
+    The vertices of the levels below n are the ball indices below
+    `ball.starts[n + 1]`."""
     tilings = history.tilings
     if len(tilings) < 3:
         raise ValueError("need at least 3 consecutive levels")
     graph = tilings[0].graph
+    ball = history.ball
+    starts, pred = ball.starts, ball.pred
     deepest = len(tilings) - 1
-    level = history.vertex_level
-    offsets = history.offsets
     vertices = history.vertices
     kids = history.children
 
     internal_pairs = defaultdict(list)  # parent -> [(child1, child2, label)]
     for n in range(1, len(tilings)):
-        t, flags, pflags = tilings[n], tilings[n].ideal, tilings[n - 1].ideal
-        off, poff = offsets[n], offsets[n - 1]
+        t, flags, pt = tilings[n], tilings[n].ideal, tilings[n - 1]
         for a, b, label in t.edges():
             if not (flags[a] or flags[b]):
-                pa = t.parent[a]
-                if pa == t.parent[b] and not pflags[pa]:
-                    internal_pairs[poff + pa].append((off + a, off + b,
-                                                      LABELS[label]))
+                a, b = t.first + a, t.first + b
+                pa = pred[a]
+                if pa == pred[b] and not pt.ideal[pa - pt.first]:
+                    internal_pairs[pa].append((a, b, LABELS[label]))
 
     # depth-limited signatures, starting from (covered clique, shape), which
     # depend on the covering move only
     raw = {}
-    raw_sig = [None] * offsets[-1]
+    raw_sig = [None] * starts[deepest + 2]
     for v in vertices:
-        n, i = history.locate(v)
-        t = tilings[n]
-        key = t.covered_move(i)
+        key = ball.pred_move[v]
         if key not in raw:
-            raw[key] = ("raw", t.covered_clique(i), t.shape(i))
+            raw[key] = ("raw", support(key), _shape(ball, v))
         raw_sig[v] = raw[key]
     sig = [raw_sig]
+    below = starts[deepest + 1]   # the vertices with children below them
 
     def refine_once(prev_sig):
         nxt = list(prev_sig)
         for v in vertices:
-            if level[v] < deepest:
+            if v < below:
                 ch = tuple(sorted(prev_sig[c] for c in kids(v)))
                 internal = tuple(sorted(
                     (tuple(sorted((prev_sig[a], prev_sig[b]))), lab)
@@ -467,7 +466,7 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     j_stable = None
     for j in range(deepest):
         sig.append(refine_once(sig[-1]))
-        universe = [v for v in vertices if level[v] <= deepest - (j + 1)]
+        universe = [v for v in vertices if v < starts[deepest - j + 1]]
         if partition_on(sig[j + 1], universe) == partition_on(sig[j], universe):
             stable = True
             j_stable = j
@@ -477,7 +476,8 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
 
     # final types from the stable signature on tiles with enough depth below
     final_sig = sig[j_stable]
-    core = [v for v in vertices if level[v] <= deepest - j_stable]
+    core_levels = len(tilings) - j_stable
+    core = [v for v in vertices if v < starts[core_levels + 1]]
     classes = defaultdict(list)
     for v in core:
         classes[final_sig[v]].append(v)
@@ -485,11 +485,12 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     def first_member(members):
         # (level, name) of the first member: members are in vertex order,
         # so the lowest level is the first member's
-        low = level[members[0]]
-        return low, min(history.name(v) for v in members if level[v] == low)
+        low = history.locate(members[0])[0]
+        return low, min(history.name(v) for v in members
+                        if v < starts[low + 2])
 
     unstable_detail = []
-    type_of = [None] * offsets[-1]
+    type_of = [None] * starts[deepest + 2]
     ordered = sorted(classes.values(), key=first_member)
     for idx, members in enumerate(ordered):
         name = "T%d" % idx
@@ -497,21 +498,18 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
             type_of[v] = name
 
     # deep tiles: resolve through the deepest signature they support
-    types_by_sig = {}   # depth -> signature -> types of the core tiles with it
     unresolved = []
-    for v in vertices:
-        if type_of[v] is not None:
-            continue
-        depth = deepest - level[v]
-        if depth not in types_by_sig:
-            by = types_by_sig[depth] = defaultdict(set)
-            for u in core:
-                by[sig[depth][u]].add(type_of[u])
-        cands = types_by_sig[depth].get(sig[depth][v], set())
-        if len(cands) == 1:
-            type_of[v] = next(iter(cands))
-        else:
-            unresolved.append((history.name(v), v, sorted(cands)))
+    for n in range(core_levels, len(tilings)):
+        depth = deepest - n
+        by = defaultdict(set)   # signature -> types of the core tiles with it
+        for u in core:
+            by[sig[depth][u]].add(type_of[u])
+        for v in history.level_tiles(n):
+            cands = by.get(sig[depth][v], set())
+            if len(cands) == 1:
+                type_of[v] = next(iter(cands))
+            else:
+                unresolved.append((history.name(v), v, sorted(cands)))
     for name, v, cands in sorted(unresolved):
         unstable_detail.append("tile %s unresolved among %s" % (name, cands))
         type_of[v] = "T?%s" % (cands,)
@@ -527,7 +525,7 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
                                 "children": None, "internal": None,
                                 "example": v}
         rec["count"] += 1
-        if level[v] < deepest:
+        if v < below:
             ch = Counter(type_of[c] for c in kids(v))
             internal = Counter((tuple(sorted((type_of[a], type_of[b]))), lab)
                                for a, b, lab in internal_pairs.get(v, ()))
@@ -586,7 +584,7 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
 
     return SubdivisionRule(
         graph=graph, types=types,
-        type_of=[type_of[offsets[n]:offsets[n + 1]] for n in range(len(tilings))],
+        type_of=[type_of[t.first:t.first + len(t.ideal)] for t in tilings],
         coalesced_of=coalesced_of, coalesced_children=coalesced_children,
         stable=stable, unstable_detail=unstable_detail,
         interface_classes=interface_classes,
@@ -604,26 +602,26 @@ def _interface_classes(history, type_of):
     resulting digraph still soundly certifies that every crossing is
     eventually subdivided away.
     """
-    tilings, offsets = history.tilings, history.offsets
+    tilings, pred = history.tilings, history.ball.pred
 
     def iclass(a, b, label):
         return (tuple(sorted((type_of[a], type_of[b]))), LABELS[label])
 
     classes = {}
-    for lvl in range(len(tilings) - 1):
-        t, nt = tilings[lvl], tilings[lvl + 1]
-        off, noff = offsets[lvl], offsets[lvl + 1]
+    for t, nt in zip(tilings, tilings[1:]):
         nxt_by_parents = defaultdict(list)   # parent pair -> continuations
         for a, b, label in nt.edges():
             if not (nt.ideal[a] or nt.ideal[b]):
-                pa, pb = nt.parent[a], nt.parent[b]
+                a, b = nt.first + a, nt.first + b
+                pa, pb = pred[a], pred[b]
                 if pa != pb:
                     nxt_by_parents[min(pa, pb), max(pa, pb)].append(
-                        iclass(noff + a, noff + b, label))
+                        iclass(a, b, label))
         for a, b, label in t.edges():
             if t.ideal[a] or t.ideal[b]:
                 continue
-            key = iclass(off + a, off + b, label)
+            a, b = t.first + a, t.first + b
+            key = iclass(a, b, label)
             rec = classes.get(key)
             if rec is None:
                 rec = classes[key] = {"count": 0, "continuations": Counter()}
@@ -640,24 +638,20 @@ def descriptor_crosscheck(rule: SubdivisionRule, history: HistoryGraph):
     """Compare each stable type's empirical child multiset, counted by the
     covered clique, with the descriptor's prediction.  Returns a list of
     mismatch records; an empty list means full agreement."""
-    graph = rule.graph
-    tilings = history.tilings
+    graph, moves = rule.graph, history.ball.pred_move
     # per type, the empirical children of its first tile at a level that has
     # children in the observed window
-    deepest = len(tilings) - 1
     reps = {}
-    for v in history.vertices:
-        n, i = history.locate(v)
-        if n < deepest:
-            reps.setdefault(rule.type_of[n][i], v)
+    for t, types in zip(history.tilings[:-1], rule.type_of):
+        for i in t.nonideal():
+            reps.setdefault(types[i], t.first + i)
     mismatches = []
     for rt in rule.types:
         if rt.name not in reps:
             continue
-        n, i = history.locate(rt.example)
-        desc = inflation_descriptor(graph, tilings[n].covered_move(i))
+        desc = inflation_descriptor(graph, moves[rt.example])
         expected = Counter(desc.child_clique_counter())
-        got = Counter(tilings[n + 1].covered_clique(c - history.offsets[n + 1])
+        got = Counter(support(moves[c])
                       for c in history.children(reps[rt.name]))
         if got != expected:
             mismatches.append({

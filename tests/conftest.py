@@ -216,7 +216,7 @@ def adjacency(tiling, names):
 
 def _types_reference(tiling, rule):
     if rule is None:
-        return [None] * len(tiling.parent)
+        return [None] * len(tiling.ideal)
     return [None if flag else name
             for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
 
@@ -226,7 +226,7 @@ def tile_records_reference(tiling, rule):
     ones."""
     ball, gens = tiling.ball, tiling.graph.generators
     first = ball.starts[tiling.level + 1]
-    owners = ball.names[first:first + len(tiling.parent)]
+    owners = ball.names[first:first + len(tiling.ideal)]
     names = tiling.names()
     for i, (name, owner, parent, adjacent, type_name) in enumerate(zip(
             names, owners, tiling.parent_names(), adjacency(tiling, names),
@@ -282,10 +282,12 @@ def tiling_dot_reference(tiling, rule=None, name="tiling"):
 def history_dot_reference(history, name="history"):
     lines = ["digraph %s {" % name, '  "%s";' % history.name(ROOT)]
     names = [t.names() for t in history.tilings]
-    flat = [tid for level in names for tid in level]   # by vertex
+    flat = {t.first + i: tid for t, level in zip(history.tilings, names)
+            for i, tid in enumerate(level)}   # by vertex
     lines += ['  "%s";' % flat[v] for v in history.vertices]
     parents = [(history.name(ROOT), ROOT)]
-    parents += [(flat[v], v) for v in range(history.offsets[-2])]
+    parents += [(flat[v], v) for v in range(history.tilings[0].first,
+                                            history.tilings[-1].first)]
     for parent, v in sorted(parents):
         for k in sorted(flat[c] for c in history.children(v)):
             lines.append('  "%s" -> "%s";' % (parent, k))

@@ -42,8 +42,10 @@ def classify_cell(ball, n, owner, cell):
     concave / covered for non-ideal cells, 'ideal' otherwise."""
     if cell_is_ideal(ball.graph, cell):
         return "ideal"
+    end = ball.starts[n + 1]   # the ball indices of B(n) lie below it
     count = sum(1 for combo in BoundaryCell(owner, cell).domain_moves()
-                if ball.in_ball(ball.apply(owner, combo), n))
+                if ball.index.get(words.apply_letters(owner, ball.graph, combo),
+                                  end) < end)
     k = len(cell)
     if count == 1:
         return "convex"
@@ -131,14 +133,15 @@ def test_predecessor_levels_and_cover():
             i = ball.index[g]
             assert ball.level(states[ball.pred[i]]) == n - 1
             t = ball.pred_move[i]
-            assert ball.apply(states[ball.pred[i]], t) == g
+            assert words.apply_letters(states[ball.pred[i]], ball.graph, t) == g
     for n, level in enumerate(ball.levels):
         for k, g in enumerate(level):
             i = ball.index[g]
             assert i == ball.starts[n] + k and ball.level(g) == n
             if n:
                 # the element is its predecessor's state times its move
-                assert ball.apply(states[ball.pred[i]], ball.pred_move[i]) == g
+                assert words.apply_letters(states[ball.pred[i]], ball.graph,
+                                           ball.pred_move[i]) == g
                 assert ball.pred_move[i] in ball.moves
     assert ball.multi_cover == 0
 
@@ -319,7 +322,8 @@ def test_visible_region_components_are_linked_by_truncation_faces():
 def test_covering_map_is_onto_next_level():
     ball = get_ball("path3")
     for n in range(0, 3):
-        covered = {ball.apply(bc.owner, bc.cell) for bc in convex_cells(ball, n)}
+        covered = {words.apply_letters(bc.owner, ball.graph, bc.cell)
+                   for bc in convex_cells(ball, n)}
         assert covered == set(ball.levels[n + 1])
 
 
@@ -328,7 +332,7 @@ def canonical_rep(ball, owner, cell):
     the ball, paired with the cell's signs seen from that domain."""
     best = None
     for combo in BoundaryCell(owner, cell).domain_moves():
-        dom = ball.apply(owner, combo)
+        dom = words.apply_letters(owner, ball.graph, combo)
         lvl = ball.level(dom)
         if lvl is None:
             continue
@@ -341,7 +345,7 @@ def canonical_rep(ball, owner, cell):
 
 
 def domains(ball, owner, cell):
-    return frozenset(ball.apply(owner, combo)
+    return frozenset(words.apply_letters(owner, ball.graph, combo)
                      for combo in BoundaryCell(owner, cell).domain_moves())
 
 
@@ -366,9 +370,9 @@ def test_shared_cell_is_canonical_rep(name):
 
 
 def pattern_by_products(ball, g):
-    level = ball.level(g)
-    return frozenset(t for t in ball.moves
-                     if ball.in_ball(ball.apply(g, t), level))
+    end = ball.starts[ball.level(g) + 1]
+    return frozenset(t for t in ball.moves if ball.index.get(
+        words.apply_letters(g, ball.graph, t), end) < end)
 
 
 @pytest.mark.parametrize("d,depth,edge_sets", [
@@ -449,12 +453,15 @@ def test_predecessors_match_per_element_search(graph):
     ball = build_ball(graph(), 4)
     multi = 0
     for n in range(1, ball.N + 1):
+        end = ball.starts[n]   # the ball indices of B(n - 1) lie below it
         for g in ball.levels[n]:
             candidates = []
             for t in ball.moves:
-                h = ball.apply(g, tuple((i, -s) for i, s in t))
+                h = words.apply_letters(g, ball.graph,
+                                        tuple((i, -s) for i, s in t))
                 if ball.level(h) == n - 1 and not any(
-                        ball.in_ball(ball.apply(h, c), n - 1)
+                        ball.index.get(words.apply_letters(h, ball.graph, c),
+                                       end) < end
                         for r in range(1, len(t) + 1) for c in combinations(t, r)):
                     form = words.syllables_of_state(ball.graph, h)
                     candidates.append((nf_key(form), t, h))

@@ -183,6 +183,16 @@ def test_exit_code_cap(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_run_past_256_levels_exits_0(tmp_path):
+    # one generator: two tiles per level, so 257 levels are cheap; a tile's
+    # level is read off the ball's level starts, with no one-byte table
+    inp = write(tmp_path, "single.json", {"generators": ["a"], "edges": []})
+    out = tmp_path / "o"
+    assert main(["run", inp, "--levels", "257", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["sphere_sizes"] == [1] + [2] * 257
+
+
 def test_exit_code_star_convexity(tmp_path, monkeypatch):
     from subdivlab import cli
     from subdivlab.cubes import StarConvexityViolation
@@ -488,8 +498,8 @@ def test_streamed_json_matches_json_dump():
     # writes for the whole object; with ideal tiles (path3), a rule, none,
     # and no tile at all
     tilings = get_tilings("path3", 3)
-    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, array("i"), 0,
-                   array("q"))
+    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, 0, array("q"),
+                   bytearray())
     for tiling, rule in ((tilings[1], get_rule("path3", 3)),
                          (tilings[2], None), (empty, None)):
         assert json_text(tiling, rule) == tiling_json_reference(tiling, rule)

@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import compress
 
 import pytest
 
@@ -65,14 +66,14 @@ def test_lift_loop_a():
     g = square()
     ball = get_ball("square")
     lifts = lift_basepoints(loop_a_spec(g), g, ball, 6)
-    assert lifts.level_sizes() == [1, 2, 2, 2, 2, 2, 2]
+    assert lifts.level_sizes == [1, 2, 2, 2, 2, 2, 2]
 
 
 def test_lift_full_salvetti_is_everything():
     g = square()
     ball = get_ball("square")
     lifts = lift_basepoints(salvetti_spec(g), g, ball, 4)
-    assert lifts.level_sizes() == ball.sphere_sizes()[:5]
+    assert lifts.level_sizes == ball.sphere_sizes()[:5]
 
 
 def test_lift_induced_subgraph_matches_sub_ball():
@@ -80,7 +81,15 @@ def test_lift_induced_subgraph_matches_sub_ball():
     ball = get_ball("path3")
     lifts = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, ball, 4)
     # the a-z subgroup is a rank-2 lattice: spheres 8n under diagonal moves
-    assert lifts.level_sizes() == [1, 8, 16, 24, 32]
+    assert lifts.level_sizes == [1, 8, 16, 24, 32]
+
+
+def lift_levels(lifts, ball):
+    """Per level, the lifted elements' states in canonical order, read off
+    the lift set's flags over the ball index."""
+    return [list(compress(ball.levels[n],
+                          lifts.members[ball.starts[n]:ball.starts[n + 1]]))
+            for n in range(len(lifts.level_sizes))]
 
 
 def _lift_reference(spec, graph, ball, n_max):
@@ -132,7 +141,8 @@ def test_lift_matches_the_first_search(which):
     n_max = 3 if which == "salvetti-az-shallow" else ball.N
     lifts = lift_basepoints(spec, graph, ball, n_max)
     levels, members = _lift_reference(spec, graph, ball, n_max)
-    assert lifts.levels == levels
+    assert lift_levels(lifts, ball) == levels
+    assert lifts.level_sizes == [len(level) for level in levels]
     # one flag per ball element; the lift set no longer keeps the first
     # vertex each element was realized at, so that is not compared
     flags = bytearray(g in members for level in ball.levels for g in level)
@@ -154,7 +164,7 @@ def test_prune_loop_a():
     lifts = lift_basepoints(loop_a_spec(g), g, ball, ball.N)
     pr = prune_history(build_history(ts), lifts, ball, rule)
     assert pr.tile_counts == [2, 2, 2, 2]
-    assert pr.tile_counts == [len(lifts.levels[n + 1]) for n in range(4)]
+    assert pr.tile_counts == lifts.level_sizes[1:5]
     assert pr.containment["injective"]
     pg = growth(pr.tilings, pr.rule)
     assert pg.classification() == ("polynomial", 0)
@@ -203,12 +213,12 @@ def test_prune_star_convexity_violation():
     # drop the level-1 elements: level-2 members lose their predecessors
     members = bytearray(lifts.members)
     members[ball.starts[1]:ball.starts[2]] = bytes(len(ball.levels[1]))
-    broken = LiftSet(levels=[lifts.levels[0], []] + lifts.levels[2:],
-                     members=members)
+    broken = LiftSet(members=members,
+                     level_sizes=[1, 0] + lifts.level_sizes[2:])
     with pytest.raises(StarConvexityViolation) as err:
         prune_history(build_history(ts), broken, ball)
     # the first level-2 member, in ball order, names the violation
-    assert err.value.element == ball.nf_string(lifts.levels[2][0])
+    assert err.value.element == ball.nf_string(lift_levels(lifts, ball)[2][0])
 
 
 def test_cone_types_free3():

@@ -71,8 +71,8 @@ def test_pair_with_two_labels_is_one_edge():
     ts = get_tilings("triangle", 3)
     t = ts[1]
     a, b, code = next(t.edges())
-    n, other = len(t.parent), 0 if code else 1
-    doubled = Tiling(t.ball, t.level, t.parent, t.ideal_count,
+    n, other = len(t.ideal), 0 if code else 1
+    doubled = Tiling(t.ball, t.level, t.ideal_count,
                      array("q", list(t.instances) + [(a * n + b) * 4 + other]))
     assert len(doubled.rows[1]) == len(t.rows[1]) + 2
     check_exports(build_history([ts[0], doubled]), None)
@@ -80,8 +80,8 @@ def test_pair_with_two_labels_is_one_edge():
 
 def test_exports_match_reference_without_rule_and_without_tiles():
     check_exports(build_history(get_tilings("path3", 3)), None)
-    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, array("i"), 0,
-                   array("q"))
+    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, 0, array("q"),
+                   bytearray())
     assert (export_text(tiling_to_json, empty)
             == '{\n  "level": 0,\n  "tiles": []\n}')
     assert export_text(tiling_to_dot, empty) == tiling_dot_reference(empty)

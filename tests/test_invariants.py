@@ -293,8 +293,8 @@ def test_orbit_eccentricities_match_every_source(name):
     else:
         tilings = get_tilings(name, None if name == "path3" else 3)
     for t in tilings:
-        tiles, nbrs = _dual_graph(t)
-        first = _inversion_orbits(t, tiles, nbrs)
+        tiles, nbrs, pos = _dual_graph(t)
+        first = _inversion_orbits(t, tiles, nbrs, pos)
         sources = [v for v, f in enumerate(first) if f == v]
         if t.level > 0:
             assert len(sources) < len(tiles)
@@ -309,7 +309,7 @@ def test_inversion_check_catches_a_missing_edge():
     pair = next(t.edges())[:2]
     kept = array("q", [key for key, edge in zip(t.instances, t.edges())
                        if edge[:2] != pair])
-    cut = Tiling(t.ball, t.level, t.parent, t.ideal_count, kept)
+    cut = Tiling(t.ball, t.level, t.ideal_count, kept)
     with pytest.raises(InvariantViolation,
                        match=r"inversion of [azb] does not map the neighbours "
                              r"of tile t2\|") as exc:

@@ -8,6 +8,7 @@ import pytest
 
 from subdivlab import words
 from subdivlab.balls import InvariantViolation, build_ball
+from subdivlab.cubes import lift_basepoints, prune_history, salvetti_spec
 from subdivlab.graphs import DefiningGraph, cell_str, support
 from subdivlab.tiling import (LABELS, ROOT, _compute_adjacency, build_history,
                               build_tiling, build_tilings,
@@ -66,13 +67,15 @@ def test_ideal_tiles_persist():
 
 def test_parent_partition():
     ts = get_tilings("triangle")
+    pred = ts[0].ball.pred
     for lvl in range(1, len(ts)):
         parents = {ts[lvl - 1].name(i) for i in ts[lvl - 1].nonideal()}
         names = ts[lvl].parent_names()
         for i in ts[lvl].nonideal():
             assert names[i] in parents
-            # the parent index names the same tile
-            assert ts[lvl - 1].name(ts[lvl].parent[i]) == names[i]
+            # the owner's predecessor names the same tile
+            p = pred[ts[lvl].first + i] - ts[lvl - 1].first
+            assert ts[lvl - 1].name(p) == names[i]
     # children of distinct tiles are disjoint by construction (unique parent)
 
 
@@ -81,7 +84,7 @@ def test_adjacency_symmetric_and_local():
         ball = get_ball(name)
         ts = get_tilings(name)
         t = ts[1]
-        rows = adjacency(t, range(len(t.parent)))
+        rows = adjacency(t, range(len(t.ideal)))
         for i in t.nonideal():
             for other, label in rows[i]:
                 assert (i, label) in rows[other]
@@ -90,7 +93,8 @@ def test_adjacency_symmetric_and_local():
                 h = t.owner_of(other)
                 if t.ideal[other]:
                     continue
-                assert any(ball.apply(g, m) == h for m in ball.moves)
+                assert any(words.apply_letters(g, ball.graph, m) == h
+                           for m in ball.moves)
 
 
 def adjacency_both_sides(ball, n):
@@ -109,7 +113,7 @@ def adjacency_both_sides(ball, n):
             if len(cell) < 2 or len(inside) != 1:
                 continue
             s0 = inside[0]
-            j = ball.index[ball.apply(g, s0)] - first
+            j = ball.index[words.apply_letters(g, ball.graph, s0)] - first
             assert 0 <= j < len(level)
             mirror = tuple((k, -e) if (k, e) in s0 else (k, e)
                            for k, e in cell)
@@ -275,6 +279,56 @@ def test_history_single_generator_is_two_rays():
                 assert len(h.children(v)) == 1
 
 
+def check_history_view(h):
+    """The history graph read as a view of the ball: each vertex is its
+    owner's ball index, the origin is the identity's, each vertex's children
+    are the next level's non-ideal tiles whose owner's predecessor it is,
+    and `locate`/`name` agree with the tilings."""
+    ball = h.ball
+    assert ROOT == 0 and ball.pred[ROOT] == -1 and h.name(ROOT) == "origin"
+    vertices = []
+    parents = [ROOT]   # ROOT, then every stored tile but the deepest level's
+    for n, t in enumerate(h.tilings):
+        names = t.names()
+        for i in range(len(t.ideal)):
+            v = ball.index[t.owner_of(i)]
+            assert v == t.first + i
+            assert h.locate(v) == (n, i) and h.name(v) == names[i]
+            if not t.ideal[i]:
+                vertices.append(v)
+            if n + 1 < len(h.tilings):
+                parents.append(v)
+    assert list(h.vertices) == vertices
+    for n, t in enumerate(h.tilings):
+        assert h.level_tiles(n) == [t.first + i for i in t.nonideal()]
+    # a scan of each level's non-ideal tiles, in index order, by the
+    # predecessor of each one's owner
+    scanned = {v: [] for v in parents}
+    for t in h.tilings:
+        for i in t.nonideal():
+            scanned[ball.pred[t.first + i]].append(t.first + i)
+    for v in parents:
+        assert list(h.children(v)) == scanned[v], h.name(v)
+    for v in h.level_tiles(len(h.tilings) - 1):
+        assert len(h.children(v)) == 0
+
+
+def test_history_is_a_view_of_the_ball(class_tilings):
+    for d in (1, 2, 3, 4):
+        for edges in all_graphs_up_to_iso(d):
+            check_history_view(build_history(class_tilings(d, edges, 3)))
+
+
+def test_restricted_history_is_a_view_of_the_ball():
+    # path3 pruned to the subgroup on {a, z}: its restricted tilings flag
+    # the tiles over unlifted elements ideal
+    p, ball = path3(), get_ball("path3")
+    lifts = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, ball, ball.N)
+    pruned = prune_history(build_history(get_tilings("path3")), lifts, ball)
+    assert any(1 in t.ideal for t in pruned.tilings)
+    check_history_view(pruned.history)
+
+
 def test_extract_rule_triangle():
     rule = get_rule("triangle")
     assert rule.stable
@@ -361,7 +415,7 @@ def test_extract_rule_reads_the_history_without_adding_children():
     descriptor_crosscheck(rule, h)
     assert [list(h.children(v)) for v in [ROOT, *h.vertices]] == kids
     # every vertex is typed, and no other tile
-    typed = [h.offsets[n] + i for n, types in enumerate(rule.type_of)
+    typed = [h.tilings[n].first + i for n, types in enumerate(rule.type_of)
              for i, name in enumerate(types) if name is not None]
     assert typed == list(h.vertices)
 
