@@ -161,7 +161,7 @@ def run(config: RunConfig) -> int:
             report["rule"]["unstable_detail"] = rule.unstable_detail
 
     if rule is not None and (len(tilings) >= 4 or rule.stable):
-        g = growth(tilings, rule)
+        g = growth(history, rule)
         report["growth"] = {
             "counts": g.counts, "counts_by_type": g.counts_by_type,
             "classification": list(g.classification()),
@@ -171,7 +171,7 @@ def run(config: RunConfig) -> int:
             report["meta"]["warnings"].append(
                 "growth fit underdetermined: more levels requested")
     if len(tilings) >= 3:
-        e = ends(tilings, window=config.ends_window)
+        e = ends(history, window=config.ends_window)
         report["ends"] = {"counts": e.counts, "verdict": e.verdict,
                           "window": e.window}
         d = divergence_diameter(tilings)
@@ -189,7 +189,7 @@ def run(config: RunConfig) -> int:
     if config.mode == "special":
         lifts = lift_basepoints(spec, graph, ball, config.levels)
         try:
-            pruned = prune_history(history, lifts, ball, rule)
+            pruned = prune_history(history, lifts, rule)
         except StarConvexityViolation as exc:
             print("error: %s" % exc, file=sys.stderr)
             report["special"] = {"star_convex": False, "violation": str(exc)}
@@ -209,11 +209,11 @@ def run(config: RunConfig) -> int:
         }
         if pruned.rule is not None:
             section["rule_stable"] = pruned.rule.stable
-            if len(pruned.tilings) >= 4 or pruned.rule.stable:
-                pg = g if same else growth(pruned.tilings, pruned.rule)
+            if len(tilings) >= 4 or pruned.rule.stable:
+                pg = g if same else growth(pruned.history, pruned.rule)
                 section["growth"] = {"counts": pg.counts,
                                      "classification": list(pg.classification())}
-            pe = e if same else ends(pruned.tilings, window=config.ends_window)
+            pe = e if same else ends(pruned.history, window=config.ends_window)
             section["ends"] = {"counts": pe.counts, "verdict": pe.verdict}
         report["special"] = section
 

@@ -1,13 +1,15 @@
 """Cube complexes over a defining graph: local-isometry checking, basepoint
-lifting, pruning of the ambient tilings to a subgroup, and bounded-depth
+lifting, pruning of the ambient history to a subgroup, and bounded-depth
 cone types of history graphs.
 
 A complex is given by vertices, directed edges labelled by generators, and
 squares listed as four oriented edge references tracing a closed path whose
-labels alternate between two commuting generators.  The local-isometry check
-is the usual link condition: no repeated outgoing or incoming label at a
-vertex, and every pair of germs carrying distinct commuting labels must span
-a square corner.
+labels alternate between two commuting generators.  An edge's sign and a
+reference's orientation are 1 or -1.  A 3-cube, which only strict mode
+reads, is a vertex and its corner germs, each [generator name, 1 or -1].
+The local-isometry check is the usual link condition: no repeated outgoing
+or incoming label at a vertex, and every pair of germs carrying distinct
+commuting labels must span a square corner.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class CubeComplexSpec:
                 eid, orient = ref, 1
             if not isinstance(eid, str) or eid not in self.edges:
                 raise CubeSpecError("square references unknown edge %r" % (eid,))
-            refs.append((self.edges[eid], _integer(orient, "square orientation")))
+            refs.append((self.edges[eid], _sign(orient, "square orientation")))
         # walk the path; each edge traversed forward (+1) or backward (-1)
         corners = []
         v = None
@@ -123,11 +125,11 @@ class CubeComplexSpec:
         return corners
 
 
-def _integer(value, what):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise CubeSpecError("%s must be an integer, got %r" % (what, value)) from None
+def _sign(value, what):
+    # the JSON numbers 1 and -1 only: int() would read 1.5, true and "1"
+    if type(value) is not int or value not in (1, -1):
+        raise CubeSpecError("%s must be 1 or -1, got %r" % (what, value))
+    return value
 
 
 def _list(value, what):
@@ -157,16 +159,22 @@ def parse_cube_spec(graph: DefiningGraph, data) -> CubeComplexSpec:
         edges.append(Edge(id=str(e.get("id", "e%d" % i)),
                           src=_name(e["from"], "edge end"),
                           dst=_name(e["to"], "edge end"), label=graph.index[label],
-                          sign=_integer(e.get("sign", 1), "edge sign")))
+                          sign=_sign(e.get("sign", 1), "edge sign")))
     squares = [_list(sq, "square") for sq in _list(data.get("squares", []), "squares")]
-    cubes = _list(data.get("cubes", []), "cubes")
-    for c in cubes:
+    cubes = []
+    for c in _list(data.get("cubes", []), "cubes"):
         if not isinstance(c, dict):
             raise CubeSpecError("cube %r must be a JSON object" % (c,))
-        _name(c.get("vertex"), "cube vertex")
+        germs = []
         for germ in _list(c.get("germs", []), "cube germs"):
-            for x in _list(germ, "cube germ"):
-                _name(x, "cube germ entry")
+            if len(_list(germ, "cube germ")) != 2:
+                raise CubeSpecError("cube germ %r is not [label, sign]" % (germ,))
+            label = _name(germ[0], "cube germ label")
+            if label not in graph.index:
+                raise CubeSpecError("unknown cube germ label %r" % (label,))
+            germs.append([graph.index[label], _sign(germ[1], "cube germ sign")])
+        cubes.append({"vertex": _name(c.get("vertex"), "cube vertex"),
+                      "germs": germs})
     return CubeComplexSpec(graph, vertices, edges, squares, cubes=cubes,
                            basepoint=_name(data.get("basepoint"), "basepoint"))
 
@@ -214,7 +222,7 @@ def check_local_isometry(spec: CubeComplexSpec, graph: DefiningGraph,
         for g, cnt in seen.items():
             if cnt > 1:
                 return ("link not injective at %s: germ %s appears %d times"
-                        % (v, g, cnt))
+                        % (v, _germ_str(graph, g), cnt))
         glist = sorted(seen)
         for a in glist:
             for b in glist:
@@ -304,31 +312,31 @@ def lift_basepoints(spec: CubeComplexSpec, graph: DefiningGraph,
 @dataclass
 class PruneResult:
     history: HistoryGraph
-    tilings: list
     rule: SubdivisionRule | None   # None below three levels
     tile_counts: list
     containment: dict
 
 
-def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
+def prune_history(ambient: HistoryGraph, lifts: LiftSet,
                   ambient_rule: SubdivisionRule | None = None) -> PruneResult:
-    """Re-flag the ambient history's tiles over unlifted elements as ideal
-    and re-extract the rule (none below three levels, as for the ambient
-    tilings).  When no tile is re-flagged, the result holds the ambient
-    history itself and `ambient_rule`, if given.
+    """The ambient history's tiles over lifted elements, as a history over
+    the same tilings with the lift set as its members, and its rule (none
+    below three levels, as for the ambient tilings).  When every tile's
+    owner lifts, the result holds the ambient history itself and
+    `ambient_rule`, if given.
 
     Aborts when the lift set is not closed under the ball's predecessor map
-    (an ideal tile would subdivide into a non-ideal one)."""
-    members = lifts.members
+    (a tile over an unlifted element would subdivide into a lifted one)."""
+    ball, members = ambient.ball, lifts.members
+    levels = len(ambient.tilings)
     for i in range(ball.starts[1], ball.starts[len(lifts.level_sizes)]):
         if members[i] and not members[ball.pred[i]]:
             raise StarConvexityViolation(ball.names[i])
-    pruned = [t.restricted(lifts.members) for t in ambient.tilings]
-    if all(p is t for p, t in zip(pruned, ambient.tilings)):
+    if members.find(0, ball.starts[1], ball.starts[levels + 1]) < 0:
         history, rule = ambient, ambient_rule
     else:
-        history, rule = HistoryGraph(pruned), None
-    if rule is None and len(pruned) >= 3:
+        history, rule = HistoryGraph(ambient.tilings, members), None
+    if rule is None and levels >= 3:
         rule = extract_rule(history)
     containment = {"mapping": {}, "injective": True, "children_consistent": True}
     if ambient_rule is not None:
@@ -345,8 +353,9 @@ def prune_history(ambient: HistoryGraph, lifts: LiftSet, ball: Ball,
         containment = {"mapping": dict(sorted(mapping.items())),
                        "injective": injective and consistent,
                        "children_consistent": rule.stable}
-    return PruneResult(history=history, tilings=pruned, rule=rule,
-                       tile_counts=[len(t.nonideal()) for t in pruned],
+    return PruneResult(history=history, rule=rule,
+                       tile_counts=[len(history.level_tiles(n))
+                                    for n in range(levels)],
                        containment=containment)
 
 

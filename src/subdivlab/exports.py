@@ -87,22 +87,21 @@ class LevelLabels:
                 bytes([k & 3 for k in rows]))
 
     @cached_property
-    def ideal(self):
+    def ideal_tiles(self):
         return list(self.tiling.ideal_tiles())
 
     def keep_for_history(self):
         """Drop what only the level's own exports read: `history_to_dot`
         reads the names, order, rank and rows."""
-        for attr in ("quoted", "parents", "ideal"):
+        for attr in ("quoted", "parents", "ideal_tiles"):
             self.__dict__.pop(attr, None)
 
 
 def _types(tiling, rule):
-    """Each stored tile's refined type; None for an ideal one or no rule."""
+    """Each stored tile's refined type; None with no rule."""
     if rule is None:
-        return [None] * len(tiling.ideal)
-    return [None if flag else name
-            for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
+        return [None] * tiling.nonideal_count
+    return rule.type_of[tiling.level]
 
 
 def _members(obj):
@@ -114,7 +113,7 @@ def _members(obj):
 
 # a record sits two levels deep in the file, its members six spaces in, and
 # its keys are in sorted order
-_STORED = ('{\n      "adjacent": %s,\n%s      "id": %s,\n      "ideal": %s,\n'
+_STORED = ('{\n      "adjacent": %s,\n%s      "id": %s,\n      "ideal": false,\n'
            '      "level": %d,\n      "owner": %s,\n      "parent": %s%s\n    }')
 _IDEAL = ('{\n      "adjacent": [],\n      "facet": %s,\n      "id": %s,\n'
           '      "ideal": true,\n      "level": %d,\n      "owner": %s,\n'
@@ -129,7 +128,7 @@ def _records(tiling, rule, labels):
     ones'."""
     ball, gens, level = tiling.ball, tiling.graph.generators, tiling.level
     first = tiling.first
-    owners = ball.names[first:first + len(tiling.ideal)]
+    owners = ball.names[first:first + tiling.nonideal_count]
     heads = [_HEAD % q for q in labels.quoted]
     start, (nbr, codes) = tiling.rows[0], labels.rows
     cells = {}   # covered move -> its "cells" and "covered_clique" members
@@ -141,10 +140,6 @@ def _records(tiling, rule, labels):
             heads[j] + _TAIL[code] for j, code in zip(nbr[s:e], codes[s:e])])
             if e > s else "[]")
         parent = "null" if parent is None else quote(parent)
-        if tiling.ideal[i]:
-            yield _STORED % (adjacent, "", name, "true", level, quote(owner),
-                             parent, "")
-            continue
         move = ball.pred_move[first + i]
         covered = cells.get(move)
         if covered is None:
@@ -160,9 +155,9 @@ def _records(tiling, rule, labels):
                 typed = types[type_name] = ",\n" + _members({
                     "type": type_name,
                     "type_coalesced": rule.coalesced_of.get(type_name)})
-        yield _STORED % (adjacent, covered, name, "false", level, quote(owner),
-                         parent, typed)
-    for name, owner, facet, parent in labels.ideal:
+        yield _STORED % (adjacent, covered, name, level, quote(owner), parent,
+                         typed)
+    for name, owner, facet, parent in labels.ideal_tiles:
         yield _IDEAL % (quote(cell_str(tiling.graph, facet)), quote(name),
                         level, quote(ball.nf_string(owner)),
                         "null" if parent is None else quote(parent))
@@ -190,13 +185,12 @@ def tiling_to_dot(tiling, out, rule=None, name="tiling", labels=None):
     labels = labels or LevelLabels(tiling)
     names, rank = labels.names, labels.rank
     out.write("graph %s {\n" % name)
-    for tid, ideal, type_name in zip(names, tiling.ideal, _types(tiling, rule)):
+    for tid, type_name in zip(names, _types(tiling, rule)):
         label = tid
-        if rule is not None and not ideal:
+        if rule is not None:
             label += "\\n%s" % rule.coalesced_of.get(type_name, "")
-        out.write('  "%s" [style=%s, label="%s"];\n'
-                  % (tid, "dashed" if ideal else "solid", label))
-    for tid, _, _, _ in labels.ideal:
+        out.write('  "%s" [style=solid, label="%s"];\n' % (tid, label))
+    for tid, _, _, _ in labels.ideal_tiles:
         out.write('  "%s" [style=dashed, label="%s"];\n' % (tid, tid))
     start, (nbr, codes) = tiling.rows[0], labels.rows
     for i, (tid, r, (s, e)) in enumerate(zip(names, rank, pairwise(start))):
@@ -214,14 +208,16 @@ def tiling_to_dot(tiling, out, rule=None, name="tiling", labels=None):
 def history_to_dot(history, out, name="history", labels=None):
     """Write the history graph to the text file `out` as a DOT digraph: a
     node per vertex, the subdivision edges with parents and children in
-    name order, then each level's horizontal edges.  `labels`, if given,
-    holds a `LevelLabels` per tiling of `history`."""
+    name order, then each level's horizontal edges between vertices.
+    `labels`, if given, holds a `LevelLabels` per tiling of `history`."""
     labels = labels or [LevelLabels(t) for t in history.tilings]
+    members = history.members
     out.write("digraph %s {\n" % name)
     out.write('  "%s";\n' % history.name(ROOT))
-    for t, level in zip(history.tilings, labels):
-        for i in t.nonideal():
-            out.write('  "%s";\n' % level.names[i])
+    for n, level in enumerate(labels):
+        first = level.tiling.first
+        for v in history.level_tiles(n):
+            out.write('  "%s";\n' % level.names[v - first])
 
     def children(v, n):
         # the children of vertex v, which lie on level n, in name order
@@ -238,14 +234,15 @@ def history_to_dot(history, out, name="history", labels=None):
         for i in labels[n].order:
             for k in children(first + i, n + 1):
                 out.write('  "%s" -> "%s";\n' % (names[i], k))
-    for t, level in zip(history.tilings, labels):
-        names, rank, ideal = level.names, level.rank, t.ideal
-        start, nbr = t.rows[0], level.rows[0]
-        for i in t.nonideal():
+    for n, level in enumerate(labels):
+        names, rank, first = level.names, level.rank, level.tiling.first
+        start, nbr = level.tiling.rows[0], level.rows[0]
+        for v in history.level_tiles(n):
+            i = v - first
             tid, r, prev = names[i], rank[i], i
-            # a pair is met at its first non-ideal end by index
+            # a pair is met at its end with the smaller index
             for j in nbr[start[i]:start[i + 1]]:
-                if j != prev and (j > i or ideal[j]):
+                if j > i and j != prev and members[first + j]:
                     a, b = (tid, names[j]) if r < rank[j] else (names[j], tid)
                     out.write('  "%s" -> "%s" [dir=none, style=dashed];\n'
                               % (a, b))
@@ -262,8 +259,8 @@ def tiling_to_svg(tiling, out, rule=None, seed=0, labels=None):
     so the lines come out in name order."""
     labels = labels or LevelLabels(tiling)
     # every tile's name and parent name, the stored ones first
-    tids = labels.names + [tid for tid, _, _, _ in labels.ideal]
-    parents = labels.parents + [parent for _, _, _, parent in labels.ideal]
+    tids = labels.names + [tid for tid, _, _, _ in labels.ideal_tiles]
+    parents = labels.parents + [parent for _, _, _, parent in labels.ideal_tiles]
     count = len(tids)
     n = max(count, 1)
     centre, radius = SVG_SIZE / 2, 0.45 * SVG_SIZE
@@ -296,10 +293,9 @@ def tiling_to_svg(tiling, out, rule=None, seed=0, labels=None):
         color = "#dddddd"
         if type_name is not None:
             color = fill.get(rule.coalesced_of.get(type_name), color)
-        dash = ' stroke-dasharray="3,3"' if tiling.ideal[t] else ""
-        out.write('<circle cx="%s" cy="%s" r="5" fill="%s" stroke="#333"%s/>\n'
-                  % (xs[t], ys[t], color, dash))
-    for t in range(len(tiling.ideal), count):
+        out.write('<circle cx="%s" cy="%s" r="5" fill="%s" stroke="#333"/>\n'
+                  % (xs[t], ys[t], color))
+    for t in range(tiling.nonideal_count, count):
         out.write('<circle cx="%s" cy="%s" r="5" fill="#dddddd" stroke="#333"'
                   ' stroke-dasharray="3,3"/>\n' % (xs[t], ys[t]))
     for i, name in enumerate(legend):
@@ -316,12 +312,9 @@ def counts_csv(tilings, rule=None):
     names = rule.coalesced_names() if rule is not None else []
     w.writerow(["level", "nonideal_tiles", "ideal_tiles"] + ["type_%s" % n for n in names])
     for t in tilings:
-        tiles = t.nonideal()
-        row = [t.level, len(tiles), len(t.tiles) - len(tiles)]
+        row = [t.level, t.nonideal_count, t.ideal_count]
         if rule is not None:
-            c = Counter()
-            for i in tiles:
-                c[rule.coalesced_of.get(rule.type_of[t.level][i])] += 1
+            c = Counter(map(rule.coalesced_of.get, rule.type_of[t.level]))
             row += [c.get(n, 0) for n in names]
         w.writerow(row)
     return out.getvalue()

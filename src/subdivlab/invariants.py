@@ -9,6 +9,7 @@ import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, pairwise
 
 from .balls import InvariantViolation
 
@@ -268,8 +269,8 @@ def classify_counts(seq):
     return ("exponential", ratio)
 
 
-def growth(tilings, rule=None) -> GrowthReport:
-    """Growth data from a list of tilings.
+def growth(history, rule=None) -> GrowthReport:
+    """Growth data from the tiles of a history graph, level by level.
 
     With a stable rule, the recurrence and the ratio are exact.  The rule
     replays its coalesced child multisets from the level-0 counts for
@@ -285,16 +286,17 @@ def growth(tilings, rule=None) -> GrowthReport:
     needs at least 4 levels.
     """
     stable = rule is not None and rule.stable
-    if len(tilings) < 4 and not stable:
+    if len(history.tilings) < 4 and not stable:
         raise ValueError("fit underdetermined: more levels requested")
-    counts = [len(t.nonideal()) for t in tilings]
+    levels = [history.level_tiles(n) for n in range(len(history.tilings))]
+    counts = list(map(len, levels))
     by_type = []
     if rule is not None:
-        for t in tilings:
+        for t, tiles in zip(history.tilings, levels):
             c = Counter()
             types = rule.type_of[t.level]
-            for i in t.nonideal():
-                name = types[i]
+            for v in tiles:
+                name = types[v - t.first]
                 c[rule.coalesced_of.get(name, name)] += 1
             by_type.append(dict(sorted(c.items())))
     transition = None
@@ -339,11 +341,12 @@ class EndsReport:
     window: int
 
 
-def _components(tiling):
-    """Connected components of the non-ideal dual graph at one level: their
-    number, and each tile's component (-1 for an ideal one)."""
-    flags = tiling.ideal
-    parent = list(range(len(flags)))
+def _components(tiling, members):
+    """Connected components of the dual graph at one level on the tiles
+    whose owners `members` flags: their number, and each stored tile's
+    component (-1 for one not flagged)."""
+    member = members[tiling.first:tiling.first + tiling.nonideal_count]
+    parent = list(range(len(member)))
 
     def find(x):
         while parent[x] != x:
@@ -351,24 +354,27 @@ def _components(tiling):
             x = parent[x]
         return x
 
-    tiles = tiling.nonideal()
+    tiles = list(compress(range(len(member)), member))
     for i in tiles:
         for j in tiling.neighbors(i):
-            if not flags[j]:
+            if member[j]:
                 ra, rb = find(i), find(j)
                 if ra != rb:
                     parent[ra] = rb
-    comp_of = [-1] * len(flags)
+    comp_of = [-1] * len(member)
     number = {}   # root -> component, numbered by first tile
     for i in tiles:
         comp_of[i] = number.setdefault(find(i), len(number))
     return len(number), comp_of
 
 
-def ends(tilings, window: int = 3) -> EndsReport:
+def ends(history, window: int = 3) -> EndsReport:
+    """Components of each level of the history graph, and the number of
+    ends read off the last `window` levels."""
+    tilings = history.tilings
     if len(tilings) < 3:
         raise ValueError("need at least 3 levels")
-    data = [_components(t) for t in tilings]
+    data = [_components(t, history.members) for t in tilings]
     counts = [c for c, _ in data]
     # parent mapping between consecutive levels of the window
     bijective = True
@@ -380,10 +386,10 @@ def ends(tilings, window: int = 3) -> EndsReport:
         mapping = defaultdict(set)
         t, pfirst = tilings[lvl], tilings[lvl - 1].first
         pred = t.ball.pred
-        for i in t.nonideal():
+        for i, c in enumerate(comp_of):
             p = comp_parent[pred[t.first + i] - pfirst]   # parent's component
-            if p >= 0:
-                mapping[comp_of[i]].add(p)
+            if c >= 0 and p >= 0:
+                mapping[c].add(p)
         images = [v for v in mapping.values()]
         flat = set()
         for v in images:
@@ -527,31 +533,25 @@ def _eccentricities(nbrs, sources):
 
 
 def _dual_graph(tiling):
-    """The non-ideal tiles of a level (indices into it), each one's
-    neighbours as ascending positions in that list, and each tile's
-    position in it (-1 for an ideal tile)."""
-    tiles = tiling.nonideal()
-    pos = [-1] * len(tiling.ideal)
-    for k, i in enumerate(tiles):
-        pos[i] = k
-    nbrs = [[pos[j] for j in tiling.neighbors(i) if pos[j] >= 0] for i in tiles]
-    return tiles, nbrs, pos
+    """Each tile's neighbours, ascending, as a list per tile."""
+    start, nbr, _ = tiling.rows
+    return [nbr[s:e].tolist() for s, e in pairwise(start)]
 
 
-def _inversion_orbits(tiling, tiles, nbrs, pos):
-    """For each tile, the first tile (a position in `tiles`) of its orbit
-    under the d generator inversions.
+def _inversion_orbits(tiling, nbrs):
+    """For each tile, the first tile of its orbit under the d generator
+    inversions.
 
     Inverting generator i is a group automorphism that maps the diagonal
     moves to themselves, so it maps the tiling onto itself: a tile's image
     is the tile of the owner with pile i negated, and must hold the tile's
     first cell with sign i flipped.  Each of the d maps must be one-to-one
     and carry every neighbour list onto its image's; else
-    InvariantViolation.  `tiles`, `nbrs` and `pos` are `_dual_graph`'s."""
+    InvariantViolation.  `nbrs` is `_dual_graph`'s."""
     graph, index, first = tiling.graph, tiling.ball.index, tiling.first
-    n = len(tiles)
-    owner = list(map(tiling.owner_of, tiles))
-    cells = [tiling.cells(i) for i in tiles]
+    n, name = len(nbrs), tiling.name
+    owner = tiling.ball.levels[tiling.level + 1]
+    cells = [tiling.cells(i) for i in range(n)]
     root = list(range(n))   # union-find; a root is its set's first tile
 
     def find(x):
@@ -560,23 +560,19 @@ def _inversion_orbits(tiling, tiles, nbrs, pos):
             x = root[x]
         return x
 
-    def name(k):
-        return tiling.name(tiles[k])
-
     for i in range(graph.d):
         what = "inversion of %s" % graph.generators[i]
         flipped = {}   # cell -> the cell with sign i flipped
         perm = []
         hit = bytearray(n)
         for v, g in enumerate(owner):
-            t = index.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:],
+            k = index.get(g[:i] + (tuple([-x for x in g[i]]),) + g[i + 1:],
                           -1) - first   # the image's tile
-            k = pos[t] if 0 <= t < len(pos) else -1
             cell = flipped.get(cells[v][0])
             if cell is None:
                 cell = flipped[cells[v][0]] = tuple(
                     (j, -e if j == i else e) for j, e in cells[v][0])
-            if k < 0 or cell not in cells[k]:
+            if not 0 <= k < n or cell not in cells[k]:
                 raise InvariantViolation("%s finds no image of tile %s"
                                          % (what, name(v)), name(v), tiling.level)
             if hit[k]:
@@ -598,11 +594,11 @@ def _inversion_orbits(tiling, tiles, nbrs, pos):
 
 
 def _level_diameter(tiling):
-    tiles, nbrs, pos = _dual_graph(tiling)
-    if not tiles:
+    nbrs = _dual_graph(tiling)
+    if not nbrs:
         return 0, None
-    first = _inversion_orbits(tiling, tiles, nbrs, pos)
-    if len(_bfs(nbrs, 0)[0]) != len(tiles):
+    first = _inversion_orbits(tiling, nbrs)
+    if len(_bfs(nbrs, 0)[0]) != len(nbrs):
         return "inf", None
     # a tile's eccentricity is its orbit's, so one source per orbit is swept.
     # The first tile of largest eccentricity is the first of its orbit, so it
@@ -611,7 +607,7 @@ def _level_diameter(tiling):
     sources = [v for v, f in enumerate(first) if f == v]
     eccs = _eccentricities(nbrs, sources)
     src = sources[eccs.index(max(eccs))]
-    names = list(map(tiling.names().__getitem__, tiles))
+    names = tiling.names()
     for vs in nbrs:
         vs.sort(key=names.__getitem__)
     dist, prev = _bfs(nbrs, src)

@@ -18,17 +18,19 @@ A tile is an int index into its level: non-ideal tile i is owned by element
 i of `ball.levels[n + 1]`, whose ball index is `Tiling.first + i` (that is,
 `ball.starts[n + 1] + i`), and its name, covered move and parent are read
 off the ball's arrays at that index: the parent is the owner's predecessor,
-`ball.pred`.  A level stores an ideal flag of each stored tile
-(`Tiling.restricted` sets flags).  Its edges are index pairs with a label
-code, one per shared cell, and each tile's neighbours are compressed rows
-(an offset array, an index array and a label array) built once from the
-edges.  A name such as `t3|a^-4 b^-1|0`, the cells, shape and covered
-clique are read off the ball when asked for.  Ideal tiles are not stored:
-the level keeps their count, and `Tiling.ideal_tiles` forms them from the
-ball, with their parents' names, in a fixed order.
+`ball.pred`.  Every stored tile is non-ideal.  A level's edges are index
+pairs with a label code, one per shared cell, and each tile's neighbours
+are compressed rows (an offset array, an index array and a label array)
+built once from the edges.  A name such as `t3|a^-4 b^-1|0`, the cells,
+shape and covered clique are read off the ball when asked for.  Ideal
+tiles are not stored: the level keeps their count, and
+`Tiling.ideal_tiles` forms them from the ball, with their parents' names,
+in a fixed order.
 
 The history graph is a view of the ball: a vertex is its tile's owner's
-ball index, and the origin is the identity's, 0.
+ball index, and the origin is the identity's, 0.  Pruning to a subgroup
+keeps the same tilings and picks the vertices whose owners lift: a
+history's member set is one flag per ball index.
 
 Rule extraction refines the initial partition (covered clique, region shape)
 by child-type multisets and by the adjacency structure *among* the children,
@@ -43,6 +45,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 from . import words
 from .balls import Ball, InvariantViolation, visible_region
@@ -58,35 +61,30 @@ class Tiling:
     """The non-ideal tiles of one level, its edges and each tile's
     neighbour row; tile i is owned by the element of ball index first + i."""
 
-    def __init__(self, ball, level, ideal_count, instances, ideal=None,
-                 rows=None):
+    def __init__(self, ball, level, ideal_count, instances):
         self.ball, self.graph, self.level = ball, ball.graph, level
         self.first = ball.starts[level + 1]   # tile 0's ball index
-        # one flag per stored tile, set when the tile is ideal
-        self.ideal = (bytearray(len(ball.levels[level + 1])) if ideal is None
-                      else ideal)
+        self.nonideal_count = len(ball.levels[level + 1])   # stored tiles
         self.ideal_count = ideal_count   # truncation faces, formed on demand
         # one entry per shared cell, (tile1 * tiles + tile2) * 4 + label code
         # with tile1 < tile2: read through `edges`
         self.instances = instances
         # (start, neighbour, label): tile i's neighbours, ascending by
         # (index, label code), are entries start[i]..start[i + 1] - 1
-        self.rows = _neighbor_rows(self) if rows is None else rows
+        self.rows = _neighbor_rows(self)
 
     @property
     def tiles(self):
         """Every tile: the stored ones, then the ideal ones in `ideal_tiles`
         order."""
-        return range(len(self.ideal) + self.ideal_count)
+        return range(self.nonideal_count + self.ideal_count)
 
     def nonideal(self):
-        if 1 in self.ideal:
-            return [i for i, flag in enumerate(self.ideal) if not flag]
-        return range(len(self.ideal))
+        return range(self.nonideal_count)
 
     def edges(self):
         """(tile1, tile2, label code) of each adjacency instance."""
-        n = len(self.ideal)
+        n = self.nonideal_count
         return (((key >> 2) // n, (key >> 2) % n, key & 3)
                 for key in self.instances)
 
@@ -119,16 +117,16 @@ class Tiling:
         """The name of each stored tile, by index."""
         first = self.first
         return [_nonideal_name(self.level, name) for name
-                in self.ball.names[first:first + len(self.ideal)]]
+                in self.ball.names[first:first + self.nonideal_count]]
 
     def parent_names(self):
         """The name of each stored tile's parent, by index; None at level 0,
         whose parent is the origin."""
         if self.level == 0:
-            return [None] * len(self.ideal)
+            return [None] * self.nonideal_count
         first, names = self.first, self.ball.names
         return [_nonideal_name(self.level - 1, names[p]) for p
-                in self.ball.pred[first:first + len(self.ideal)]]
+                in self.ball.pred[first:first + self.nonideal_count]]
 
     def ideal_tiles(self):
         """Yield (name, owner, facet, parent name) of each ideal tile, from
@@ -159,23 +157,10 @@ class Tiling:
                         parent = name
                     yield name, g, f, parent
 
-    def restricted(self, members):
-        """The same tiles, with every non-ideal tile whose owner's flag in
-        `members` (a bytearray over the ball index) is unset flagged ideal;
-        this tiling itself when that flags none.  Edges and neighbour rows
-        are shared with this tiling: every reader drops ideal neighbours."""
-        first = self.first
-        flags = bytearray(f or not m for f, m in zip(
-            self.ideal, members[first:first + len(self.ideal)]))
-        if flags == self.ideal:
-            return self
-        return Tiling(self.ball, self.level, self.ideal_count, self.instances,
-                      flags, self.rows)
-
 
 def _neighbor_rows(tiling):
     # each (tile, neighbour, label) once, as one int that sorts in that order
-    n = len(tiling.ideal)
+    n = tiling.nonideal_count
     keys = set(tiling.instances)
     keys.update((b * n + a) * 4 + label for a, b, label in tiling.edges())
     keys = sorted(keys)
@@ -311,20 +296,26 @@ class HistoryGraph:
 
     A vertex is its tile's owner's ball index: tile i of level n is vertex
     `tilings[n].first + i`, and its parent is the owner's predecessor,
-    `ball.pred[v]`.  The vertices are the non-ideal tiles, in ball order; the
-    origin vertex, ROOT, the identity, stands for the base complex (it is
-    the parent of every level-0 tile) and is excluded from tile-count
-    identities.  Children lists are compressed rows built from `ball.pred`,
-    in vertex order, and a vertex's level is found in `ball.starts`.
+    `ball.pred[v]`.  `members` flags the ball indices whose tiles the
+    history holds, all of them when not given; a pruned history holds the
+    tiles over lifted elements, a set closed under `ball.pred`.  The
+    vertices are the member tiles, in ball order; the origin vertex, ROOT,
+    the identity, stands for the base complex (it is the parent of every
+    level-0 tile) and is excluded from tile-count identities.  Children
+    lists are compressed rows built from `ball.pred`, in vertex order, and a
+    vertex's level is found in `ball.starts`.
     """
 
-    def __init__(self, tilings):
+    def __init__(self, tilings, members=None):
         self.tilings = list(tilings)
         self.ball = ball = self.tilings[0].ball
         first, end = ball.starts[1], ball.starts[len(self.tilings) + 1]
-        flags = b"".join(t.ideal for t in self.tilings)
-        self.vertices = (range(first, end) if 1 not in flags else
-                         [v for v, f in enumerate(flags, first) if not f])
+        if members is None:
+            members = bytearray(b"\1") * ball.size()
+        self.members = members
+        self.vertices = (range(first, end) if members.find(0, first, end) < 0
+                         else list(compress(range(first, end),
+                                            members[first:end])))
         pred = ball.pred
         self._kids = array("i", sorted(self.vertices, key=pred.__getitem__))
         parents = [pred[v] for v in self._kids]
@@ -337,17 +328,18 @@ class HistoryGraph:
         return n, v - self.ball.starts[n + 1]
 
     def children(self, v):
-        """The non-ideal children of vertex v (or of ROOT), in vertex order."""
+        """The member children of vertex v (or of ROOT), in vertex order."""
         return self._kids[self._kid_start[v]:self._kid_start[v + 1]]
 
     def level_tiles(self, n):
-        t = self.tilings[n]
-        return [t.first + i for i in t.nonideal()]
+        """The vertices of level n, ascending."""
+        first, end = self.ball.starts[n + 1], self.ball.starts[n + 2]
+        return list(compress(range(first, end), self.members[first:end]))
 
     def horizontal_neighbors(self, v):
         n, i = self.locate(v)
-        t = self.tilings[n]
-        return [t.first + j for j in t.neighbors(i) if not t.ideal[j]]
+        t, members = self.tilings[n], self.members
+        return [t.first + j for j in t.neighbors(i) if members[t.first + j]]
 
     def name(self, v):
         if v == ROOT:
@@ -409,8 +401,8 @@ class SubdivisionRule:
 
 def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     """Partition-refinement extraction of the subdivision rule from the
-    history's non-ideal tiles and their children.  Signatures are lists
-    indexed by vertex; where a tie is broken, it is broken by tile name.
+    history's tiles and their children.  Signatures are lists indexed by
+    vertex; where a tie is broken, it is broken by tile name.
     The vertices of the levels below n are the ball indices below
     `ball.starts[n + 1]`."""
     tilings = history.tilings
@@ -422,16 +414,15 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
     deepest = len(tilings) - 1
     vertices = history.vertices
     kids = history.children
+    members = history.members
 
     internal_pairs = defaultdict(list)  # parent -> [(child1, child2, label)]
-    for n in range(1, len(tilings)):
-        t, flags, pt = tilings[n], tilings[n].ideal, tilings[n - 1]
+    for t in tilings[1:]:
         for a, b, label in t.edges():
-            if not (flags[a] or flags[b]):
-                a, b = t.first + a, t.first + b
-                pa = pred[a]
-                if pa == pred[b] and not pt.ideal[pa - pt.first]:
-                    internal_pairs[pa].append((a, b, LABELS[label]))
+            a, b = t.first + a, t.first + b
+            pa = pred[a]
+            if pa == pred[b] and members[a] and members[b]:
+                internal_pairs[pa].append((a, b, LABELS[label]))
 
     # depth-limited signatures, starting from (covered clique, shape), which
     # depend on the covering move only
@@ -584,7 +575,7 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
 
     return SubdivisionRule(
         graph=graph, types=types,
-        type_of=[type_of[t.first:t.first + len(t.ideal)] for t in tilings],
+        type_of=[type_of[t.first:t.first + t.nonideal_count] for t in tilings],
         coalesced_of=coalesced_of, coalesced_children=coalesced_children,
         stable=stable, unstable_detail=unstable_detail,
         interface_classes=interface_classes,
@@ -602,7 +593,7 @@ def _interface_classes(history, type_of):
     resulting digraph still soundly certifies that every crossing is
     eventually subdivided away.
     """
-    tilings, pred = history.tilings, history.ball.pred
+    tilings, pred, members = history.tilings, history.ball.pred, history.members
 
     def iclass(a, b, label):
         return (tuple(sorted((type_of[a], type_of[b]))), LABELS[label])
@@ -611,16 +602,15 @@ def _interface_classes(history, type_of):
     for t, nt in zip(tilings, tilings[1:]):
         nxt_by_parents = defaultdict(list)   # parent pair -> continuations
         for a, b, label in nt.edges():
-            if not (nt.ideal[a] or nt.ideal[b]):
-                a, b = nt.first + a, nt.first + b
-                pa, pb = pred[a], pred[b]
-                if pa != pb:
-                    nxt_by_parents[min(pa, pb), max(pa, pb)].append(
-                        iclass(a, b, label))
+            a, b = nt.first + a, nt.first + b
+            pa, pb = pred[a], pred[b]
+            if pa != pb and members[a] and members[b]:
+                nxt_by_parents[min(pa, pb), max(pa, pb)].append(
+                    iclass(a, b, label))
         for a, b, label in t.edges():
-            if t.ideal[a] or t.ideal[b]:
-                continue
             a, b = t.first + a, t.first + b
+            if not (members[a] and members[b]):
+                continue
             key = iclass(a, b, label)
             rec = classes.get(key)
             if rec is None:

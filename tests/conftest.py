@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+from array import array
 from itertools import combinations, permutations
 
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from subdivlab import DefiningGraph, build_ball
 from subdivlab.exports import SVG_SIZE, tiling_to_json
 from subdivlab.graphs import cell_str
-from subdivlab.tiling import (LABELS, ROOT, build_history, build_tiling,
-                              build_tilings, extract_rule)
+from subdivlab.tiling import (LABELS, ROOT, Tiling, build_history,
+                              build_tiling, build_tilings, extract_rule)
 from subdivlab.words import WordError
 
 
@@ -52,6 +54,7 @@ def k4():
 
 _BALLS = {}
 _TILINGS = {}
+_HISTORIES = {}
 _RULES = {}
 
 _SPECS = {
@@ -84,6 +87,14 @@ def get_tilings(name, count=None):
     return _TILINGS[key]
 
 
+def empty_tiling():
+    """A level-0 tiling with no tile: the triangle's (which has no ideal
+    facet), over a copy of its ball whose level 1 is empty."""
+    ball = copy.copy(get_ball("triangle"))
+    ball.levels, ball.starts = ball.levels[:1] + [[]], [0, 1, 1]
+    return Tiling(ball, 0, 0, array("q"))
+
+
 def json_text(tiling, rule=None):
     """The tiling's JSON export, as the text the run writes."""
     return export_text(tiling_to_json, tiling, rule)
@@ -96,11 +107,18 @@ def export_text(export, *args, **kwargs):
     return out.getvalue()
 
 
-def get_rule(name, count=None):
+def get_history(name, count=None):
     tilings = get_tilings(name, count)
     key = (name, len(tilings))
+    if key not in _HISTORIES:
+        _HISTORIES[key] = build_history(tilings)
+    return _HISTORIES[key]
+
+
+def get_rule(name, count=None):
+    key = (name, len(get_tilings(name, count)))
     if key not in _RULES:
-        _RULES[key] = extract_rule(build_history(tilings))
+        _RULES[key] = extract_rule(get_history(name, count))
     return _RULES[key]
 
 
@@ -216,9 +234,8 @@ def adjacency(tiling, names):
 
 def _types_reference(tiling, rule):
     if rule is None:
-        return [None] * len(tiling.ideal)
-    return [None if flag else name
-            for flag, name in zip(tiling.ideal, rule.type_of[tiling.level])]
+        return [None] * tiling.nonideal_count
+    return rule.type_of[tiling.level]
 
 
 def tile_records_reference(tiling, rule):
@@ -226,20 +243,19 @@ def tile_records_reference(tiling, rule):
     ones."""
     ball, gens = tiling.ball, tiling.graph.generators
     first = ball.starts[tiling.level + 1]
-    owners = ball.names[first:first + len(tiling.ideal)]
+    owners = ball.names[first:first + tiling.nonideal_count]
     names = tiling.names()
     for i, (name, owner, parent, adjacent, type_name) in enumerate(zip(
             names, owners, tiling.parent_names(), adjacency(tiling, names),
             _types_reference(tiling, rule))):
         rec = {"id": name, "level": tiling.level, "owner": owner,
-               "ideal": bool(tiling.ideal[i]), "parent": parent,
-               "adjacent": [list(p) for p in adjacent]}
-        if not tiling.ideal[i]:
-            rec["cells"] = [[[gens[k], s] for k, s in c] for c in tiling.cells(i)]
-            rec["covered_clique"] = [gens[k] for k in tiling.covered_clique(i)]
-            if rule is not None:
-                rec["type"] = type_name
-                rec["type_coalesced"] = rule.coalesced_of.get(type_name)
+               "ideal": False, "parent": parent,
+               "adjacent": [list(p) for p in adjacent],
+               "cells": [[[gens[k], s] for k, s in c] for c in tiling.cells(i)],
+               "covered_clique": [gens[k] for k in tiling.covered_clique(i)]}
+        if rule is not None:
+            rec["type"] = type_name
+            rec["type_coalesced"] = rule.coalesced_of.get(type_name)
         yield rec
     for name, owner, facet, parent in tiling.ideal_tiles():
         yield {"id": name, "level": tiling.level,
@@ -258,7 +274,8 @@ def tiling_json_reference(tiling, rule=None):
 def tiling_dot_reference(tiling, rule=None, name="tiling"):
     lines = ["graph %s {" % name]
     names = tiling.names()
-    nodes = list(zip(names, tiling.ideal, _types_reference(tiling, rule)))
+    nodes = [(tid, False, type_name) for tid, type_name
+             in zip(names, _types_reference(tiling, rule))]
     nodes += [(tid, True, None) for tid, _, _, _ in tiling.ideal_tiles()]
     for tid, ideal, type_name in nodes:
         label = tid
@@ -285,6 +302,7 @@ def history_dot_reference(history, name="history"):
     flat = {t.first + i: tid for t, level in zip(history.tilings, names)
             for i, tid in enumerate(level)}   # by vertex
     lines += ['  "%s";' % flat[v] for v in history.vertices]
+    vertex_names = {flat[v] for v in history.vertices}
     parents = [(history.name(ROOT), ROOT)]
     parents += [(flat[v], v) for v in range(history.tilings[0].first,
                                             history.tilings[-1].first)]
@@ -294,10 +312,10 @@ def history_dot_reference(history, name="history"):
     for n, t in enumerate(history.tilings):
         seen = set()
         rows = adjacency(t, names[n])
-        for i in t.nonideal():
-            for o, _ in rows[i]:
-                key = tuple(sorted((names[n][i], o)))
-                if key not in seen:
+        for v in history.level_tiles(n):
+            for o, _ in rows[v - t.first]:
+                key = tuple(sorted((flat[v], o)))
+                if key not in seen and o in vertex_names:
                     seen.add(key)
                     lines.append('  "%s" -> "%s" [dir=none, style=dashed];' % key)
     lines.append("}")
@@ -306,8 +324,9 @@ def history_dot_reference(history, name="history"):
 
 def tiling_svg_reference(tiling, rule=None, seed=0):
     names = tiling.names()
-    tiles = list(zip(names, tiling.parent_names(),
-                     _types_reference(tiling, rule), tiling.ideal))
+    tiles = [(tid, parent, type_name, False) for tid, parent, type_name
+             in zip(names, tiling.parent_names(),
+                    _types_reference(tiling, rule))]
     tiles += [(tid, parent, None, True)
               for tid, _, _, parent in tiling.ideal_tiles()]
     order = sorted(tiles, key=lambda t: (t[1] or "", t[0]))

@@ -21,8 +21,9 @@ from subdivlab.tiling import (build_history, build_tilings,
                               descriptor_crosscheck, extract_rule)
 from subdivlab.words import parse_word, state_of_word
 from conftest import (all_graphs_up_to_iso, edge_plus_vertex, free3,
-                      get_ball, get_rule, get_tilings, graph_from_edges,
-                      path3, predecessor_word, single, triangle)
+                      get_ball, get_history, get_rule, get_tilings,
+                      graph_from_edges, path3, predecessor_word, single,
+                      triangle)
 
 from subdivlab.cubes import CubeComplexSpec, Edge
 
@@ -129,11 +130,11 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_growth_dichotomy(class_tilings):
-    g = growth(get_tilings("triangle"), get_rule("triangle"))
+    g = growth(get_history("triangle"), get_rule("triangle"))
     assert g.classification() == ("polynomial", 2)
-    g = growth(get_tilings("free3"), get_rule("free3"))
+    g = growth(get_history("free3"), get_rule("free3"))
     assert g.classification() == ("exponential", 5)
-    g = growth(get_tilings("edge_plus_vertex"), get_rule("edge_plus_vertex"))
+    g = growth(get_history("edge_plus_vertex"), get_rule("edge_plus_vertex"))
     assert g.kind == "exponential"
 
     rng = random.Random(20260811)
@@ -163,10 +164,10 @@ def test_criterion_5_growth_dichotomy(class_tilings):
     classes = 0
     for d in (1, 2, 3, 4):
         for edges in all_graphs_up_to_iso(d):
-            tilings = class_tilings(d, edges, 3)
-            rule = extract_rule(build_history(tilings))
+            history = build_history(class_tilings(d, edges, 3))
+            rule = extract_rule(history)
             assert rule.stable, (d, edges)
-            g = growth(tilings, rule)
+            g = growth(history, rule)
             complete = graph_from_edges(d, edges).is_complete()
             assert (g.kind == "polynomial") == complete, (d, edges, g.kind)
             if complete:
@@ -181,17 +182,18 @@ def test_criterion_5_growth_dichotomy(class_tilings):
 
 
 def test_criterion_6_ends(class_tilings):
-    assert ends(get_tilings("triangle")).verdict == 1
-    assert ends(get_tilings("path3")).verdict == 1
-    assert ends(get_tilings("single")).verdict == 2
-    assert ends(get_tilings("free3")).verdict == "unbounded"
-    assert ends(get_tilings("edge_plus_vertex")).verdict == "unbounded"
+    assert ends(get_history("triangle")).verdict == 1
+    assert ends(get_history("path3")).verdict == 1
+    assert ends(get_history("single")).verdict == 2
+    assert ends(get_history("free3")).verdict == "unbounded"
+    assert ends(get_history("edge_plus_vertex")).verdict == "unbounded"
 
     checked = 0
     for d in (1, 2, 3, 4):
         for edges in all_graphs_up_to_iso(d):
             graph = graph_from_edges(d, edges)
-            verdict = ends(class_tilings(d, edges, 3), window=3).verdict
+            verdict = ends(build_history(class_tilings(d, edges, 3)),
+                           window=3).verdict
             disconnected = _is_disconnected(graph)
             assert (verdict == "unbounded") == disconnected, (d, edges, verdict)
             if not disconnected:
@@ -314,12 +316,12 @@ def test_criterion_9_special_pruning():
     loop_a = CubeComplexSpec(sq, ["v"], [Edge("e_a", "v", "v", 0, 1)], [])
     lifts = lift_basepoints(loop_a, sq, ball, ball.N)
     # raises on any violation
-    pr = prune_history(build_history(ts), lifts, ball, rule)
+    pr = prune_history(build_history(ts), lifts, rule)
     assert pr.tile_counts == [2, 2, 2, 2]
-    assert ends(pr.tilings).verdict == 2
+    assert ends(pr.history).verdict == 2
 
     full = lift_basepoints(salvetti_spec(sq), sq, ball, ball.N)
-    pr_full = prune_history(build_history(ts), full, ball, rule)
+    pr_full = prune_history(build_history(ts), full, rule)
     assert pr_full.tile_counts == [len(t.nonideal()) for t in ts]
     assert all(k == v for k, v in pr_full.containment["mapping"].items())
 
@@ -328,11 +330,11 @@ def test_criterion_9_special_pruning():
     pts = get_tilings("path3")
     prule = get_rule("path3")
     ind = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, pball, pball.N)
-    pr_ind = prune_history(build_history(pts), ind, pball, prule)
+    pr_ind = prune_history(build_history(pts), ind, prule)
     standalone = [len(t.nonideal()) for t in ts]
     assert pr_ind.tile_counts == standalone
-    assert growth(pr_ind.tilings, pr_ind.rule).counts == \
-        growth(ts, rule).counts
+    assert growth(pr_ind.history, pr_ind.rule).counts == \
+        growth(get_history("square"), rule).counts
     ok(9, "loop-a pruning: growth [2,2,2,2], ends 2; full complex is the"
           " identity; induced subgraph matches the standalone subgroup"
           " level-by-level; star convexity holds with zero violations")

@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 from array import array
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from subdivlab import oracles
 from subdivlab.cli import RunConfig, main, make_parser
 from subdivlab.exports import SVG_SIZE, tiling_to_svg
 from subdivlab.tiling import Tiling
-from conftest import (adjacency, export_text, get_rule, get_tilings,
-                      json_text, tiling_json_reference)
+from conftest import (adjacency, empty_tiling, export_text, get_rule,
+                      get_tilings, json_text, tiling_json_reference)
 
 
 TRIANGLE = {"generators": ["a", "b", "c"],
@@ -335,6 +336,74 @@ def test_malformed_special_input_exits_2(tmp_path, capsys, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data,message", [
+    (dict(LOOP_A, edges=[dict(LOOP_A["edges"][0], sign=0)]),
+     "edge sign must be 1 or -1, got 0"),
+    (dict(LOOP_A, edges=[dict(LOOP_A["edges"][0], sign=5)]),
+     "edge sign must be 1 or -1, got 5"),
+    (dict(LOOP_A, edges=[dict(LOOP_A["edges"][0], sign=1.5)]),
+     "edge sign must be 1 or -1, got 1.5"),
+    (dict(TORUS, squares=[[["e_a", 1], ["e_z", 1], ["e_a", 0], ["e_z", -1]]]),
+     "malformed square: square orientation must be 1 or -1, got 0"),
+    (dict(TORUS, squares=[[["e_a", 1], ["e_z", 1], ["e_a", "-1"],
+                           ["e_z", -1]]]),
+     "malformed square: square orientation must be 1 or -1, got '-1'"),
+    (dict(LOOP_A, edges=LOOP_A["edges"] + [
+        {"id": "e_a2", "from": "v", "to": "v", "label": "a"}]),
+     "link not injective at v: germ a+ appears 2 times"),
+], ids=["edge-sign-0", "edge-sign-5", "edge-sign-1.5", "square-orientation-0",
+        "square-orientation-string", "repeated-germ"])
+def test_signs_are_one_or_minus_one(tmp_path, capsys, data, message):
+    # a sign of 0 read as reversed, 5 as forward, 1.5 as 1 and "-1" as -1,
+    # and each ran
+    inp = write(tmp_path, "bad.json", data)
+    assert main(["run", inp, "--mode", "special", "--levels", "2",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+# the triangle's one-vertex complex, with its eight 3-cubes named by germs
+TRIANGLE_SALVETTI = {
+    "defining_graph": TRIANGLE,
+    "vertices": ["v"],
+    "edges": [{"id": "e_" + g, "from": "v", "to": "v", "label": g}
+              for g in "abc"],
+    "squares": [[["e_" + x, 1], ["e_" + y, 1], ["e_" + x, -1], ["e_" + y, -1]]
+                for x, y in TRIANGLE["edges"]],
+    "cubes": [{"vertex": "v", "germs": [["a", i], ["b", j], ["c", k]]}
+              for i, j, k in product((1, -1), repeat=3)]}
+
+
+def _with_germs(germs):
+    return dict(TRIANGLE_SALVETTI, cubes=TRIANGLE_SALVETTI["cubes"][1:] + [
+        {"vertex": "v", "germs": germs}])
+
+
+@pytest.mark.parametrize("data,code,message", [
+    (TRIANGLE_SALVETTI, 0, ""),
+    (dict(TRIANGLE_SALVETTI, cubes=[]), 2,
+     "error: strict mode: corner cube missing at v for germs "
+     "['a-', 'b-', 'c-']\n"),
+    (_with_germs([["a", 1], ["b", 1], ["q", 1]]), 2,
+     "error: unknown cube germ label 'q'\n"),
+    (_with_germs([["a", 1], ["b", 1], ["c", 0]]), 2,
+     "error: cube germ sign must be 1 or -1, got 0\n"),
+    (_with_germs([[0, 1], [1, 1], [2, 1]]), 2,
+     "error: unknown cube germ label 0\n"),
+    (_with_germs([["a", 1], ["b", 1], ["c"]]), 2,
+     "error: cube germ ['c'] is not [label, sign]\n"),
+], ids=["named", "no-cubes", "unknown-label", "sign-0", "generator-index",
+        "one-item-germ"])
+def test_strict_mode_reads_cube_germs_by_name(tmp_path, capsys, data, code,
+                                              message):
+    # the germs were compared as raw JSON with (index, sign) pairs, so named
+    # germs never matched and strict mode asked for every cube
+    inp = write(tmp_path, "complex.json", data)
+    assert main(["run", inp, "--mode", "special", "--levels", "2",
+                 "--strict-cubes", "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == message
+
+
 def _nest(inner):
     return (st.lists(inner, max_size=4)
             | st.dictionaries(st.text(max_size=4), inner, max_size=3))
@@ -468,10 +537,9 @@ def tiling_isomorphic(tiling, imported) -> bool:
     the same names, and per tile the same neighbours with labels, ideal
     flag and parent."""
     names = tiling.names()
-    tiles = [(name, [tuple(p) for p in adjacent], bool(flag), parent)
-             for name, adjacent, flag, parent in zip(
-                 names, adjacency(tiling, names), tiling.ideal,
-                 tiling.parent_names())]
+    tiles = [(name, [tuple(p) for p in adjacent], False, parent)
+             for name, adjacent, parent in zip(
+                 names, adjacency(tiling, names), tiling.parent_names())]
     tiles += [(name, [], True, parent)
               for name, _, _, parent in tiling.ideal_tiles()]
     if sorted(t[0] for t in tiles) != sorted(imported.by_id):
@@ -498,8 +566,7 @@ def test_streamed_json_matches_json_dump():
     # writes for the whole object; with ideal tiles (path3), a rule, none,
     # and no tile at all
     tilings = get_tilings("path3", 3)
-    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, 0, array("q"),
-                   bytearray())
+    empty = empty_tiling()
     for tiling, rule in ((tilings[1], get_rule("path3", 3)),
                          (tilings[2], None), (empty, None)):
         assert json_text(tiling, rule) == tiling_json_reference(tiling, rule)

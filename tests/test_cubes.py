@@ -13,8 +13,8 @@ from subdivlab.invariants import ends, growth
 from subdivlab.tiling import build_history, build_tilings, extract_rule
 from subdivlab import words
 from subdivlab.words import empty_state
-from conftest import (all_graphs_up_to_iso, get_ball, get_rule, get_tilings,
-                      nf_key, path3, square)
+from conftest import (all_graphs_up_to_iso, get_ball, get_history, get_rule,
+                      get_tilings, nf_key, path3, square)
 
 
 def loop_a_spec(graph):
@@ -162,13 +162,13 @@ def test_prune_loop_a():
     ts = get_tilings("square")
     rule = get_rule("square")
     lifts = lift_basepoints(loop_a_spec(g), g, ball, ball.N)
-    pr = prune_history(build_history(ts), lifts, ball, rule)
+    pr = prune_history(build_history(ts), lifts, rule)
     assert pr.tile_counts == [2, 2, 2, 2]
     assert pr.tile_counts == lifts.level_sizes[1:5]
     assert pr.containment["injective"]
-    pg = growth(pr.tilings, pr.rule)
+    pg = growth(pr.history, pr.rule)
     assert pg.classification() == ("polynomial", 0)
-    pe = ends(pr.tilings)
+    pe = ends(pr.history)
     assert pe.verdict == 2
 
 
@@ -179,8 +179,8 @@ def test_prune_full_salvetti_is_identity():
     rule = get_rule("square")
     lifts = lift_basepoints(salvetti_spec(g), g, ball, ball.N)
     history = build_history(ts)
-    pr = prune_history(history, lifts, ball, rule)
-    # no tile is re-flagged: the ambient history and rule, not copies
+    pr = prune_history(history, lifts, rule)
+    # every tile's owner lifts: the ambient history and rule, not copies
     assert pr.history is history and pr.rule is rule
     assert pr.tile_counts == [len(t.nonideal()) for t in ts]
     assert pr.rule.stable
@@ -195,14 +195,14 @@ def test_prune_induced_matches_standalone():
     ts = get_tilings("path3")
     rule = get_rule("path3")
     lifts = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, ball, ball.N)
-    pr = prune_history(build_history(ts), lifts, ball, rule)
+    pr = prune_history(build_history(ts), lifts, rule)
     standalone = [len(t.nonideal()) for t in get_tilings("square")]
     assert pr.tile_counts == standalone
-    pg = growth(pr.tilings, pr.rule)
-    sg = growth(get_tilings("square"), get_rule("square"))
+    pg = growth(pr.history, pr.rule)
+    sg = growth(get_history("square"), get_rule("square"))
     assert pg.counts == sg.counts
     assert pg.classification() == sg.classification()
-    assert ends(pr.tilings).verdict == ends(get_tilings("square")).verdict == 1
+    assert ends(pr.history).verdict == ends(get_history("square")).verdict == 1
 
 
 def test_prune_star_convexity_violation():
@@ -216,7 +216,7 @@ def test_prune_star_convexity_violation():
     broken = LiftSet(members=members,
                      level_sizes=[1, 0] + lifts.level_sizes[2:])
     with pytest.raises(StarConvexityViolation) as err:
-        prune_history(build_history(ts), broken, ball)
+        prune_history(build_history(ts), broken)
     # the first level-2 member, in ball order, names the violation
     assert err.value.element == ball.nf_string(lift_levels(lifts, ball)[2][0])
 
@@ -279,7 +279,7 @@ def test_cone_types_pruned_loop_a():
     ball = get_ball("square")
     ts = get_tilings("square")
     lifts = lift_basepoints(loop_a_spec(g), g, ball, ball.N)
-    pr = prune_history(build_history(ts), lifts, ball)
+    pr = prune_history(build_history(ts), lifts)
     out = cone_types(pr.history, 1)
     assert out["total_classes"] == 2
 

@@ -13,8 +13,8 @@ from subdivlab.cubes import lift_basepoints, prune_history, salvetti_spec
 from subdivlab.exports import (LevelLabels, history_to_dot, tiling_to_dot,
                                tiling_to_json, tiling_to_svg)
 from subdivlab.tiling import Tiling, build_history, build_tilings, extract_rule
-from conftest import (all_graphs_up_to_iso, export_text, get_ball,
-                      get_tilings, history_dot_reference, path3,
+from conftest import (all_graphs_up_to_iso, empty_tiling, export_text,
+                      get_ball, get_tilings, history_dot_reference, path3,
                       tiling_dot_reference, tiling_json_reference,
                       tiling_svg_reference)
 
@@ -47,22 +47,16 @@ def test_exports_match_reference_on_every_small_graph(class_tilings):
             check_exports(history, extract_rule(history))
 
 
-def test_exports_match_reference_on_restricted_tilings():
+def test_exports_match_reference_on_a_pruned_history():
     # path3 lifted to the subgroup on {a, z}, as special mode prunes it: the
-    # tiles over unlifted elements are flagged ideal and keep their edges
+    # history's vertices are the tiles over lifted elements, and the history
+    # DOT holds those and the edges between them
     graph, ball = path3(), get_ball("path3")
     history = build_history(get_tilings("path3", 4))
     lifts = lift_basepoints(salvetti_spec(graph, ["a", "z"]), graph, ball, 4)
-    pruned = prune_history(history, lifts, ball)
-    assert any(any(t.ideal) for t in pruned.tilings)
+    pruned = prune_history(history, lifts)
+    assert len(pruned.history.vertices) < len(history.vertices)
     check_exports(pruned.history, pruned.rule)
-    # every other element dropped: an ideal tile also comes before a
-    # non-ideal neighbour by index, which the subgroup's pruning never gives
-    halved = build_history([t.restricted(bytearray(
-        i % 2 for i in range(ball.starts[-1]))) for t in history.tilings])
-    assert any(t.ideal[i] and not t.ideal[j]
-               for t in halved.tilings for i, j, _ in t.edges())
-    check_exports(halved, None)
 
 
 def test_pair_with_two_labels_is_one_edge():
@@ -71,7 +65,7 @@ def test_pair_with_two_labels_is_one_edge():
     ts = get_tilings("triangle", 3)
     t = ts[1]
     a, b, code = next(t.edges())
-    n, other = len(t.ideal), 0 if code else 1
+    n, other = t.nonideal_count, 0 if code else 1
     doubled = Tiling(t.ball, t.level, t.ideal_count,
                      array("q", list(t.instances) + [(a * n + b) * 4 + other]))
     assert len(doubled.rows[1]) == len(t.rows[1]) + 2
@@ -80,8 +74,7 @@ def test_pair_with_two_labels_is_one_edge():
 
 def test_exports_match_reference_without_rule_and_without_tiles():
     check_exports(build_history(get_tilings("path3", 3)), None)
-    empty = Tiling(get_tilings("triangle", 3)[0].ball, 0, 0, array("q"),
-                   bytearray())
+    empty = empty_tiling()
     assert (export_text(tiling_to_json, empty)
             == '{\n  "level": 0,\n  "tiles": []\n}')
     assert export_text(tiling_to_dot, empty) == tiling_dot_reference(empty)
@@ -115,7 +108,7 @@ def test_dot_and_svg_hold_no_whole_text(tmp_path):
     t = build_tilings(build_ball(DefiningGraph(
         ["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]]), 4), 4)[3]
     labels = LevelLabels(t)
-    for attr in ("rows", "ideal", "parents"):
+    for attr in ("rows", "ideal_tiles", "parents"):
         getattr(labels, attr)
     for export, budget in ((tiling_to_dot, 16), (tiling_to_svg, 256)):
         gc.collect()

@@ -1,12 +1,15 @@
-"""Byte-identical outputs of the four benchmark runs and two more, pinned by
+"""Byte-identical outputs of the four benchmark runs and more, pinned by
 sha256.
 
 `c4-raag-3-all-exports` pins every export of a graph with ideal tiles: its
 tiling JSON, DOT and SVG files print each ideal tile with its parent id and
-facet.  `path3-az-special-5` pins a partial lift, whose pruned tilings are
-restricted ones (tiles over unlifted elements re-flagged ideal).  Both were
-recorded before tiles became indices into their level and ideal tiles came
-to be formed on demand.  `p4-raag-4` pins P4 at depth 4, whose diameters
+facet.  `path3-az-special-5` pins a partial lift, whose pruned history
+holds only the tiles over lifted elements.  Both were recorded before tiles
+became indices into their level and ideal tiles came to be formed on
+demand.  `path3-az-special-2` and `path3-az-special-3` pin the same partial
+lift with no rule (below three levels) and at three levels; they were
+recorded before a pruned history came to be the ambient tilings plus a
+member set.  `p4-raag-4` pins P4 at depth 4, whose diameters
 grow quadratically; it was recorded before the ball's elements came to be
 numbered by one global index.
 
@@ -114,6 +117,18 @@ RUNS = {
             "86e9aa6b018cede9121994548256a19dcf5911a6c36390aa92b7a7c8eea7ab48",
         "report.json":
             "ade512cb9757df4b5290f98a21357e497121c184b8248c274e899570cc3c4b31",
+    }),
+    "path3-az-special-2": (PATH3_AZ, ["--mode", "special", "--levels", "2"], {
+        "counts.csv":
+            "7cc1bf881148170326850e4e7d1c8151414334695b7ea7ebbbd76cbe98d035fa",
+        "report.json":
+            "50f593d94c11c69a1dda2127353c0088ed98d43235f2bd18a38e831732b04c8e",
+    }),
+    "path3-az-special-3": (PATH3_AZ, ["--mode", "special", "--levels", "3"], {
+        "counts.csv":
+            "92c815a35f310ff13839be675b6452d894b6fe06e022bfd2973bed62f97f768b",
+        "report.json":
+            "7919a65042739d83b7fb9d590f75e1eb20c0686627ae01c06f666046bba30aee",
     }),
     "triangle-raag-5-all-exports": (TRIANGLE, [
         "--mode", "raag", "--levels", "5",

@@ -16,8 +16,8 @@ from subdivlab.invariants import (ECC_BLOCK, _bfs, _dual_graph, _eccentricities,
                                   minimal_recurrence, polynomial_degree,
                                   spectral_radius_exceeds_one)
 from subdivlab.tiling import Tiling, build_history, build_tilings, extract_rule
-from conftest import (all_graphs_up_to_iso, get_ball, get_rule, get_tilings,
-                      graph_from_edges)
+from conftest import (all_graphs_up_to_iso, get_ball, get_history, get_rule,
+                      get_tilings, graph_from_edges)
 
 
 def test_minimal_recurrence():
@@ -75,18 +75,18 @@ def test_spectral_radius_test():
 
 
 def test_growth_reports():
-    g = growth(get_tilings("triangle"), get_rule("triangle"))
+    g = growth(get_history("triangle"), get_rule("triangle"))
     assert g.classification() == ("polynomial", 2)
     assert g.counts == [26, 98, 218, 386]
-    g = growth(get_tilings("free3"), get_rule("free3"))
+    g = growth(get_history("free3"), get_rule("free3"))
     assert g.classification() == ("exponential", 5)
     assert g.counts == [6, 30, 150, 750]
-    g = growth(get_tilings("single"), get_rule("single"))
+    g = growth(get_history("single"), get_rule("single"))
     assert g.classification() == ("polynomial", 0)
     assert g.counts == [2, 2, 2, 2]
-    g = growth(get_tilings("path3"), get_rule("path3"))
+    g = growth(get_history("path3"), get_rule("path3"))
     assert g.kind == "exponential"
-    g = growth(get_tilings("edge_plus_vertex"), get_rule("edge_plus_vertex"))
+    g = growth(get_history("edge_plus_vertex"), get_rule("edge_plus_vertex"))
     assert g.kind == "exponential"
 
 
@@ -97,15 +97,15 @@ def test_growth_ratios_from_the_rule():
     for name, count, ratio in (("free3", None, 5), ("c4", 3, 9),
                                ("path3", None, 3),
                                ("edge_plus_vertex", None, 5.428639)):
-        g = growth(get_tilings(name, count), get_rule(name, count))
+        g = growth(get_history(name, count), get_rule(name, count))
         assert g.classification() == ("exponential", ratio), name
         assert type(g.ratio) is type(ratio), name
-    g = growth(get_tilings("path3"), get_rule("path3"))
+    g = growth(get_history("path3"), get_rule("path3"))
     assert g.recurrence == ["7", "-15", "9"]
 
 
 def test_growth_k4_three_levels():
-    g = growth(get_tilings("k4", 3), get_rule("k4", 3))
+    g = growth(get_history("k4", 3), get_rule("k4", 3))
     assert g.recurrence == ["4", "-6", "4", "-1"]          # (x - 1)^4
     # the degree is still fitted to the observed counts, and 3 are too few;
     # perfbench/expected.json pins the k4-clique workload's classification
@@ -121,13 +121,14 @@ def test_rule_replay_matches_tile_counts_every_small_graph():
         for edges in all_graphs_up_to_iso(d):
             tilings = build_tilings(build_ball(graph_from_edges(d, edges),
                                                levels), levels)
-            rule = extract_rule(build_history(tilings))
+            history = build_history(tilings)
+            rule = extract_rule(history)
             assert rule.stable, (d, edges)
             counts0 = Counter(rule.coalesced_of[rule.type_of[0][i]]
                               for i in tilings[0].nonideal())
             assert rule.replay(counts0, levels - 1) == \
                 [len(t.nonideal()) for t in tilings], (d, edges)
-            growth(tilings, rule)
+            growth(history, rule)
 
 
 def test_growth_replay_mismatch_raises():
@@ -136,29 +137,29 @@ def test_growth_replay_mismatch_raises():
     with pytest.raises(InvariantViolation,
                        match="replay gives 24 non-ideal tiles, the tiling "
                              "has 30 at tiling \\(level 1\\)"):
-        growth(get_tilings("free3"), broken)
+        growth(get_history("free3"), broken)
 
 
 def test_growth_counts_match_spheres():
     for name in ("triangle", "path3", "free3", "edge_plus_vertex"):
         ball = get_ball(name)
-        g = growth(get_tilings(name), get_rule(name))
+        g = growth(get_history(name), get_rule(name))
         assert g.counts == ball.sphere_sizes()[1:len(g.counts) + 1]
 
 
 def test_growth_underdetermined():
     with pytest.raises(ValueError):
-        growth(get_tilings("triangle", 3))
+        growth(get_history("triangle", 3))
 
 
 def test_ends_verdicts():
-    assert ends(get_tilings("triangle")).verdict == 1
-    assert ends(get_tilings("path3")).verdict == 1
-    assert ends(get_tilings("single")).verdict == 2
-    f = ends(get_tilings("free3"))
+    assert ends(get_history("triangle")).verdict == 1
+    assert ends(get_history("path3")).verdict == 1
+    assert ends(get_history("single")).verdict == 2
+    f = ends(get_history("free3"))
     assert f.verdict == "unbounded" and f.counts == [6, 30, 150, 750]
-    assert ends(get_tilings("edge_plus_vertex")).verdict == "unbounded"
-    assert ends(get_tilings("square")).verdict == 1
+    assert ends(get_history("edge_plus_vertex")).verdict == "unbounded"
+    assert ends(get_history("square")).verdict == 1
 
 
 def test_mesh_certificates():
@@ -293,14 +294,14 @@ def test_orbit_eccentricities_match_every_source(name):
     else:
         tilings = get_tilings(name, None if name == "path3" else 3)
     for t in tilings:
-        tiles, nbrs, pos = _dual_graph(t)
-        first = _inversion_orbits(t, tiles, nbrs, pos)
+        nbrs = _dual_graph(t)
+        first = _inversion_orbits(t, nbrs)
         sources = [v for v, f in enumerate(first) if f == v]
         if t.level > 0:
-            assert len(sources) < len(tiles)
+            assert len(sources) < len(nbrs)
         ecc_of = dict(zip(sources, _eccentricities(nbrs, sources)))
         assert ([ecc_of[f] for f in first]
-                == _eccentricities(nbrs, range(len(tiles))))
+                == _eccentricities(nbrs, range(len(nbrs))))
 
 
 def test_inversion_check_catches_a_missing_edge():

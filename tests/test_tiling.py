@@ -84,15 +84,13 @@ def test_adjacency_symmetric_and_local():
         ball = get_ball(name)
         ts = get_tilings(name)
         t = ts[1]
-        rows = adjacency(t, range(len(t.ideal)))
+        rows = adjacency(t, t.nonideal())
         for i in t.nonideal():
             for other, label in rows[i]:
                 assert (i, label) in rows[other]
                 # owners differ by one diagonal move
                 g = t.owner_of(i)
                 h = t.owner_of(other)
-                if t.ideal[other]:
-                    continue
                 assert any(words.apply_letters(g, ball.graph, m) == h
                            for m in ball.moves)
 
@@ -281,36 +279,47 @@ def test_history_single_generator_is_two_rays():
 
 def check_history_view(h):
     """The history graph read as a view of the ball: each vertex is its
-    owner's ball index, the origin is the identity's, each vertex's children
-    are the next level's non-ideal tiles whose owner's predecessor it is,
-    and `locate`/`name` agree with the tilings."""
+    owner's ball index, the origin is the identity's, the vertices are the
+    tiles whose owners `h.members` flags, each vertex's children are the
+    next level's vertices whose owner's predecessor it is, its horizontal
+    neighbours are the vertices among its tile's neighbours, and
+    `locate`/`name` agree with the tilings."""
     ball = h.ball
     assert ROOT == 0 and ball.pred[ROOT] == -1 and h.name(ROOT) == "origin"
     vertices = []
+    levels = []        # per level, its vertices
     parents = [ROOT]   # ROOT, then every stored tile but the deepest level's
     for n, t in enumerate(h.tilings):
         names = t.names()
-        for i in range(len(t.ideal)):
+        levels.append([])
+        for i in t.nonideal():
             v = ball.index[t.owner_of(i)]
             assert v == t.first + i
             assert h.locate(v) == (n, i) and h.name(v) == names[i]
-            if not t.ideal[i]:
+            if h.members[v]:
                 vertices.append(v)
+                levels[n].append(v)
             if n + 1 < len(h.tilings):
                 parents.append(v)
     assert list(h.vertices) == vertices
-    for n, t in enumerate(h.tilings):
-        assert h.level_tiles(n) == [t.first + i for i in t.nonideal()]
-    # a scan of each level's non-ideal tiles, in index order, by the
-    # predecessor of each one's owner
+    for n, level in enumerate(levels):
+        assert h.level_tiles(n) == level
+    # a scan of each level's vertices, in index order, by the predecessor of
+    # each one's owner; a vertex's parent is ROOT or a vertex
     scanned = {v: [] for v in parents}
-    for t in h.tilings:
-        for i in t.nonideal():
-            scanned[ball.pred[t.first + i]].append(t.first + i)
+    for v in vertices:
+        scanned[ball.pred[v]].append(v)
+        assert ball.pred[v] == ROOT or h.members[ball.pred[v]]
     for v in parents:
         assert list(h.children(v)) == scanned[v], h.name(v)
     for v in h.level_tiles(len(h.tilings) - 1):
         assert len(h.children(v)) == 0
+    members = set(vertices)
+    for v in vertices:
+        n, i = h.locate(v)
+        t = h.tilings[n]
+        assert h.horizontal_neighbors(v) == [
+            t.first + j for j in t.neighbors(i) if t.first + j in members]
 
 
 def test_history_is_a_view_of_the_ball(class_tilings):
@@ -319,14 +328,32 @@ def test_history_is_a_view_of_the_ball(class_tilings):
             check_history_view(build_history(class_tilings(d, edges, 3)))
 
 
-def test_restricted_history_is_a_view_of_the_ball():
-    # path3 pruned to the subgroup on {a, z}: its restricted tilings flag
-    # the tiles over unlifted elements ideal
+def pruned_path3_az():
+    """path3's history pruned to the subgroup on {a, z}, and the lifts."""
     p, ball = path3(), get_ball("path3")
     lifts = lift_basepoints(salvetti_spec(p, ["a", "z"]), p, ball, ball.N)
-    pruned = prune_history(build_history(get_tilings("path3")), lifts, ball)
-    assert any(1 in t.ideal for t in pruned.tilings)
-    check_history_view(pruned.history)
+    return prune_history(build_history(get_tilings("path3")), lifts), lifts
+
+
+def test_pruned_history_is_a_view_of_the_ball():
+    # the pruned history keeps the ambient tilings and picks as its
+    # vertices the tiles over lifted elements
+    pruned, lifts = pruned_path3_az()
+    h = pruned.history
+    assert h.tilings == get_tilings("path3") and h.members is lifts.members
+    assert 0 < len(h.vertices) < sum(len(t.nonideal()) for t in h.tilings)
+    check_history_view(h)
+
+
+def test_pruned_level_tiles_count_the_lifts():
+    # a partial lift: each level's vertices are its tiles over lifted
+    # elements, and tiling level n reads ball level n + 1
+    pruned, lifts = pruned_path3_az()
+    h = pruned.history
+    for n, t in enumerate(h.tilings):
+        assert len(h.level_tiles(n)) == lifts.level_sizes[n + 1]
+        assert len(h.level_tiles(n)) < len(t.nonideal())
+    assert pruned.tile_counts == lifts.level_sizes[1:len(h.tilings) + 1]
 
 
 def test_extract_rule_triangle():
@@ -350,27 +377,6 @@ def test_extract_rule_triangle():
         cur = nxt
         totals.append(sum(cur.values()))
     assert totals == [26, 98, 218, 386]
-
-
-def test_restricted_reflags_tiles_and_shares_adjacency():
-    ts = get_tilings("path3", 3)
-    ball = ts[1].ball
-    owners = {ts[1].owner_of(i) for i in ts[1].nonideal()[::2]}
-
-    def flags(owners):
-        # one byte per ball element, set for the given owners
-        return bytearray(g in owners for level in ball.levels for g in level)
-
-    r = ts[1].restricted(flags(owners))
-    assert r.rows is ts[1].rows and r.instances is ts[1].instances
-    assert r.names() == ts[1].names() and len(r.tiles) == len(ts[1].tiles)
-    assert set(r.nonideal()) == \
-        {i for i in ts[1].nonideal() if ts[1].owner_of(i) in owners}
-    # the base tiling keeps its own flags
-    assert not any(ts[1].ideal)
-    # a restriction that flags no tile is the tiling itself
-    assert ts[1].restricted(flags({ts[1].owner_of(i)
-                                   for i in ts[1].nonideal()})) is ts[1]
 
 
 def test_tilings_stay_compact():
