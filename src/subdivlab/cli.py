@@ -107,7 +107,12 @@ def run(config: RunConfig) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
 
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:   # an existing file, or a path under one
+        print("error: cannot create the output directory: %s" % exc,
+              file=sys.stderr)
+        return EXIT_PARSE
     if config.mode == "special":
         violation = check_local_isometry(spec, graph, strict=config.strict_cubes)
         if violation is not None:

@@ -430,10 +430,8 @@ def mesh_certificate(rule) -> MeshReport:
         if sum(t.children.values()) == 1:
             child = next(iter(t.children))
             edges[("tile", t.name)].add(("tile", child))
-    for key, rec in rule.interface_classes.items():
-        node = ("iface",) + key
-        for cont in rec["continuations"]:
-            edges[node].add(("iface",) + cont)
+    for key, cont in rule.interface_classes:
+        edges[("iface",) + key].add(("iface",) + cont)
 
     # cycle detection
     color = {}

@@ -32,11 +32,16 @@ ball index, and the origin is the identity's, 0.  Pruning to a subgroup
 keeps the same tilings and picks the vertices whose owners lift: a
 history's member set is one flag per ball index.
 
-Rule extraction refines the initial partition (covered clique, region shape)
-by child-type multisets and by the adjacency structure *among* the children,
-until the partition is stable across the observed levels.  Within-level
+Rule extraction is colour refinement on the history, with int colours
+from one table for all rounds and one int array per round, indexed by
+vertex.  It starts from (covered clique, region shape) and refines by the
+children's colours and by the adjacency structure *among* the children.
+Refinement only splits classes, so a round is stable when the next one
+has as many classes on the levels that both read in full.  Within-level
 neighbour degrees are deliberately not used: they vary with the position of
-a tile in the sphere, while the subdivision behaviour does not.
+a tile in the sphere, while the subdivision behaviour does not.  Interface
+persistence, for the mesh certificate, is a set of (interface class,
+continuation class) pairs.
 """
 
 from __future__ import annotations
@@ -362,8 +367,6 @@ class RuleType:
     clique: tuple
     shape: tuple
     children: Counter
-    internal: Counter
-    count: int
     example: int               # the first tile of the type, a history vertex
     coalesced: str = ""
 
@@ -377,7 +380,7 @@ class SubdivisionRule:
     coalesced_children: dict   # coalesced name -> Counter
     stable: bool
     unstable_detail: list
-    interface_classes: dict    # see mesh certificate
+    interface_classes: set     # (class, continuation class): the mesh reads it
     split_report: dict         # initial class -> number of refined types
 
     def replay(self, counts0: Counter, steps: int):
@@ -400,21 +403,27 @@ class SubdivisionRule:
 
 
 def extract_rule(history: HistoryGraph) -> SubdivisionRule:
-    """Partition-refinement extraction of the subdivision rule from the
-    history's tiles and their children.  Signatures are lists indexed by
-    vertex; where a tie is broken, it is broken by tile name.
-    The vertices of the levels below n are the ball indices below
+    """Colour refinement of the history's tiles by their children.  Round
+    j + 1 colours a tile by its round-j colour, its children's and its
+    internal pairs' (the labelled edges between two of its children); round
+    j is stable when round j + 1 has as many classes on the levels below
+    `deepest - j`.  Where a tie is broken, it is broken by tile name.  The
+    vertices of the levels below n are the ball indices below
     `ball.starts[n + 1]`."""
     tilings = history.tilings
     if len(tilings) < 3:
         raise ValueError("need at least 3 consecutive levels")
     graph = tilings[0].graph
     ball = history.ball
-    starts, pred = ball.starts, ball.pred
+    starts, pred, moves = ball.starts, ball.pred, ball.pred_move
     deepest = len(tilings) - 1
     vertices = history.vertices
     kids = history.children
     members = history.members
+
+    def below(n):
+        # the vertices of the levels below n, a prefix of `vertices`
+        return vertices[:bisect_left(vertices, starts[n + 1])]
 
     internal_pairs = defaultdict(list)  # parent -> [(child1, child2, label)]
     for t in tilings[1:]:
@@ -422,56 +431,46 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
             a, b = t.first + a, t.first + b
             pa = pred[a]
             if pa == pred[b] and members[a] and members[b]:
-                internal_pairs[pa].append((a, b, LABELS[label]))
+                internal_pairs[pa].append((a, b, label))
 
-    # depth-limited signatures, starting from (covered clique, shape), which
-    # depend on the covering move only
-    raw = {}
-    raw_sig = [None] * starts[deepest + 2]
+    table = {}   # colour key -> colour, for every round
+    raw = {}     # covering move -> its round-0 colour
+    rounds = [array("i", [-1]) * starts[deepest + 2]]
     for v in vertices:
-        key = ball.pred_move[v]
-        if key not in raw:
-            raw[key] = ("raw", support(key), _shape(ball, v))
-        raw_sig[v] = raw[key]
-    sig = [raw_sig]
-    below = starts[deepest + 1]   # the vertices with children below them
+        move = moves[v]
+        if move not in raw:
+            raw[move] = table.setdefault((support(move), _shape(ball, v)),
+                                         len(table))
+        rounds[0][v] = raw[move]
+    window = starts[deepest + 1]   # the tiles below it have children
+    parents = below(deepest)
 
-    def refine_once(prev_sig):
-        nxt = list(prev_sig)
-        for v in vertices:
-            if v < below:
-                ch = tuple(sorted(prev_sig[c] for c in kids(v)))
-                internal = tuple(sorted(
-                    (tuple(sorted((prev_sig[a], prev_sig[b]))), lab)
-                    for a, b, lab in internal_pairs.get(v, ())))
-                nxt[v] = (prev_sig[v], ch, internal)
-        return nxt
-
-    def partition_on(signature, universe):
-        groups = defaultdict(list)
-        for v in universe:
-            groups[signature[v]].append(v)
-        return frozenset(frozenset(g) for g in groups.values())
+    def refine_once(prev):
+        cur = array("i", prev)
+        for v in parents:
+            key = (prev[v], tuple(sorted(prev[c] for c in kids(v))),
+                   tuple(sorted((tuple(sorted((prev[a], prev[b]))), label)
+                                for a, b, label in internal_pairs.get(v, ()))))
+            cur[v] = table.setdefault(key, len(table))
+        return cur
 
     stable = False
-    j_stable = None
     for j in range(deepest):
-        sig.append(refine_once(sig[-1]))
-        universe = [v for v in vertices if v < starts[deepest - j + 1]]
-        if partition_on(sig[j + 1], universe) == partition_on(sig[j], universe):
+        rounds.append(refine_once(rounds[j]))
+        universe = below(deepest - j)
+        if (len({rounds[j + 1][v] for v in universe})
+                == len({rounds[j][v] for v in universe})):
+            rounds.pop()   # round j is the last one read
             stable = True
-            j_stable = j
             break
-    if j_stable is None:
-        j_stable = len(sig) - 1
 
-    # final types from the stable signature on tiles with enough depth below
-    final_sig = sig[j_stable]
-    core_levels = len(tilings) - j_stable
-    core = [v for v in vertices if v < starts[core_levels + 1]]
+    # final types from the last round on the levels it reads a full round
+    # deep, and the deeper levels from the deepest round they support
+    core_levels = deepest + 2 - len(rounds)
+    core = below(core_levels)
     classes = defaultdict(list)
     for v in core:
-        classes[final_sig[v]].append(v)
+        classes[rounds[-1][v]].append(v)
 
     def first_member(members):
         # (level, name) of the first member: members are in vertex order,
@@ -488,15 +487,14 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
         for v in members:
             type_of[v] = name
 
-    # deep tiles: resolve through the deepest signature they support
     unresolved = []
     for n in range(core_levels, len(tilings)):
-        depth = deepest - n
-        by = defaultdict(set)   # signature -> types of the core tiles with it
+        colours = rounds[deepest - n]
+        by = defaultdict(set)   # colour -> types of the core tiles with it
         for u in core:
-            by[sig[depth][u]].add(type_of[u])
+            by[colours[u]].add(type_of[u])
         for v in history.level_tiles(n):
-            cands = by.get(sig[depth][v], set())
+            cands = by.get(colours[v], set())
             if len(cands) == 1:
                 type_of[v] = next(iter(cands))
             else:
@@ -505,44 +503,37 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
         unstable_detail.append("tile %s unresolved among %s" % (name, cands))
         type_of[v] = "T?%s" % (cands,)
 
-    # per-type data, consistency of child multisets
-    data = {}
+    # each type from its first tile; every tile with children in the window
+    # must subdivide as its type's first tile does
+    types, internal_of = {}, {}
     for v in vertices:
         name = type_of[v]
-        rec = data.get(name)
-        if rec is None:
-            _, clique, shape = raw_sig[v]
-            rec = data[name] = {"clique": clique, "shape": shape, "count": 0,
-                                "children": None, "internal": None,
-                                "example": v}
-        rec["count"] += 1
-        if v < below:
-            ch = Counter(type_of[c] for c in kids(v))
-            internal = Counter((tuple(sorted((type_of[a], type_of[b]))), lab)
-                               for a, b, lab in internal_pairs.get(v, ()))
-            if rec["children"] is None:
-                rec["children"] = ch
-                rec["internal"] = internal
-            elif rec["children"] != ch or rec["internal"] != internal:
-                unstable_detail.append(
-                    "type %s has inconsistent subdivisions (%s vs %s)"
-                    % (name, dict(rec["children"]), dict(ch)))
+        if v >= window and name in types:
+            continue   # no children in the window to compare
+        children, internal = Counter(), Counter()
+        if v < window:
+            children.update(type_of[c] for c in kids(v))
+            internal.update((tuple(sorted((type_of[a], type_of[b]))), label)
+                            for a, b, label in internal_pairs.get(v, ()))
+        rt = types.get(name)
+        if rt is None:
+            types[name] = RuleType(name, support(moves[v]), _shape(ball, v),
+                                   children, v)
+            internal_of[name] = internal
+        elif rt.children != children or internal_of[name] != internal:
+            unstable_detail.append(
+                "type %s has inconsistent subdivisions (%s vs %s)"
+                % (name, dict(rt.children), dict(children)))
     stable = stable and not unstable_detail
-
-    types = [RuleType(name=name, clique=rec["clique"], shape=rec["shape"],
-                      children=rec["children"] or Counter(),
-                      internal=rec["internal"] or Counter(),
-                      count=rec["count"], example=rec["example"])
-             for name, rec in sorted(data.items())]
+    types = [types[name] for name in sorted(types)]
 
     # coalesce across sign symmetry / graph automorphisms: start from
     # (clique size, shape) and refine by children until consistent
     co = {t.name: ("c", len(t.clique), t.shape) for t in types}
-    children_by_name = {t.name: t.children for t in types}
     while True:
         nxt = {}
         for t in types:
-            ch = tuple(sorted((co[c], m) for c, m in children_by_name[t.name].items()))
+            ch = tuple(sorted((co[c], m) for c, m in t.children.items()))
             nxt[t.name] = (co[t.name], ch)
         if len(set(nxt.values())) == len(set(co.values())):
             break
@@ -583,8 +574,9 @@ def extract_rule(history: HistoryGraph) -> SubdivisionRule:
 
 
 def _interface_classes(history, type_of):
-    """Interface persistence data for the mesh certificate; `type_of` is
-    indexed by vertex.
+    """Interface persistence for the mesh certificate, as the set of
+    (interface class, continuation class) pairs; `type_of` is indexed by
+    vertex and a class is (sorted type pair, label).
 
     The interface between two tiles continues, at the next level, as the
     adjacency instances between their respective children.  Every observed
@@ -598,26 +590,21 @@ def _interface_classes(history, type_of):
     def iclass(a, b, label):
         return (tuple(sorted((type_of[a], type_of[b]))), LABELS[label])
 
-    classes = {}
+    pairs = set()
     for t, nt in zip(tilings, tilings[1:]):
-        nxt_by_parents = defaultdict(list)   # parent pair -> continuations
+        nxt_by_parents = defaultdict(set)   # parent pair -> continuations
         for a, b, label in nt.edges():
             a, b = nt.first + a, nt.first + b
             pa, pb = pred[a], pred[b]
             if pa != pb and members[a] and members[b]:
-                nxt_by_parents[min(pa, pb), max(pa, pb)].append(
+                nxt_by_parents[min(pa, pb), max(pa, pb)].add(
                     iclass(a, b, label))
         for a, b, label in t.edges():
             a, b = t.first + a, t.first + b
-            if not (members[a] and members[b]):
-                continue
-            key = iclass(a, b, label)
-            rec = classes.get(key)
-            if rec is None:
-                rec = classes[key] = {"count": 0, "continuations": Counter()}
-            rec["count"] += 1
-            rec["continuations"].update(nxt_by_parents.get((a, b), ()))
-    return classes
+            if members[a] and members[b]:
+                key = iclass(a, b, label)
+                pairs.update((key, c) for c in nxt_by_parents.get((a, b), ()))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -629,20 +616,16 @@ def descriptor_crosscheck(rule: SubdivisionRule, history: HistoryGraph):
     covered clique, with the descriptor's prediction.  Returns a list of
     mismatch records; an empty list means full agreement."""
     graph, moves = rule.graph, history.ball.pred_move
-    # per type, the empirical children of its first tile at a level that has
-    # children in the observed window
-    reps = {}
-    for t, types in zip(history.tilings[:-1], rule.type_of):
-        for i in t.nonideal():
-            reps.setdefault(types[i], t.first + i)
+    # a type's first tile has children in the observed window when it lies
+    # below the deepest level
+    window = history.ball.starts[len(history.tilings)]
     mismatches = []
     for rt in rule.types:
-        if rt.name not in reps:
+        if rt.example >= window:
             continue
         desc = inflation_descriptor(graph, moves[rt.example])
         expected = Counter(desc.child_clique_counter())
-        got = Counter(support(moves[c])
-                      for c in history.children(reps[rt.name]))
+        got = Counter(support(moves[c]) for c in history.children(rt.example))
         if got != expected:
             mismatches.append({
                 "type": rt.name,

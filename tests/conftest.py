@@ -3,14 +3,16 @@ import io
 import json
 import math
 from array import array
-from itertools import combinations, permutations
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from itertools import combinations, permutations, product
 
 import pytest
 
 from subdivlab import DefiningGraph, build_ball
 from subdivlab.exports import SVG_SIZE, tiling_to_json
-from subdivlab.graphs import cell_str
-from subdivlab.tiling import (LABELS, ROOT, Tiling, build_history,
+from subdivlab.graphs import cell_str, inflation_descriptor, support
+from subdivlab.tiling import (LABELS, ROOT, Tiling, _shape, build_history,
                               build_tiling, build_tilings, extract_rule)
 from subdivlab.words import WordError
 
@@ -50,6 +52,36 @@ def k4():
     return DefiningGraph(["a", "b", "c", "d"],
                          [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
                           ["b", "d"], ["c", "d"]])
+
+
+def genus5_surface():
+    """The closed genus-5 surface in the graph group of the 5-cycle
+    (Servatius, Droms and Servatius, Proc. AMS 106, 1989), as a cube
+    complex input.  Generators a0..a4, with a_i commuting with a_(i+1 mod 5);
+    the vertices are the sign vectors {+, -}^5; each vertex with + in place
+    i has an a_i edge to the vertex with - there; and each commuting pair
+    has a square at each vertex with + in both places.  That is 32
+    vertices, 80 edges and 40 squares (Euler characteristic -8), and every
+    vertex link is the 5-cycle."""
+    gens = ["a%d" % i for i in range(5)]
+    vertices = ["".join(p) for p in product("+-", repeat=5)]
+
+    def flip(v, i):
+        return v[:i] + "-+"[v[i] == "-"] + v[i + 1:]
+
+    def edge(v, i):   # the a_i edge out of v, which has + in place i
+        return "e%d%s" % (i, v)
+
+    edges = [{"id": edge(v, i), "from": v, "to": flip(v, i), "label": gens[i]}
+             for v in vertices for i in range(5) if v[i] == "+"]
+    squares = [[[edge(v, i), 1], [edge(flip(v, i), j), 1],
+                [edge(flip(v, j), i), -1], [edge(v, j), -1]]
+               for i in range(5) for j in [(i + 1) % 5]
+               for v in vertices if v[i] == v[j] == "+"]
+    return {"defining_graph": {"generators": gens,
+                               "edges": [[gens[i], gens[(i + 1) % 5]]
+                                         for i in range(5)]},
+            "vertices": vertices, "edges": edges, "squares": squares}
 
 
 _BALLS = {}
@@ -372,3 +404,276 @@ def tiling_svg_reference(tiling, rule=None, seed=0):
                   % (y, palette[i % len(palette)], y + 4, name))
     out.write("</svg>\n")
     return out.getvalue()
+
+
+# -- rule reference: the rule as it was extracted before its rounds came to
+# be int colours, with nested-tuple signatures compared as partitions,
+# per-type records, per-interface-class counts and a representative map in
+# the descriptor cross-check; `extract_rule` is tested against it
+
+
+@dataclass
+class RuleTypeReference:
+    name: str
+    clique: tuple
+    shape: tuple
+    children: Counter
+    internal: Counter
+    count: int
+    example: int
+    coalesced: str = ""
+
+
+@dataclass
+class RuleReference:
+    types: list
+    type_of: list
+    coalesced_of: dict
+    coalesced_children: dict
+    stable: bool
+    unstable_detail: list
+    interface_classes: dict   # class -> {"count", "continuations"}
+    split_report: dict
+
+
+def rule_reference(history):
+    tilings = history.tilings
+    graph = tilings[0].graph
+    ball = history.ball
+    starts, pred = ball.starts, ball.pred
+    deepest = len(tilings) - 1
+    vertices = history.vertices
+    kids = history.children
+    members = history.members
+
+    internal_pairs = defaultdict(list)
+    for t in tilings[1:]:
+        for a, b, label in t.edges():
+            a, b = t.first + a, t.first + b
+            pa = pred[a]
+            if pa == pred[b] and members[a] and members[b]:
+                internal_pairs[pa].append((a, b, LABELS[label]))
+
+    raw = {}
+    raw_sig = [None] * starts[deepest + 2]
+    for v in vertices:
+        key = ball.pred_move[v]
+        if key not in raw:
+            raw[key] = ("raw", support(key), _shape(ball, v))
+        raw_sig[v] = raw[key]
+    sig = [raw_sig]
+    below = starts[deepest + 1]
+
+    def refine_once(prev_sig):
+        nxt = list(prev_sig)
+        for v in vertices:
+            if v < below:
+                ch = tuple(sorted(prev_sig[c] for c in kids(v)))
+                internal = tuple(sorted(
+                    (tuple(sorted((prev_sig[a], prev_sig[b]))), lab)
+                    for a, b, lab in internal_pairs.get(v, ())))
+                nxt[v] = (prev_sig[v], ch, internal)
+        return nxt
+
+    def partition_on(signature, universe):
+        groups = defaultdict(list)
+        for v in universe:
+            groups[signature[v]].append(v)
+        return frozenset(frozenset(g) for g in groups.values())
+
+    stable = False
+    j_stable = None
+    for j in range(deepest):
+        sig.append(refine_once(sig[-1]))
+        universe = [v for v in vertices if v < starts[deepest - j + 1]]
+        if partition_on(sig[j + 1], universe) == partition_on(sig[j], universe):
+            stable = True
+            j_stable = j
+            break
+    if j_stable is None:
+        j_stable = len(sig) - 1
+
+    final_sig = sig[j_stable]
+    core_levels = len(tilings) - j_stable
+    core = [v for v in vertices if v < starts[core_levels + 1]]
+    classes = defaultdict(list)
+    for v in core:
+        classes[final_sig[v]].append(v)
+
+    def first_member(group):
+        low = history.locate(group[0])[0]
+        return low, min(history.name(v) for v in group
+                        if v < starts[low + 2])
+
+    unstable_detail = []
+    type_of = [None] * starts[deepest + 2]
+    for idx, group in enumerate(sorted(classes.values(), key=first_member)):
+        for v in group:
+            type_of[v] = "T%d" % idx
+
+    unresolved = []
+    for n in range(core_levels, len(tilings)):
+        depth = deepest - n
+        by = defaultdict(set)
+        for u in core:
+            by[sig[depth][u]].add(type_of[u])
+        for v in history.level_tiles(n):
+            cands = by.get(sig[depth][v], set())
+            if len(cands) == 1:
+                type_of[v] = next(iter(cands))
+            else:
+                unresolved.append((history.name(v), v, sorted(cands)))
+    for name, v, cands in sorted(unresolved):
+        unstable_detail.append("tile %s unresolved among %s" % (name, cands))
+        type_of[v] = "T?%s" % (cands,)
+
+    data = {}
+    for v in vertices:
+        name = type_of[v]
+        rec = data.get(name)
+        if rec is None:
+            _, clique, shape = raw_sig[v]
+            rec = data[name] = {"clique": clique, "shape": shape, "count": 0,
+                                "children": None, "internal": None,
+                                "example": v}
+        rec["count"] += 1
+        if v < below:
+            ch = Counter(type_of[c] for c in kids(v))
+            internal = Counter((tuple(sorted((type_of[a], type_of[b]))), lab)
+                               for a, b, lab in internal_pairs.get(v, ()))
+            if rec["children"] is None:
+                rec["children"] = ch
+                rec["internal"] = internal
+            elif rec["children"] != ch or rec["internal"] != internal:
+                unstable_detail.append(
+                    "type %s has inconsistent subdivisions (%s vs %s)"
+                    % (name, dict(rec["children"]), dict(ch)))
+    stable = stable and not unstable_detail
+
+    types = [RuleTypeReference(
+        name=name, clique=rec["clique"], shape=rec["shape"],
+        children=rec["children"] or Counter(),
+        internal=rec["internal"] or Counter(),
+        count=rec["count"], example=rec["example"])
+        for name, rec in sorted(data.items())]
+
+    co = {t.name: ("c", len(t.clique), t.shape) for t in types}
+    while True:
+        nxt = {t.name: (co[t.name], tuple(sorted((co[c], m) for c, m
+                                                 in t.children.items())))
+               for t in types}
+        if len(set(nxt.values())) == len(set(co.values())):
+            break
+        co = nxt
+    letter = {v: chr(ord("A") + i)
+              for i, v in enumerate(sorted(set(co.values()), key=str))}
+    coalesced_of = {t.name: letter[co[t.name]] for t in types}
+    for t in types:
+        t.coalesced = coalesced_of[t.name]
+
+    coalesced_children = {}
+    coalesce_ok = True
+    for t in types:
+        cc = Counter()
+        for c, m in t.children.items():
+            cc[coalesced_of[c]] += m
+        prev = coalesced_children.setdefault(t.coalesced, cc)
+        if prev != cc and t.children:
+            coalesce_ok = False
+    if not coalesce_ok:
+        unstable_detail.append("coalesced classes have inconsistent children")
+
+    split_report = {}
+    for t in types:
+        key = "clique=%s shape=%s" % (
+            "".join(graph.generators[i] for i in t.clique), t.shape)
+        split_report[key] = split_report.get(key, 0) + 1
+
+    def iclass(a, b, label):
+        return (tuple(sorted((type_of[a], type_of[b]))), LABELS[label])
+
+    interface_classes = {}
+    for t, nt in zip(tilings, tilings[1:]):
+        nxt_by_parents = defaultdict(list)
+        for a, b, label in nt.edges():
+            a, b = nt.first + a, nt.first + b
+            pa, pb = pred[a], pred[b]
+            if pa != pb and members[a] and members[b]:
+                nxt_by_parents[min(pa, pb), max(pa, pb)].append(
+                    iclass(a, b, label))
+        for a, b, label in t.edges():
+            a, b = t.first + a, t.first + b
+            if not (members[a] and members[b]):
+                continue
+            rec = interface_classes.setdefault(
+                iclass(a, b, label), {"count": 0, "continuations": Counter()})
+            rec["count"] += 1
+            rec["continuations"].update(nxt_by_parents.get((a, b), ()))
+
+    return RuleReference(
+        types=types,
+        type_of=[type_of[t.first:t.first + t.nonideal_count] for t in tilings],
+        coalesced_of=coalesced_of, coalesced_children=coalesced_children,
+        stable=stable, unstable_detail=unstable_detail,
+        interface_classes=interface_classes, split_report=split_report)
+
+
+def descriptor_crosscheck_reference(ref, history):
+    """The descriptor mismatches, each type's children read at the first
+    tile of that type on a level with children in the window."""
+    graph, moves = history.tilings[0].graph, history.ball.pred_move
+    reps = {}
+    for t, types in zip(history.tilings[:-1], ref.type_of):
+        for i in t.nonideal():
+            reps.setdefault(types[i], t.first + i)
+    mismatches = []
+    for rt in ref.types:
+        if rt.name not in reps:
+            continue
+        expected = Counter(inflation_descriptor(graph, moves[rt.example])
+                           .child_clique_counter())
+        got = Counter(support(moves[c])
+                      for c in history.children(reps[rt.name]))
+        if got != expected:
+            mismatches.append({
+                "type": rt.name,
+                "expected": {"".join(graph.generators[i] for i in k): v
+                             for k, v in sorted(expected.items())},
+                "observed": {"".join(graph.generators[i] for i in k): v
+                             for k, v in sorted(got.items())},
+            })
+    return mismatches
+
+
+def mesh_orbit_reference(ref):
+    """The mesh certificate's cycle, [] when granted, read off the
+    reference's per-class continuation counters."""
+    edges = defaultdict(set)
+    for t in ref.types:
+        if sum(t.children.values()) == 1:
+            edges[("tile", t.name)].add(("tile", next(iter(t.children))))
+    for key, rec in ref.interface_classes.items():
+        for cont in rec["continuations"]:
+            edges[("iface",) + key].add(("iface",) + cont)
+    color, stack = {}, []
+
+    def dfs(u):
+        color[u] = 1
+        stack.append(u)
+        for v in sorted(edges.get(u, ())):
+            if color.get(v) == 1:
+                return stack[stack.index(v):] + [v]
+            if v not in color:
+                got = dfs(v)
+                if got:
+                    return got
+        color[u] = 2
+        stack.pop()
+        return None
+
+    for u in sorted(edges):
+        if u not in color:
+            cyc = dfs(u)
+            if cyc:
+                return [list(x) for x in cyc]
+    return []

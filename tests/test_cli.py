@@ -178,6 +178,23 @@ def test_unreadable_json_exits_2(tmp_path, capsys, content, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("out", ["file", "file/o"], ids=["a-file", "under-a-file"])
+def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch, out):
+    from subdivlab import cli
+
+    def no_ball(*a, **k):
+        raise AssertionError("the ball is built")
+
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    inp = write(tmp_path, "triangle.json", TRIANGLE)
+    (tmp_path / "file").write_text("")
+    assert main(["run", inp, "--levels", "3", "--out",
+                 str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create the "
+                                              "output directory: ")
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_exit_code_cap(tmp_path):
     inp = write(tmp_path, "triangle.json", TRIANGLE)
     assert main(["run", inp, "--levels", "3", "--cap", "10",

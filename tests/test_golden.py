@@ -9,7 +9,10 @@ became indices into their level and ideal tiles came to be formed on
 demand.  `path3-az-special-2` and `path3-az-special-3` pin the same partial
 lift with no rule (below three levels) and at three levels; they were
 recorded before a pruned history came to be the ambient tilings plus a
-member set.  `p4-raag-4` pins P4 at depth 4, whose diameters
+member set.  `genus5-special-3` pins the closed genus-5 surface in the
+graph group of the 5-cycle (`conftest.genus5_surface`), the first
+multi-vertex complex pinned, whose lifts prune the ambient rule; it was
+recorded before the rule's rounds came to be int colours.  `p4-raag-4` pins P4 at depth 4, whose diameters
 grow quadratically; it was recorded before the ball's elements came to be
 numbered by one global index.
 
@@ -19,7 +22,8 @@ least-squares fits) went and `divergence.degree` came, and nothing else in
 those reports changed.  Every other digest dates from before tile ids were
 shared and each level's adjacency stored once.  A change that alters one of
 these files on purpose re-records its digest and says why.  The inputs are
-the benchmark's, written out here so the test reads no other directory.
+written out here, or generated by `conftest`, so the test reads no other
+directory.
 """
 
 import hashlib
@@ -29,6 +33,7 @@ import os
 import pytest
 
 from subdivlab.cli import main
+from conftest import genus5_surface
 
 C4 = {"generators": ["a", "b", "c", "d"],
       "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}
@@ -117,6 +122,13 @@ RUNS = {
             "86e9aa6b018cede9121994548256a19dcf5911a6c36390aa92b7a7c8eea7ab48",
         "report.json":
             "ade512cb9757df4b5290f98a21357e497121c184b8248c274e899570cc3c4b31",
+    }),
+    "genus5-special-3": (genus5_surface(), ["--mode", "special",
+                                            "--levels", "3"], {
+        "counts.csv":
+            "375339b57c0033b0161be3aa49de354d0bccb21f3ad5d5330183aa1bbee0681d",
+        "report.json":
+            "494c2d1d6d00441f4b71743477bc41cd11d054c198b3bf335cd821de01b78e27",
     }),
     "path3-az-special-2": (PATH3_AZ, ["--mode", "special", "--levels", "2"], {
         "counts.csv":

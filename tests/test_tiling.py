@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -10,12 +11,15 @@ from subdivlab import words
 from subdivlab.balls import InvariantViolation, build_ball
 from subdivlab.cubes import lift_basepoints, prune_history, salvetti_spec
 from subdivlab.graphs import DefiningGraph, cell_str, support
-from subdivlab.tiling import (LABELS, ROOT, _compute_adjacency, build_history,
-                              build_tiling, build_tilings,
+from subdivlab.invariants import mesh_certificate
+from subdivlab.tiling import (LABELS, ROOT, HistoryGraph, _compute_adjacency,
+                              build_history, build_tiling, build_tilings,
                               descriptor_crosscheck, extract_rule,
                               inflation_descriptor)
-from conftest import (adjacency, all_graphs_up_to_iso, free3, get_ball,
-                      get_rule, get_tilings, json_text, path3, triangle)
+from conftest import (adjacency, all_graphs_up_to_iso,
+                      descriptor_crosscheck_reference, free3, get_ball,
+                      get_rule, get_tilings, graph_from_edges, json_text,
+                      mesh_orbit_reference, path3, rule_reference, triangle)
 
 
 def test_tile_counts_triangle():
@@ -440,6 +444,65 @@ def test_extract_rule_path3():
     # per raw class
     assert all(v == 1 for v in rule.split_report.values())
     assert len(rule.types) == 5
+
+
+def check_rule_against_reference(history):
+    """Assert that `extract_rule` gives what the nested-tuple reference
+    gives; returns the rule."""
+    rule, ref = extract_rule(history), rule_reference(history)
+    assert ([(t.name, t.clique, t.shape, t.children, t.example, t.coalesced)
+             for t in rule.types]
+            == [(t.name, t.clique, t.shape, t.children, t.example, t.coalesced)
+                for t in ref.types])
+    for field in ("type_of", "coalesced_of", "coalesced_children", "stable",
+                  "unstable_detail", "split_report"):
+        assert getattr(rule, field) == getattr(ref, field), field
+    assert (descriptor_crosscheck(rule, history)
+            == descriptor_crosscheck_reference(ref, history))
+    assert rule.interface_classes == {
+        (key, cont) for key, rec in ref.interface_classes.items()
+        for cont in rec["continuations"]}
+    # the certificate reads only the persistence pairs and the types, so an
+    # unstable rule's pairs are read as a stable one's
+    assert (mesh_certificate(replace(rule, stable=True)).orbit
+            == mesh_orbit_reference(ref))
+    return rule
+
+
+def test_rule_matches_reference_on_small_classes(class_tilings):
+    for d in range(1, 5):
+        for edges in all_graphs_up_to_iso(d):
+            if d <= 3:   # one ball for the history: class_tilings mixes two
+                ball = build_ball(graph_from_edges(d, edges), 4)
+                tilings = build_tilings(ball, 4)
+            else:
+                tilings = class_tilings(d, edges, 3)
+            assert check_rule_against_reference(build_history(tilings)).stable
+
+
+def random_members(ball, levels, rng):
+    """A random member set closed under `ball.pred`: each tile of the first
+    `levels` levels whose parent is a member joins with one probability."""
+    p = rng.choice([0.5, 0.7, 0.9])
+    members = bytearray(ball.size())
+    members[ROOT] = 1
+    for v in range(ball.starts[1], ball.starts[levels + 1]):
+        members[v] = members[ball.pred[v]] and rng.random() < p
+    return members
+
+
+def test_rule_matches_reference_on_random_member_sets(class_tilings):
+    p4 = [(0, 1), (1, 2), (2, 3)]
+    details = []
+    for tilings in (get_tilings("path3", 4), class_tilings(4, p4, 3)):
+        for seed in range(12):
+            members = random_members(tilings[0].ball, len(tilings),
+                                     random.Random(seed))
+            rule = check_rule_against_reference(HistoryGraph(tilings, members))
+            details += rule.unstable_detail
+    # both kinds of unstable detail are met
+    assert any(" unresolved among " in d for d in details)
+    assert any(" has inconsistent subdivisions " in d for d in details)
 
 
 def test_requires_three_levels():
